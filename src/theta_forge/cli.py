@@ -14,9 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .arith import GaussianRational
 from .jacobi_like import completed_theta, verify_root_identity
@@ -27,8 +25,8 @@ from .lattice import (
     InvalidFormError,
     QuadraticForm,
     catalog_form,
-    first_root,
     load_form,
+    unit_insertion_vector,
 )
 from .modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
 from .verify import LAW_IDS, run_campaign
@@ -36,23 +34,6 @@ from .verify import LAW_IDS, run_campaign
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lattice: str = "A2"
-    v_spec: Optional[str] = None
-    k: int = 0
-    prec: int = 20
-    x_prec: int = 4
-    tol: float = 1e-8
-    seed: int = 0
-    fmt: str = "text"
-    laws: str = "all"
-    count: int = 10
-    weight: int = 2
-    extra: dict = field(default_factory=dict)
 
 
 def _resolve_form(name: str) -> QuadraticForm:
@@ -122,16 +103,6 @@ def _parse_v(spec: str, form: QuadraticForm) -> InsertionVector:
     return InsertionVector(w, s)
 
 
-def _default_v(form: QuadraticForm) -> InsertionVector:
-    root = first_root(form)
-    if root is None:
-        raise UsageError(
-            "lattice has no vector of norm one; pass --v explicitly "
-            '(for example "--v 1,0 / s=1/4" style, scaled to <v,v> = 1)'
-        )
-    return InsertionVector.from_root(root)
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -149,97 +120,75 @@ def _series_text(series) -> str:
     return "\n".join(lines) if lines else "0"
 
 
-def _cmd_expand_theta(cfg: RunConfig) -> int:
-    form = _resolve_form(cfg.lattice)
-    v = None
-    if cfg.k > 0:
-        v = _parse_v(cfg.v_spec, form) if cfg.v_spec else _default_v(form)
-    elif cfg.v_spec:
-        v = _parse_v(cfg.v_spec, form)
-    series = theta_expand(ThetaSpec(form, v, cfg.k), cfg.prec)
-    if cfg.fmt == "json":
-        print(_dump_json(series.to_json_dict()))
-    else:
-        print(_series_text(series))
+def _print_series(series, fmt: str) -> None:
+    print(_dump_json(series.to_json_dict()) if fmt == "json" else _series_text(series))
+
+
+def _insertion_vector(args, form: QuadraticForm) -> InsertionVector:
+    return _parse_v(args.v_spec, form) if args.v_spec else unit_insertion_vector(form)
+
+
+def _cmd_expand_theta(args) -> int:
+    form = _resolve_form(args.lattice)
+    v = _insertion_vector(args, form) if args.k > 0 or args.v_spec else None
+    _print_series(theta_expand(ThetaSpec(form, v, args.k), args.prec), args.fmt)
     return 0
 
 
-def _cmd_expand_psi(cfg: RunConfig) -> int:
-    form = _resolve_form(cfg.lattice)
-    if cfg.k < 0 or cfg.k % 2:
+def _cmd_expand_psi(args) -> int:
+    form = _resolve_form(args.lattice)
+    if args.k < 0 or args.k % 2:
         raise UsageError("the completed series needs an even k >= 0")
-    v = _parse_v(cfg.v_spec, form) if cfg.v_spec else _default_v(form)
-    series = completed_theta(form, v, cfg.k, cfg.prec)
-    if cfg.fmt == "json":
-        print(_dump_json(series.to_json_dict()))
-    else:
-        print(_series_text(series))
+    _print_series(completed_theta(form, _insertion_vector(args, form), args.k, args.prec), args.fmt)
     return 0
 
 
-def _cmd_expand_eisenstein(cfg: RunConfig) -> int:
-    wt = cfg.weight
+def _cmd_expand_eisenstein(args) -> int:
+    wt = args.weight
     if wt == 2:
-        series = eisenstein_e2(cfg.prec)
+        series = eisenstein_e2(args.prec)
     elif wt >= 4 and wt % 2 == 0:
-        series = eisenstein_e2k(wt // 2, cfg.prec)
+        series = eisenstein_e2k(wt // 2, args.prec)
     else:
         raise UsageError("--weight must be 2 or an even integer >= 4")
-    if cfg.fmt == "json":
-        print(_dump_json(series.to_json_dict()))
-    else:
-        print(_series_text(series))
+    _print_series(series, args.fmt)
     return 0
 
 
-def _cmd_verify_identity(cfg: RunConfig) -> int:
-    form = _resolve_form(cfg.lattice)
+def _cmd_verify_identity(args) -> int:
+    form = _resolve_form(args.lattice)
     # prec is inclusive here: coefficients through q^prec are certified
-    ok, residual = verify_root_identity(form, cfg.prec + 1)
-    if cfg.fmt == "json":
+    ok, residual = verify_root_identity(form, args.prec + 1)
+    if args.fmt == "json":
         print(
             _dump_json(
                 {
                     "identity": "root",
-                    "lattice": cfg.lattice,
-                    "prec": cfg.prec,
+                    "lattice": args.lattice,
+                    "prec": args.prec,
                     "residual_zero": ok,
                 }
             )
         )
     else:
         if ok:
-            print(f"root identity residual: 0 through q^{cfg.prec}")
+            print(f"root identity residual: 0 through q^{args.prec}")
         else:
             first = residual.order()
             print(f"root identity FAILED: first nonzero coefficient at q^{first}")
     return 0 if ok else 1
 
 
-def _cmd_verify_laws(cfg: RunConfig) -> int:
-    form = _resolve_form(cfg.lattice)
-    laws = list(LAW_IDS) if cfg.laws == "all" else [s.strip() for s in cfg.laws.split(",")]
-    bad = [law for law in laws if law not in LAW_IDS]
-    if bad:
-        raise UsageError(
-            f"unknown laws: {', '.join(bad)}; known: all, {', '.join(LAW_IDS)}"
-        )
-    v = _parse_v(cfg.v_spec, form) if cfg.v_spec else _default_v(form)
-    if cfg.tol <= 0:
-        raise UsageError("--tol must be positive")
-    reports, notes = run_campaign(
-        form,
-        laws,
-        cfg.count,
-        cfg.seed,
-        cfg.tol,
-        v=v,
-        k=cfg.k,
-        x_prec=cfg.x_prec,
-    )
+def _cmd_verify_laws(args) -> int:
+    form = _resolve_form(args.lattice)
+    laws = LAW_IDS if args.laws == "all" else [s.strip() for s in args.laws.split(",")]
+    given = {name: getattr(args, name) for name in ("tol", "k", "x_prec") if hasattr(args, name)}
+    if args.v_spec:
+        given["v"] = _parse_v(args.v_spec, form)
+    reports, notes = run_campaign(form, laws, args.count, args.seed, **given)
     for note in notes:
         print(note, file=sys.stderr)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(_dump_json({"reports": [r.to_json_dict() for r in reports]}))
     else:
         for r in reports:
@@ -248,7 +197,7 @@ def _cmd_verify_laws(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_catalog(cfg: RunConfig) -> int:
+def _cmd_catalog(args) -> int:
     rows = []
     for name in sorted(CATALOG):
         form = catalog_form(name)
@@ -260,7 +209,7 @@ def _cmd_catalog(cfg: RunConfig) -> int:
         for fn in sorted(os.listdir(cat_dir)):
             if fn.endswith(".json"):
                 rows.append({"name": fn[:-5], "source": cat_dir})
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(_dump_json({"lattices": rows}))
     else:
         for row in rows:
@@ -288,36 +237,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prec_default=20):
-        p.add_argument("--lattice", default="A2", help="catalog name or Gram JSON path")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--prec", type=int, default=prec_default)
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--lattice", default="A2", help="catalog name or Gram JSON path")
+    lattice.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+    series = argparse.ArgumentParser(add_help=False, parents=[lattice])
+    series.add_argument("--prec", type=int, default=20)
 
-    p = sub.add_parser("expand-theta", help="q-expansion of a theta series")
-    common(p)
+    p = sub.add_parser("expand-theta", parents=[series], help="q-expansion of a theta series")
     p.add_argument("--k", type=int, default=0, help="insertion power")
     p.add_argument("--v", dest="v_spec", default=None, help='insertion vector, e.g. "1,0 / s=1/2"')
 
-    p = sub.add_parser("expand-psi", help="q-expansion of the completed combination")
-    common(p)
+    p = sub.add_parser("expand-psi", parents=[series], help="q-expansion of the completed combination")
     p.add_argument("--k", type=int, default=4, help="even insertion index")
     p.add_argument("--v", dest="v_spec", default=None)
 
-    p = sub.add_parser("expand-eisenstein", help="q-expansion of an Eisenstein series")
-    common(p)
+    p = sub.add_parser("expand-eisenstein", parents=[series], help="q-expansion of an Eisenstein series")
     p.add_argument("--weight", type=int, default=2)
 
-    p = sub.add_parser("verify-identity", help="exact root-lattice identity check")
-    common(p)
+    sub.add_parser("verify-identity", parents=[series], help="exact root-lattice identity check")
 
-    p = sub.add_parser("verify-laws", help="numeric transformation-law campaign")
-    common(p, prec_default=20)
+    p = sub.add_parser("verify-laws", parents=[lattice], help="numeric transformation-law campaign")
     p.add_argument("--laws", default="all", help=f"comma list from: {', '.join(LAW_IDS)}; or all")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--k", type=int, default=2, help="insertion index for the cusp law")
-    p.add_argument("--x-prec", type=int, default=4, dest="x_prec")
+    # no defaults here: an absent flag leaves run_campaign's default in force
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS, help="insertion index for the cusp law")
+    p.add_argument("--x-prec", type=int, default=argparse.SUPPRESS, dest="x_prec")
     p.add_argument("--v", dest="v_spec", default=None)
 
     p = sub.add_parser("catalog", help="list available lattices")
@@ -326,32 +272,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("lattice", "v_spec", "k", "prec", "x_prec", "tol", "seed", "fmt", "laws", "count", "weight"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    if cfg.prec < 1:
+    if getattr(args, "prec", 1) < 1:
         print("error: --prec must be at least 1", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidFormError as exc:
         print(f"error: invalid Gram matrix ({exc.code}): {exc}", file=sys.stderr)
         return 2
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (EnumerationBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

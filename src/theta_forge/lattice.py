@@ -280,12 +280,6 @@ class InsertionVector:
             return den, (re_row, im_row)
         return den, (re_row,)
 
-    def pairing_value(self, den: int, ts) -> GaussianRational:
-        """Reassemble w'Am from its integral weights: (t1 + i t2)/den."""
-        t1 = ts[0]
-        t2 = ts[1] if len(ts) > 1 else 0
-        return GaussianRational(Fraction(t1, den), Fraction(t2, den))
-
     def __eq__(self, other):
         if not isinstance(other, InsertionVector):
             return NotImplemented

@@ -15,8 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import gcd, pi
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from .arith import pairing_coeff
 from .lattice import (
@@ -381,17 +384,11 @@ def check_rescale(
     N = form.level
     lhs = theta_numeric(ThetaSpec(form, v, k, h), z, inner, budget=budget)
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
-    assert scaled.level == c * N, "rescaled form must have level cN"
     rhs = 0j
-    count = 0
-    from itertools import product as iproduct
-
-    for w in iproduct(range(c), repeat=form.rank):
+    for w in product(range(c), repeat=form.rank):
         g = tuple(h.rep[i] + N * w[i] for i in range(form.rank))
         gcls = CongruenceClass(scaled, g)
         rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), c * z, inner / c ** form.rank, budget=budget)
-        count += 1
-    assert count == c ** form.rank
     return LawReport.make(
         "rescale",
         {
@@ -549,20 +546,6 @@ def check_gauss_closed_form(
     )
 
 
-LAW_IDS = (
-    "generating",
-    "e2",
-    "inversion",
-    "congruence",
-    "translation",
-    "rescale",
-    "cusp",
-    "poisson",
-    "gauss_orthogonality",
-    "gauss_closed_form",
-)
-
-
 def _pick_tau(gamma: Gamma0Matrix, rng: random.Random, min_im: float):
     """A tau with im(tau) and im(gamma tau) both above min_im, or None.
 
@@ -591,12 +574,54 @@ def _grid_tau(rng: random.Random, min_im: float) -> complex:
     return cand if cand.imag >= min_im else complex(cand.real, min_im + 0.5)
 
 
+def _offset(rng: random.Random, rank: int):
+    den = rng.choice((2, 3, 5, 7))
+    return tuple(Fraction(rng.randrange(den), den) for _ in range(rank))
+
+
+class _Law(NamedTuple):
+    gamma: bool  # draws a Gamma_0(N) matrix from the pool
+    cap: Optional[str]  # "c" or "d": the matrix entry e whose e^rank Gauss sum is capped
+    tau: Optional[str]  # "orbit" (_pick_tau), "grid" (_grid_tau) or None
+    powers: tuple  # insertion powers cycled over the checks; () keeps the campaign k
+    drive: Callable  # (settings, gamma, h, k, tau) -> LawReport
+
+
+# Drivers look each check up by its module name at call time, and call
+# tau() only after their own draws (the rescale factor, the Poisson
+# offset), which keeps the seeded draw order.
+_LAWS = {
+    "generating": _Law(True, None, "orbit", (), lambda s, g, h, k, tau:
+        check_generating_modularity(s.form, s.v, g, tau(), s.x_prec, s.tol, budget=s.budget)),
+    "e2": _Law(True, None, "orbit", (), lambda s, g, h, k, tau:
+        check_e2_quasimodularity(g, tau(), s.tol)),
+    "inversion": _Law(False, None, "grid", (0, 2, 4), lambda s, g, h, k, tau:
+        check_inversion_law(s.form, h, s.v, k, tau(), s.tol, budget=s.budget)),
+    "congruence": _Law(True, None, "orbit", (0, 2, 4), lambda s, g, h, k, tau:
+        check_congruence_modularity(s.form, h, s.v, k, g, tau(), s.tol, budget=s.budget)),
+    "translation": _Law(False, None, "grid", (0, 2, 4), lambda s, g, h, k, tau:
+        check_translation(s.form, h, s.v, k, tau(), s.tol, budget=s.budget)),
+    "rescale": _Law(False, None, "grid", (0, 2), lambda s, g, h, k, tau:
+        check_rescale(s.form, h, s.v, k, s.rng.choice((2, 3)), tau(), s.tol, budget=s.budget)),
+    "cusp": _Law(True, "c", "orbit", (), lambda s, g, h, k, tau:
+        check_cusp_expansion(s.form, s.v, k, g, tau(), s.tol, budget=s.budget)),
+    "poisson": _Law(False, None, "grid", (), lambda s, g, h, k, tau:
+        check_poisson_inversion(s.form, _offset(s.rng, s.form.rank), tau(), s.tol, budget=s.budget)),
+    "gauss_orthogonality": _Law(True, None, None, (), lambda s, g, h, k, tau:
+        check_gauss_orthogonality(s.form, g, s.tol)),
+    "gauss_closed_form": _Law(True, "d", None, (), lambda s, g, h, k, tau:
+        check_gauss_closed_form(s.form, g, h, s.tol)),
+}
+LAW_IDS = tuple(_LAWS)
+_GAUSS_SUM_CAP = 1_000_000
+
+
 def run_campaign(
     form: QuadraticForm,
     laws,
     count: int,
     seed: int,
-    tol: float,
+    tol: float = 1e-8,
     *,
     v: Optional[InsertionVector] = None,
     k: int = 2,
@@ -607,14 +632,18 @@ def run_campaign(
 
     Deterministic for a fixed seed.  Matrices whose orbit cannot reach
     the working height and Gauss sums too large to evaluate are recorded
-    in the notes instead of producing reports.
+    in the notes instead of producing reports.  `v` defaults to
+    unit_insertion_vector(form).
     """
-    unknown = [law for law in laws if law not in LAW_IDS]
+    unknown = [law for law in laws if law not in _LAWS]
     if unknown:
-        raise ValueError(f"unknown laws: {', '.join(unknown)}")
+        raise ValueError(f"unknown laws: {', '.join(unknown)}; known: {', '.join(LAW_IDS)}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     rng = random.Random(seed)
     if v is None:
         v = unit_insertion_vector(form)
+    settings = SimpleNamespace(form=form, v=v, x_prec=x_prec, tol=tol, budget=budget, rng=rng)
     classes = form.congruence_classes()
     nonzero = next((c for c in classes if any(c.rep)), None)
     h_cycle = [CongruenceClass.zero(form)] + ([nonzero] if nonzero else [])
@@ -623,76 +652,35 @@ def run_campaign(
     reports = []
     notes = []
     for law in laws:
+        row = _LAWS[law]
         done = 0
         mats = iter(matrices)
         while done < count:
-            if law in ("generating", "e2", "congruence", "cusp", "gauss_orthogonality", "gauss_closed_form"):
-                gamma = next(mats, None)
-                if gamma is None:
-                    notes.append(f"{law}: matrix pool exhausted at {done}/{count}")
-                    break
-            else:
-                gamma = None
+            gamma = next(mats, None) if row.gamma else None
+            if row.gamma and gamma is None:
+                notes.append(f"{law}: matrix pool exhausted at {done}/{count}")
+                break
+            if row.cap == "c" and gamma.c ** form.rank > _GAUSS_SUM_CAP:
+                notes.append(f"{law}: skipped c={gamma.c} (Gauss sum too large)")
+                continue
+            if row.cap == "d" and gamma.d ** form.rank > _GAUSS_SUM_CAP:
+                notes.append(f"{law}: skipped d={gamma.d} (Gauss sum too large)")
+                continue
+            tau = None
+            if row.tau == "orbit":
+                z = _pick_tau(gamma, rng, min_im)
+                if z is None:
+                    notes.append(f"{law}: skipped c={gamma.c} (no usable tau)")
+                    continue
+                tau = lambda: z
+            elif row.tau == "grid":
+                tau = partial(_grid_tau, rng, min_im)
+            h = h_cycle[done % len(h_cycle)]
+            kk = row.powers[done % len(row.powers)] if row.powers else k
             try:
-                if law == "generating":
-                    tau = _pick_tau(gamma, rng, min_im)
-                    if tau is None:
-                        notes.append(f"{law}: skipped c={gamma.c} (no usable tau)")
-                        continue
-                    rep = check_generating_modularity(form, v, gamma, tau, x_prec, tol, budget=budget)
-                elif law == "e2":
-                    tau = _pick_tau(gamma, rng, min_im)
-                    if tau is None:
-                        notes.append(f"{law}: skipped c={gamma.c} (no usable tau)")
-                        continue
-                    rep = check_e2_quasimodularity(gamma, tau, tol)
-                elif law == "inversion":
-                    h = h_cycle[done % len(h_cycle)]
-                    kk = (0, 2, 4)[done % 3]
-                    rep = check_inversion_law(form, h, v, kk, _grid_tau(rng, min_im), tol, budget=budget)
-                elif law == "congruence":
-                    tau = _pick_tau(gamma, rng, min_im)
-                    if tau is None:
-                        notes.append(f"{law}: skipped c={gamma.c} (no usable tau)")
-                        continue
-                    h = h_cycle[done % len(h_cycle)]
-                    kk = (0, 2, 4)[done % 3]
-                    rep = check_congruence_modularity(form, h, v, kk, gamma, tau, tol, budget=budget)
-                elif law == "translation":
-                    h = h_cycle[done % len(h_cycle)]
-                    kk = (0, 2, 4)[done % 3]
-                    rep = check_translation(form, h, v, kk, _grid_tau(rng, min_im), tol, budget=budget)
-                elif law == "rescale":
-                    h = h_cycle[done % len(h_cycle)]
-                    kk = (0, 2)[done % 2]
-                    c = rng.choice((2, 3))
-                    rep = check_rescale(form, h, v, kk, c, _grid_tau(rng, min_im), tol, budget=budget)
-                elif law == "cusp":
-                    if gamma.c ** form.rank > 1_000_000:
-                        notes.append(f"{law}: skipped c={gamma.c} (Gauss sum too large)")
-                        continue
-                    tau = _pick_tau(gamma, rng, min_im)
-                    if tau is None:
-                        notes.append(f"{law}: skipped c={gamma.c} (no usable tau)")
-                        continue
-                    rep = check_cusp_expansion(form, v, k, gamma, tau, tol, budget=budget)
-                elif law == "poisson":
-                    den = rng.choice((2, 3, 5, 7))
-                    x = tuple(
-                        Fraction(rng.randrange(den), den) for _ in range(form.rank)
-                    )
-                    rep = check_poisson_inversion(form, x, _grid_tau(rng, min_im), tol, budget=budget)
-                elif law == "gauss_orthogonality":
-                    rep = check_gauss_orthogonality(form, gamma, tol)
-                else:
-                    if gamma.d ** form.rank > 1_000_000:
-                        notes.append(f"{law}: skipped d={gamma.d} (Gauss sum too large)")
-                        continue
-                    h = h_cycle[done % len(h_cycle)]
-                    rep = check_gauss_closed_form(form, gamma, h, tol)
+                reports.append(row.drive(settings, gamma, h, kk, tau))
             except ValueError as exc:
                 notes.append(f"{law}: skipped ({exc})")
                 continue
-            reports.append(rep)
             done += 1
     return reports, notes

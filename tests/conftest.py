@@ -3,12 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-ACCEPTANCE_LINES = []
-
-
-def record_acceptance(line: str):
-    ACCEPTANCE_LINES.append(line)
-    print(line)
+from acceptance_log import ACCEPTANCE_LINES  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import record_acceptance
+from acceptance_log import record_acceptance
 
 from theta_forge.arith import GaussianRational, pairing_coeff
 from theta_forge.jacobi_like import (

@@ -97,10 +97,13 @@ class TestExpandPsi:
         assert code == 0
         assert "1/48" in out
 
-    def test_rootless_needs_explicit_vector(self, capsys):
-        code, _, err = run(capsys, "expand-psi", "--lattice", "2A2", "--prec", "3")
-        assert code == 2
-        assert "--v" in err
+    def test_rootless_defaults_to_scaled_shortest_vector(self, capsys):
+        code, out, _ = run(capsys, "expand-psi", "--lattice", "2A2", "--prec", "3")
+        assert code == 0
+        explicit = run(
+            capsys, "expand-psi", "--lattice", "2A2", "--prec", "3", "--v", "-1,-1 / s=1/4"
+        )
+        assert explicit == (0, out, "")
 
     def test_rootless_with_vector(self, capsys):
         code, out, _ = run(
@@ -192,6 +195,26 @@ class TestVerifyLaws:
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "verify-laws", "--laws", "teleportation")
         assert code == 2
+        assert "teleportation" in err
+
+    def test_nonpositive_tol(self, capsys):
+        code, _, err = run(capsys, "verify-laws", "--laws", "inversion", "--tol", "0")
+        assert code == 2
+        assert "tol must be positive" in err
+
+    def test_rootless_default_settings(self, capsys):
+        # no roots on 2A2: the campaign uses the scaled shortest vector
+        args = ("verify-laws", "--lattice", "2A2", "--count", "2", "--format", "json")
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["reports"]) == 20
+        assert all(r["pass"] for r in doc["reports"])
+        assert run(capsys, *args, "--v", "-1,-1 / s=1/4") == (0, out, err)
+
+    def test_prec_not_accepted(self):
+        with pytest.raises(SystemExit):
+            main(["verify-laws", "--prec", "5"])
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run(

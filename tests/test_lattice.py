@@ -267,7 +267,6 @@ class TestInsertionVector:
         # w'A = (2, 2i): one real row and one imaginary row
         assert den == 1
         assert rows == ((2, 0), (0, 2))
-        assert v.pairing_value(den, (2, 2)) == GaussianRational(2, 2)
 
 
 class TestHistogram:

@@ -245,6 +245,13 @@ class TestCampaign:
         with pytest.raises(ValueError):
             run_campaign(A2, ("no-such-law",), 2, seed=0, tol=1e-8)
 
+    # laws that draw no matrix used to retry forever on a non-positive tol
+    @pytest.mark.parametrize("law", ["inversion", "translation", "rescale", "poisson"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_nonpositive_tol_rejected(self, law, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            run_campaign(A2, (law,), 1, seed=0, tol=tol)
+
     def test_rank_four_sampler(self):
         d4 = catalog_form("D4")
         reports, _ = run_campaign(d4, ("congruence",), 3, seed=2, tol=1e-7)
