@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import GaussianRational, pairing_coeff
-from .lattice import DEFAULT_BUDGET, InsertionVector, QuadraticForm, first_root
+from .lattice import InsertionVector, QuadraticForm, first_root
 from .modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
 from .qseries import FracQSeries, XSeries
 
@@ -55,14 +55,7 @@ class JacobiLikeForm:
         )
 
 
-def theta_generating(
-    form: QuadraticForm,
-    v: InsertionVector,
-    x_prec: int,
-    q_prec: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> JacobiLikeForm:
+def theta_generating(form: QuadraticForm, v: InsertionVector, x_prec: int, q_prec: int) -> JacobiLikeForm:
     """Y^n coefficient = (2^n/(2n)!) theta(form, v, 2n) exactly.
 
     Weight is the half rank, the index is <v,v>, and the character is the
@@ -72,7 +65,7 @@ def theta_generating(
         raise ValueError("x_prec must be >= 1")
     ycoeffs = []
     for n in range(x_prec):
-        theta = theta_expand(ThetaSpec(form, v, 2 * n), q_prec, budget=budget)
+        theta = theta_expand(ThetaSpec(form, v, 2 * n), q_prec)
         ycoeffs.append(theta * Fraction(2 ** n, math.factorial(2 * n)))
     return JacobiLikeForm(
         xseries=XSeries(ycoeffs),
@@ -109,14 +102,7 @@ def e2_exponential(x_prec: int, q_prec: int, sign: int = 1) -> JacobiLikeForm:
     )
 
 
-def completed_theta(
-    form: QuadraticForm,
-    v: InsertionVector,
-    k: int,
-    q_prec: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> FracQSeries:
+def completed_theta(form: QuadraticForm, v: InsertionVector, k: int, q_prec: int) -> FracQSeries:
     """sum over t of pairing_coeff(t,k) E_2^t theta(form, v, k-2t), exact.
 
     k is the full even insertion index; the result transforms with weight
@@ -128,20 +114,13 @@ def completed_theta(
     total = FracQSeries.zero(q_prec)
     e2_power = FracQSeries.constant(1, q_prec)
     for t in range(k // 2 + 1):
-        theta = theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec, budget=budget)
+        theta = theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec)
         total = total + theta * e2_power * pairing_coeff(t, k)
         e2_power = e2_power * e2
     return total
 
 
-def cusp_combination(
-    form: QuadraticForm,
-    v: InsertionVector,
-    k: int,
-    q_prec: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> FracQSeries:
+def cusp_combination(form: QuadraticForm, v: InsertionVector, k: int, q_prec: int) -> FracQSeries:
     """Completed series at index 2k minus its Eisenstein part, for unit v.
 
     The subtraction pairing_coeff(k,2k) (-1/12)^k theta E_2k removes the
@@ -152,22 +131,16 @@ def cusp_combination(
         raise ValueError("k must be an integer >= 2")
     if not v.is_unit(form):
         raise ValueError(f"insertion vector must have <v,v> = 1, got {v.norm(form)}")
-    psi = completed_theta(form, v, 2 * k, q_prec, budget=budget)
+    psi = completed_theta(form, v, 2 * k, q_prec)
     eis = (
-        theta_expand(ThetaSpec.plain(form), q_prec, budget=budget)
+        theta_expand(ThetaSpec.plain(form), q_prec)
         * eisenstein_e2k(k, q_prec)
         * (pairing_coeff(k, 2 * k) * Fraction(-1, 12) ** k)
     )
     return psi - eis
 
 
-def verify_root_identity(
-    form: QuadraticForm,
-    q_prec: int,
-    root=None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-):
+def verify_root_identity(form: QuadraticForm, q_prec: int, root=None):
     """Check that the index-4 completed series of a root equals its
     Eisenstein part: returns (passed, residual series).
 
@@ -182,5 +155,5 @@ def verify_root_identity(
     elif form.q_value(root) != 1:
         raise ValueError(f"{root} is not a root: Q = {form.q_value(root)}")
     v = InsertionVector.from_root(root)
-    residual = cusp_combination(form, v, 2, q_prec, budget=budget)
+    residual = cusp_combination(form, v, 2, q_prec)
     return residual.is_zero(), residual

@@ -30,7 +30,7 @@ class InvalidFormError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Estimated lattice-point count exceeds the allowed budget."""
+    """Estimated lattice-point count exceeds ENUMERATION_BUDGET."""
 
 
 def _ldl_exact(gram):
@@ -83,7 +83,7 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_np", "_ldl")
+    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_np", "_ldl", "_cells", "_dual")
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -109,7 +109,6 @@ class QuadraticForm:
         det = Fraction(1)
         for dj in self._ldl[1]:
             det *= dj
-        assert det.denominator == 1 and det > 0
         self.det = int(det)
         self.inverse_gram = _inverse_exact(rows)
         n0 = 1
@@ -120,6 +119,9 @@ class QuadraticForm:
             n0 *= 2
         self.level = n0
         self._np = np.array(rows, dtype=np.int64)
+        # insertion histograms built for this form: (scale, h0, weights) -> (bound, cells)
+        self._cells = {}
+        self._dual = None
 
     @property
     def half_rank(self) -> int:
@@ -147,16 +149,15 @@ class QuadraticForm:
         return kronecker_symbol(disc, n)
 
     def dual(self) -> "QuadraticForm":
-        """Form on the adjugate matrix det(A) * A^-1; always integral and even."""
-        adj = []
-        for i in range(self.rank):
-            row = []
-            for j in range(self.rank):
-                x = self.det * self.inverse_gram[i][j]
-                assert x.denominator == 1
-                row.append(int(x))
-            adj.append(tuple(row))
-        return QuadraticForm(adj)
+        """Form on the adjugate matrix det(A) * A^-1; always integral and even.
+
+        Built once per form, so the dual sums keep their histograms too.
+        """
+        if self._dual is None:
+            self._dual = QuadraticForm(
+                [[int(self.det * x) for x in row] for row in self.inverse_gram]
+            )
+        return self._dual
 
     def congruence_classes(self):
         """All classes h mod N with A h = 0 mod N; exactly det(A) of them."""
@@ -168,7 +169,8 @@ class QuadraticForm:
                 for i in range(self.rank)
             ):
                 out.append(CongruenceClass(self, h))
-        assert len(out) == self.det
+        if len(out) != self.det:
+            raise ArithmeticError(f"found {len(out)} classes mod {N}, expected det = {self.det}")
         return out
 
     def __eq__(self, other):
@@ -292,25 +294,17 @@ class InsertionVector:
         return f"InsertionVector(w={list(map(str, self.w))}, s={self.s})"
 
 
-_BALL_VOLUME_CACHE = {}
-
-
-def _ball_volume(f: int) -> float:
-    if f not in _BALL_VOLUME_CACHE:
-        _BALL_VOLUME_CACHE[f] = pi ** (f / 2) / math.gamma(f / 2 + 1)
-    return _BALL_VOLUME_CACHE[f]
-
-
 def _leaf_estimate(form: QuadraticForm, bound: int, scale: int) -> float:
     # ellipsoid volume for z'Az <= 2(bound+1), shrunk to the u-lattice
+    f = form.rank
     return (
-        _ball_volume(form.rank)
-        * (2.0 * (bound + 1)) ** (form.rank / 2)
-        / (math.sqrt(form.det) * scale ** form.rank)
+        pi ** (f / 2) / math.gamma(f / 2 + 1)
+        * (2.0 * (bound + 1)) ** (f / 2)
+        / (math.sqrt(form.det) * scale ** f)
     )
 
 
-DEFAULT_BUDGET = 60_000_000
+ENUMERATION_BUDGET = 60_000_000
 
 
 def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, chunk=150_000):
@@ -357,7 +351,9 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, chunk=150_000)
             continue
         if depth + 1 == f:
             e = np.rint(S2).astype(np.int64)
-            assert float(np.abs(S2 - e).max()) < 1e-2
+            drift = float(np.abs(S2 - e).max())
+            if not drift < 1e-2:
+                raise ArithmeticError(f"leaf exponent is {drift:.2e} off an integer")
             inside = e <= bound
             if inside.any():
                 yield Z2[inside], e[inside]
@@ -366,46 +362,33 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, chunk=150_000)
                 stack.append((Z2[i:i + chunk], S2[i:i + chunk], depth + 1))
 
 
-def insertion_histogram(
-    form: QuadraticForm,
-    bound: int,
-    *,
-    scale: int = 1,
-    h0=None,
-    weights=(),
-    budget: int = DEFAULT_BUDGET,
-):
+def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):
     """Histogram of lattice vectors z = h0 + scale*u with Q(z) <= bound.
 
     Keys are (e, t_1, ..., t_m) with e = Q(z) and t_i = weight_i . z, all
-    exact integers; values count the vectors landing in the cell.  Results
-    are cached per (form, scale, h0, weights) and reused whenever a later
-    call asks for the same or a smaller bound.
+    exact integers; values count the vectors landing in the cell.  The form
+    keeps every histogram it builds, keyed by (scale, h0, weights); a kept
+    histogram of the same slice with at least this bound serves the call
+    when it has the same weights or none are asked for.  Enumerations
+    estimated above ENUMERATION_BUDGET points raise EnumerationBudgetError.
     """
     if h0 is None:
         h0 = (0,) * form.rank
     h0 = tuple(int(x) for x in h0)
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
-    key = (form.gram, scale, h0, weights)
-    cached = _CELL_CACHE.get(key)
-    if cached is not None and cached[0] >= bound:
-        return {k: v for k, v in cached[1].items() if k[0] <= bound}
+    width = 1 + len(weights)
+    for (s2, h2, w2), (b2, cells2) in form._cells.items():
+        if (s2, h2) == (scale, h0) and b2 >= bound and (w2 == weights or not weights):
+            out: dict = {}
+            for k2, c2 in cells2.items():
+                if k2[0] <= bound:
+                    out[k2[:width]] = out.get(k2[:width], 0) + c2
+            return out
     est = _leaf_estimate(form, bound, scale)
-    if est > budget:
+    if est > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"estimated {est:.2e} lattice points exceeds budget {budget:.2e}"
+            f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
-    if not weights:
-        # a finer histogram for the same lattice slice can be projected
-        for (g2, s2, h2, w2), (b2, cells2) in _CELL_CACHE.items():
-            if (g2, s2, h2) == (form.gram, scale, h0) and w2 and b2 >= bound:
-                proj: dict = {}
-                for k2, c2 in cells2.items():
-                    if k2[0] <= bound:
-                        kk = (k2[0],)
-                        proj[kk] = proj.get(kk, 0) + c2
-                _CELL_CACHE[key] = (bound, proj)
-                return dict(proj)
     wmat = (
         np.array(weights, dtype=np.int64).T
         if weights
@@ -415,7 +398,7 @@ def insertion_histogram(
     for Z, e in _leaf_chunks(form, bound, scale, h0):
         ts = Z @ wmat if weights else None
         _accumulate_cells(cells, e, ts)
-    _CELL_CACHE[key] = (bound, cells)
+    form._cells[(scale, h0, weights)] = (bound, cells)
     return dict(cells)
 
 
@@ -449,13 +432,6 @@ def _accumulate_cells(cells: dict, e, ts):
             rem //= span
         k = tuple(x + lo for x, lo in zip(reversed(k), lows))
         cells[k] = cells.get(k, 0) + int(binc[code])
-
-
-_CELL_CACHE: dict = {}
-
-
-def clear_cell_cache():
-    _CELL_CACHE.clear()
 
 
 def enumerate_upto(form: QuadraticForm, bound: int):

@@ -15,13 +15,7 @@ from math import lcm, pi
 from typing import Optional
 
 from .arith import GaussianRational, bernoulli, divisor_sigma
-from .lattice import (
-    DEFAULT_BUDGET,
-    CongruenceClass,
-    InsertionVector,
-    QuadraticForm,
-    insertion_histogram,
-)
+from .lattice import CongruenceClass, InsertionVector, QuadraticForm, insertion_histogram
 from .qseries import FracQSeries
 
 
@@ -93,12 +87,19 @@ def eisenstein_e2k(k: int, prec: int) -> FracQSeries:
     return FracQSeries(coeffs, prec=prec)
 
 
-def _spec_geometry(spec: ThetaSpec):
-    """(exp_denom, scale, h0) for the lattice sum a ThetaSpec describes."""
-    if spec.h is None:
-        return 1, 1, (0,) * spec.form.rank
-    N = spec.form.level
-    return N * N, N, spec.h.rep
+def _exp_denom(spec: ThetaSpec) -> int:
+    """M: the series has exponents e/M, 1 for the plain sum and N^2 on a class."""
+    return 1 if spec.h is None else spec.form.level ** 2
+
+
+def _spec_cells(spec: ThetaSpec, bound: int):
+    """(den, cells): the insertion histogram of the lattice sum spec
+    describes, exponents in units of 1/M up to bound.  Keys are (e,) for
+    k = 0, otherwise (e, t...) with t/den the parts of w'Am."""
+    form = spec.form
+    scale, h0 = (1, None) if spec.h is None else (form.level, spec.h.rep)
+    den, weights = spec.v.integral_weights(form) if spec.k else (1, ())
+    return den, insertion_histogram(form, bound, scale=scale, h0=h0, weights=weights)
 
 
 def _class_symmetric(spec: ThetaSpec) -> bool:
@@ -109,7 +110,7 @@ def _class_symmetric(spec: ThetaSpec) -> bool:
     return all((2 * x) % N == 0 for x in spec.h.rep)
 
 
-def theta_expand(spec: ThetaSpec, prec: int, *, budget: int = DEFAULT_BUDGET) -> FracQSeries:
+def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
     """Exact q-expansion of the theta series through q^prec (exclusive).
 
     Even k keeps <v,m>^k = s^(k/2) (w'Am)^k inside Q(i).  Odd k returns
@@ -119,8 +120,7 @@ def theta_expand(spec: ThetaSpec, prec: int, *, budget: int = DEFAULT_BUDGET) ->
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    form = spec.form
-    M, scale, h0 = _spec_geometry(spec)
+    M = _exp_denom(spec)
     series_prec = prec * M
     if spec.k % 2:
         if _class_symmetric(spec):
@@ -128,18 +128,13 @@ def theta_expand(spec: ThetaSpec, prec: int, *, budget: int = DEFAULT_BUDGET) ->
         raise ValueError(
             "odd insertion power on an asymmetric class has no exact expansion"
         )
-    bound = series_prec - 1
+    den, cells = _spec_cells(spec, series_prec - 1)
     if spec.k == 0:
-        cells = insertion_histogram(form, bound, scale=scale, h0=h0, budget=budget)
         coeffs = [(e, GaussianRational(c)) for (e,), c in cells.items()]
         return FracQSeries(coeffs, prec=series_prec, exp_denom=M)
-    den, weights = spec.v.integral_weights(form)
-    cells = insertion_histogram(
-        form, bound, scale=scale, h0=h0, weights=weights, budget=budget
-    )
     pref = spec.v.s ** (spec.k // 2) * Fraction(1, den ** spec.k)
     if spec.h is not None:
-        pref /= form.level ** spec.k
+        pref /= spec.form.level ** spec.k
     acc: dict = {}
     for key, count in cells.items():
         e = key[0]
@@ -177,7 +172,7 @@ def _phased_cell_sum(cells, tau_over: complex, insert=None) -> complex:
     return total
 
 
-def theta_numeric(spec: ThetaSpec, tau, tol: float, *, budget: int = DEFAULT_BUDGET) -> complex:
+def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     """Numeric value of the theta series, truncation error below tol.
 
     Valid on the whole upper half-plane; the cost grows quickly as im(tau)
@@ -185,21 +180,15 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float, *, budget: int = DEFAULT_BUD
     campaign fallbacks go lower at their own expense).
     """
     z = _as_complex(tau)
-    form = spec.form
-    M, scale, h0 = _spec_geometry(spec)
-    radius = _truncation_radius(z.imag, spec.k, form.rank, tol)
-    bound = radius * M
+    M = _exp_denom(spec)
+    radius = _truncation_radius(z.imag, spec.k, spec.form.rank, tol)
+    den, cells = _spec_cells(spec, radius * M)
     w = 2j * pi * z / M
     if spec.k == 0:
-        cells = insertion_histogram(form, bound, scale=scale, h0=h0, budget=budget)
         return _phased_cell_sum(cells, w)
-    den, weights = spec.v.integral_weights(form)
-    cells = insertion_histogram(
-        form, bound, scale=scale, h0=h0, weights=weights, budget=budget
-    )
     pref = float(spec.v.s) ** (spec.k / 2) / den ** spec.k
     if spec.h is not None:
-        pref /= float(form.level) ** spec.k
+        pref /= float(spec.form.level) ** spec.k
     k = spec.k
 
     def insert(key):
@@ -220,17 +209,17 @@ def _offset_geometry(form: QuadraticForm, x):
     return rho, h0
 
 
-def theta_offset_numeric(form: QuadraticForm, x, tau, tol: float, *, budget: int = DEFAULT_BUDGET) -> complex:
+def theta_offset_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     """sum over m of exp(2 pi i tau Q(m + x)) for a rational offset x."""
     z = _as_complex(tau)
     rho, h0 = _offset_geometry(form, x)
     M = rho * rho
     radius = _truncation_radius(z.imag, 0, form.rank, tol)
-    cells = insertion_histogram(form, radius * M, scale=rho, h0=h0, budget=budget)
+    cells = insertion_histogram(form, radius * M, scale=rho, h0=h0)
     return _phased_cell_sum(cells, 2j * pi * z / M)
 
 
-def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float, *, budget: int = DEFAULT_BUDGET) -> complex:
+def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     """sum over m of exp(2 pi i tau m'A^-1 m / 2) exp(2 pi i m'x).
 
     The argument tau here is the already-inverted variable, so the
@@ -243,9 +232,7 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float, *, budget: int =
     rho, h0 = _offset_geometry(form, x)
     # m'A^-1 m / 2 = Q_adj(m) / D; the offset enters only as the phase m'x
     radius = _truncation_radius(z.imag, 0, form.rank, tol)
-    cells = insertion_histogram(
-        dual, radius * D, weights=(h0,), budget=budget
-    )
+    cells = insertion_histogram(dual, radius * D, weights=(h0,))
     phase = 2j * pi / rho
 
     def insert(key):

@@ -13,19 +13,11 @@ import cmath
 from fractions import Fraction
 from math import lcm
 
-from .arith import GaussianRational, Rational
+from .arith import GaussianRational
 
 
 class PrecisionError(ValueError):
     """Raised when a coefficient beyond the known truncation is requested."""
-
-
-def _coerce_scalar(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return GaussianRational(x)
-    return None
 
 
 class FracQSeries:
@@ -52,7 +44,7 @@ class FracQSeries:
                 raise ValueError("negative exponents are not supported")
             if e >= prec:
                 continue
-            g = _coerce_scalar(c)
+            g = GaussianRational._coerce(c)
             if g is None:
                 raise TypeError(f"coefficient of type {type(c).__name__}")
             if g:
@@ -132,7 +124,7 @@ class FracQSeries:
             for e, c in b.coeffs.items():
                 out[e] = out[e] + c if e in out else c
             return FracQSeries(out, prec=prec, exp_denom=a.exp_denom)
-        s = _coerce_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         out = dict(self.coeffs)
@@ -170,7 +162,7 @@ class FracQSeries:
                     p = c1 * c2
                     out[e] = out[e] + p if e in out else p
             return FracQSeries(out, prec=prec, exp_denom=a.exp_denom)
-        s = _coerce_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         if not s:
@@ -255,7 +247,7 @@ class FracQSeries:
 
 
 def _require(x):
-    s = _coerce_scalar(x)
+    s = GaussianRational._coerce(x)
     if s is None:
         raise TypeError(f"cannot combine series with {type(x).__name__}")
     return s
@@ -324,7 +316,7 @@ class XSeries:
                     acc = acc + self.ycoeffs[i] * other.ycoeffs[k - i]
                 out.append(acc)
             return XSeries(out)
-        s = _coerce_scalar(other)
+        s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
         return XSeries([c * s for c in self.ycoeffs])

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .arith import pairing_coeff
 from .lattice import (
-    DEFAULT_BUDGET,
     CongruenceClass,
     InsertionVector,
     QuadraticForm,
@@ -145,8 +144,6 @@ def check_generating_modularity(
     tau,
     x_prec: int,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """Both sides of the generating-series law, coefficient-wise in Y.
 
@@ -154,6 +151,8 @@ def check_generating_modularity(
     RHS: eps(d) (c tau+d)^r exp(c <v,v> X/(c tau+d)) times the series at
     tau, its exponential expanded through Y^(x_prec-1).
     """
+    if x_prec < 1:
+        raise ValueError("x_prec must be >= 1")
     z = _as_complex(tau)
     gz = gamma.act(z)
     j = gamma.jfactor(z)
@@ -162,12 +161,8 @@ def check_generating_modularity(
     eps = form.character(gamma.d)
     theta_at = {}
     for n in range(x_prec):
-        theta_at[("g", 2 * n)] = theta_numeric(
-            ThetaSpec(form, v, 2 * n), gz, inner, budget=budget
-        )
-        theta_at[("t", 2 * n)] = theta_numeric(
-            ThetaSpec(form, v, 2 * n), z, inner, budget=budget
-        )
+        theta_at[("g", 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), gz, inner)
+        theta_at[("t", 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), z, inner)
     residual = 0.0
     for n in range(x_prec):
         coeff = Fraction(2 ** n, math.factorial(2 * n))
@@ -217,7 +212,6 @@ def _completed_class_sum(
     jj: int,
     tau: complex,
     inner: float,
-    budget: int,
 ) -> complex:
     """(-i)^(r+2k) tau^(r+k-2j) / sqrt(D) times the phased sum over
     classes g of exp(2 pi i g'Ah/N^2) theta(A,g,v,k-2j,tau)."""
@@ -231,7 +225,7 @@ def _completed_class_sum(
     for g in classes:
         ph = _phase(Fraction(int(form.bilinear(g.rep, h.rep)), N * N))
         total += ph * theta_numeric(
-            ThetaSpec(form, v, k - 2 * jj, g), tau, inner, budget=budget
+            ThetaSpec(form, v, k - 2 * jj, g), tau, inner
         )
     return pref * total
 
@@ -243,15 +237,13 @@ def check_inversion_law(
     k: int,
     tau,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """Congruence theta at -1/tau against the completed class sums."""
     if k > 8:
         raise ValueError("insertion powers above 8 are outside the harness contract")
     z = _as_complex(tau)
     inner = tol * 1e-3
-    lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner, budget=budget)
+    lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner)
     classes = form.congruence_classes()
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
     rhs = 0j
@@ -259,7 +251,7 @@ def check_inversion_law(
         rhs += (
             (ql * z / (1j * pi)) ** jj
             * float(pairing_coeff(jj, k))
-            * _completed_class_sum(form, classes, h, v, k, jj, z, inner, budget)
+            * _completed_class_sum(form, classes, h, v, k, jj, z, inner)
         )
     return LawReport.make(
         "inversion",
@@ -283,8 +275,6 @@ def check_congruence_modularity(
     gamma: Gamma0Matrix,
     tau,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """The Gamma_0(N) law for congruence thetas, c > 0 and d > 0 only.
 
@@ -302,7 +292,7 @@ def check_congruence_modularity(
     N = form.level
     j = gamma.jfactor(z)
     lhs = j ** (-(form.half_rank + k)) * theta_numeric(
-        ThetaSpec(form, v, k, h), gamma.act(z), inner, budget=budget
+        ThetaSpec(form, v, k, h), gamma.act(z), inner
     )
     qh = int(form.q_value(h.rep))
     phase = _phase(Fraction(qh * gamma.a * gamma.b, N * N))
@@ -314,7 +304,7 @@ def check_congruence_modularity(
         rhs += (
             (ql * gamma.c / (1j * pi * j)) ** jj
             * float(pairing_coeff(jj, k))
-            * theta_numeric(ThetaSpec(form, v, k - 2 * jj, ah), z, inner, budget=budget)
+            * theta_numeric(ThetaSpec(form, v, k - 2 * jj, ah), z, inner)
         )
     rhs *= phase * eps
     return LawReport.make(
@@ -339,18 +329,14 @@ def check_translation(
     k: int,
     tau,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """theta at tau + 1 equals exp(2 pi i Q(h)/N^2) theta at tau."""
     z = _as_complex(tau)
     inner = tol * 1e-3
     spec = ThetaSpec(form, v, k, h)
-    lhs = theta_numeric(spec, z + 1, inner, budget=budget)
+    lhs = theta_numeric(spec, z + 1, inner)
     qh = int(form.q_value(h.rep))
-    rhs = _phase(Fraction(qh, form.level ** 2)) * theta_numeric(
-        spec, z, inner, budget=budget
-    )
+    rhs = _phase(Fraction(qh, form.level ** 2)) * theta_numeric(spec, z, inner)
     return LawReport.make(
         "translation",
         {
@@ -373,8 +359,6 @@ def check_rescale(
     c: int,
     tau,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """theta for A at tau against the sum of c^f class thetas for cA at c tau."""
     if c <= 0:
@@ -382,13 +366,13 @@ def check_rescale(
     z = _as_complex(tau)
     inner = tol * 1e-3
     N = form.level
-    lhs = theta_numeric(ThetaSpec(form, v, k, h), z, inner, budget=budget)
+    lhs = theta_numeric(ThetaSpec(form, v, k, h), z, inner)
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
     rhs = 0j
     for w in product(range(c), repeat=form.rank):
         g = tuple(h.rep[i] + N * w[i] for i in range(form.rank))
         gcls = CongruenceClass(scaled, g)
-        rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), c * z, inner / c ** form.rank, budget=budget)
+        rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), c * z, inner / c ** form.rank)
     return LawReport.make(
         "rescale",
         {
@@ -411,8 +395,6 @@ def check_cusp_expansion(
     gamma: Gamma0Matrix,
     tau,
     tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> LawReport:
     """Expansion of the completed series at the cusp -d/c.
 
@@ -421,8 +403,8 @@ def check_cusp_expansion(
     """
     if gamma.c <= 0:
         raise ValueError("cusp expansion requires c > 0")
-    if k % 2:
-        raise ValueError("the completed series needs an even index")
+    if k % 2 or k < 0:
+        raise ValueError("the completed series needs an even index k >= 0")
     z = _as_complex(tau)
     inner = tol * 1e-3
     gz = gamma.act(z)
@@ -434,7 +416,7 @@ def check_cusp_expansion(
         lhs += (
             float(pairing_coeff(t, k))
             * e2_g ** t
-            * theta_numeric(ThetaSpec(form, v, k - 2 * t), gz, inner, budget=budget)
+            * theta_numeric(ThetaSpec(form, v, k - 2 * t), gz, inner)
         )
     lhs *= j ** (-(r + k))
     e2_t = eisenstein_e2_numeric(z)
@@ -449,7 +431,7 @@ def check_cusp_expansion(
             part += (
                 float(pairing_coeff(s, k))
                 * e2_t ** s
-                * theta_numeric(ThetaSpec(form, v, k - 2 * s, q), z, inner, budget=budget)
+                * theta_numeric(ThetaSpec(form, v, k - 2 * s, q), z, inner)
             )
         rhs += phi * part
     rhs *= _minus_i_pow(r + 2 * k) / (gamma.c ** r * math.sqrt(form.det))
@@ -467,20 +449,13 @@ def check_cusp_expansion(
     )
 
 
-def check_poisson_inversion(
-    form: QuadraticForm,
-    x,
-    tau,
-    tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> LawReport:
+def check_poisson_inversion(form: QuadraticForm, x, tau, tol: float) -> LawReport:
     """Offset theta against its dual sum: the lattice Poisson summation."""
     z = _as_complex(tau)
     inner = tol * 1e-3
-    lhs = theta_offset_numeric(form, x, z, inner, budget=budget)
+    lhs = theta_offset_numeric(form, x, z, inner)
     pref = (-1j * z) ** form.half_rank * math.sqrt(form.det)
-    rhs = theta_dual_numeric(form, x, -1 / z, inner, budget=budget) / pref
+    rhs = theta_dual_numeric(form, x, -1 / z, inner) / pref
     return LawReport.make(
         "poisson",
         {
@@ -592,21 +567,21 @@ class _Law(NamedTuple):
 # offset), which keeps the seeded draw order.
 _LAWS = {
     "generating": _Law(True, None, "orbit", (), lambda s, g, h, k, tau:
-        check_generating_modularity(s.form, s.v, g, tau(), s.x_prec, s.tol, budget=s.budget)),
+        check_generating_modularity(s.form, s.v, g, tau(), s.x_prec, s.tol)),
     "e2": _Law(True, None, "orbit", (), lambda s, g, h, k, tau:
         check_e2_quasimodularity(g, tau(), s.tol)),
     "inversion": _Law(False, None, "grid", (0, 2, 4), lambda s, g, h, k, tau:
-        check_inversion_law(s.form, h, s.v, k, tau(), s.tol, budget=s.budget)),
+        check_inversion_law(s.form, h, s.v, k, tau(), s.tol)),
     "congruence": _Law(True, None, "orbit", (0, 2, 4), lambda s, g, h, k, tau:
-        check_congruence_modularity(s.form, h, s.v, k, g, tau(), s.tol, budget=s.budget)),
+        check_congruence_modularity(s.form, h, s.v, k, g, tau(), s.tol)),
     "translation": _Law(False, None, "grid", (0, 2, 4), lambda s, g, h, k, tau:
-        check_translation(s.form, h, s.v, k, tau(), s.tol, budget=s.budget)),
+        check_translation(s.form, h, s.v, k, tau(), s.tol)),
     "rescale": _Law(False, None, "grid", (0, 2), lambda s, g, h, k, tau:
-        check_rescale(s.form, h, s.v, k, s.rng.choice((2, 3)), tau(), s.tol, budget=s.budget)),
+        check_rescale(s.form, h, s.v, k, s.rng.choice((2, 3)), tau(), s.tol)),
     "cusp": _Law(True, "c", "orbit", (), lambda s, g, h, k, tau:
-        check_cusp_expansion(s.form, s.v, k, g, tau(), s.tol, budget=s.budget)),
+        check_cusp_expansion(s.form, s.v, k, g, tau(), s.tol)),
     "poisson": _Law(False, None, "grid", (), lambda s, g, h, k, tau:
-        check_poisson_inversion(s.form, _offset(s.rng, s.form.rank), tau(), s.tol, budget=s.budget)),
+        check_poisson_inversion(s.form, _offset(s.rng, s.form.rank), tau(), s.tol)),
     "gauss_orthogonality": _Law(True, None, None, (), lambda s, g, h, k, tau:
         check_gauss_orthogonality(s.form, g, s.tol)),
     "gauss_closed_form": _Law(True, "d", None, (), lambda s, g, h, k, tau:
@@ -626,24 +601,28 @@ def run_campaign(
     v: Optional[InsertionVector] = None,
     k: int = 2,
     x_prec: int = 4,
-    budget: int = DEFAULT_BUDGET,
 ):
     """Run `count` checks of each requested law; returns (reports, notes).
 
     Deterministic for a fixed seed.  Matrices whose orbit cannot reach
     the working height and Gauss sums too large to evaluate are recorded
     in the notes instead of producing reports.  `v` defaults to
-    unit_insertion_vector(form).
+    unit_insertion_vector(form).  An unknown law, tol <= 0, k < 0 or
+    x_prec < 1 raises ValueError before any check runs.
     """
     unknown = [law for law in laws if law not in _LAWS]
     if unknown:
         raise ValueError(f"unknown laws: {', '.join(unknown)}; known: {', '.join(LAW_IDS)}")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if x_prec < 1:
+        raise ValueError("x_prec must be >= 1")
     rng = random.Random(seed)
     if v is None:
         v = unit_insertion_vector(form)
-    settings = SimpleNamespace(form=form, v=v, x_prec=x_prec, tol=tol, budget=budget, rng=rng)
+    settings = SimpleNamespace(form=form, v=v, x_prec=x_prec, tol=tol, rng=rng)
     classes = form.congruence_classes()
     nonzero = next((c for c in classes if any(c.rep)), None)
     h_cycle = [CongruenceClass.zero(form)] + ([nonzero] if nonzero else [])

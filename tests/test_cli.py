@@ -202,6 +202,19 @@ class TestVerifyLaws:
         assert code == 2
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--laws", "cusp", "--k", "-2"), "k must be"),
+            (("--laws", "generating", "--x-prec", "0"), "x_prec"),
+        ],
+    )
+    def test_vacuous_settings_refused(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify-laws", *flags)
+        assert code == 2
+        assert message in err
+        assert "reports" not in out
+
     def test_rootless_default_settings(self, capsys):
         # no roots on 2A2: the campaign uses the scaled shortest vector
         args = ("verify-laws", "--lattice", "2A2", "--count", "2", "--format", "json")

@@ -13,7 +13,6 @@ from theta_forge.lattice import (
     InvalidFormError,
     QuadraticForm,
     catalog_form,
-    clear_cell_cache,
     enumerate_congruence,
     enumerate_upto,
     first_root,
@@ -176,9 +175,8 @@ class TestEnumeration:
         assert (0, 0) in enumerate_upto(catalog_form("A2"), 0)
 
     def test_budget_error(self):
-        clear_cell_cache()
         with pytest.raises(EnumerationBudgetError):
-            insertion_histogram(catalog_form("E8"), 10 ** 7, budget=1000)
+            insertion_histogram(catalog_form("E8"), 10 ** 7)
 
 
 class TestCongruenceClasses:
@@ -271,7 +269,6 @@ class TestInsertionVector:
 
 class TestHistogram:
     def test_plain_counts_match_box(self):
-        clear_cell_cache()
         a2 = catalog_form("A2")
         cells = insertion_histogram(a2, 6)
         box = box_enumerate(a2.gram, 6)
@@ -280,7 +277,6 @@ class TestHistogram:
             assert cells.get((e,), 0) == expect
 
     def test_weighted_counts_match_brute(self):
-        clear_cell_cache()
         a2 = catalog_form("A2")
         v = unit_insertion_vector(a2)
         den, rows = v.integral_weights(a2)
@@ -295,18 +291,38 @@ class TestHistogram:
         assert cells == brute
 
     def test_plain_projection_from_weighted_cache(self):
-        clear_cell_cache()
         a2 = catalog_form("A2")
         v = unit_insertion_vector(a2)
         _, rows = v.integral_weights(a2)
         insertion_histogram(a2, 8, weights=rows)
-        projected = insertion_histogram(a2, 8)  # served from the weighted entry
-        clear_cell_cache()
-        fresh = insertion_histogram(a2, 8)
-        assert projected == fresh
+        for bound in (8, 5):  # 5 also filters the weighted entry by bound
+            projected = insertion_histogram(a2, bound)  # served from the weighted entry
+            fresh = insertion_histogram(catalog_form("A2"), bound)
+            assert projected == fresh
+
+    def test_form_owns_its_histograms(self, monkeypatch):
+        import theta_forge.lattice as lattice
+
+        calls = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return leaf_chunks(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        a2 = catalog_form("A2")
+        first = insertion_histogram(a2, 6)
+        assert len(calls) == 1
+        assert insertion_histogram(a2, 6) == first  # kept on the form
+        assert len(calls) == 1
+        twin = catalog_form("A2")
+        assert twin == a2
+        assert insertion_histogram(twin, 6) == first  # an equal form builds its own
+        assert len(calls) == 2
+        assert a2.dual() is a2.dual()  # so the dual's histograms stay with a2 too
 
     def test_cache_serves_smaller_bounds(self):
-        clear_cell_cache()
         d4 = catalog_form("D4")
         big = insertion_histogram(d4, 9)
         small = insertion_histogram(d4, 4)

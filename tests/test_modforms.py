@@ -9,7 +9,6 @@ from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
     catalog_form,
-    clear_cell_cache,
     unit_insertion_vector,
 )
 from theta_forge.modforms import (
@@ -172,7 +171,6 @@ class TestThetaExpand:
 
 class TestThetaNumeric:
     def test_matches_expansion(self):
-        clear_cell_cache()
         a2 = catalog_form("A2")
         v = unit_insertion_vector(a2)
         h = CongruenceClass(a2, (1, 2))

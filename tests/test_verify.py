@@ -111,6 +111,12 @@ class TestGeneratingLaw:
         assert r2 < 2 * r1 + 1e-13
         assert r1 < 2 * r2 + 1e-13
 
+    def test_empty_x_expansion_rejected(self):
+        # x_prec = 0 compares two empty sums and used to pass with residual 0
+        g = Gamma0Matrix(1, 1, 3, 4)
+        with pytest.raises(ValueError, match="x_prec"):
+            check_generating_modularity(A2, V_A2, g, 0.21 + 1.3j, 0, 1e-8)
+
 
 class TestInversion:
     @pytest.mark.parametrize("k", [0, 2, 4])
@@ -177,6 +183,12 @@ class TestCuspExpansion:
         g = Gamma0Matrix(0, -1, 1, 0)
         with pytest.raises(ValueError):
             check_cusp_expansion(A2, V_A2, 3, g, 1.1j, 1e-7)
+
+    def test_negative_index_rejected(self):
+        # k = -2 made both sides empty sums, a pass with residual 0
+        g = Gamma0Matrix(0, -1, 1, 0)
+        with pytest.raises(ValueError):
+            check_cusp_expansion(A2, V_A2, -2, g, 1.1j, 1e-7)
 
 
 class TestPoisson:
@@ -251,6 +263,20 @@ class TestCampaign:
     def test_nonpositive_tol_rejected(self, law, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             run_campaign(A2, (law,), 1, seed=0, tol=tol)
+
+    # settings under which a check compares empty sums are refused up front
+    @pytest.mark.parametrize(
+        "law, settings",
+        [
+            ("cusp", {"k": -2}),
+            ("cusp", {"k": -1}),
+            ("generating", {"x_prec": 0}),
+            ("generating", {"x_prec": -3}),
+        ],
+    )
+    def test_vacuous_settings_rejected(self, law, settings):
+        with pytest.raises(ValueError):
+            run_campaign(A2, (law,), 1, seed=0, **settings)
 
     def test_rank_four_sampler(self):
         d4 = catalog_form("D4")
