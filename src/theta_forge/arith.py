@@ -10,12 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# The canonical exact rational scalar.  fractions.Fraction already keeps
-# values reduced with a positive denominator, which is the representation
-# the rest of the package relies on.
-Rational = Fraction
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -56,9 +56,6 @@ def _resolve_form(name: str) -> QuadraticForm:
     )
 
 
-_FRACTION = r"[+-]?\d+(?:/\d+)?"
-
-
 def _parse_gaussian(text: str) -> GaussianRational:
     t = text.strip().replace(" ", "")
     if not t:

@@ -83,7 +83,7 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_np", "_ldl", "_cells", "_dual")
+    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_ldl", "_cells", "_dual")
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -118,7 +118,6 @@ class QuadraticForm:
         if any((n0 * self.inverse_gram[i][i]) % 2 for i in range(f)):
             n0 *= 2
         self.level = n0
-        self._np = np.array(rows, dtype=np.int64)
         # insertion histograms built for this form: (scale, h0, weights) -> (bound, cells)
         self._cells = {}
         self._dual = None
@@ -305,9 +304,10 @@ def _leaf_estimate(form: QuadraticForm, bound: int, scale: int) -> float:
 
 
 ENUMERATION_BUDGET = 60_000_000
+_FRONTIER_CHUNK = 150_000  # rows per frontier block pushed back on the stack
 
 
-def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, chunk=150_000):
+def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0):
     """Yield (Z, e) blocks: integer vectors z = h0 + scale*u with Q(z) = e <= bound.
 
     Breadth-first over coordinates f-1 .. 0, float pruning against an
@@ -358,8 +358,8 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, chunk=150_000)
             if inside.any():
                 yield Z2[inside], e[inside]
         else:
-            for i in range(0, len(Z2), chunk):
-                stack.append((Z2[i:i + chunk], S2[i:i + chunk], depth + 1))
+            for i in range(0, len(Z2), _FRONTIER_CHUNK):
+                stack.append((Z2[i:i + _FRONTIER_CHUNK], S2[i:i + _FRONTIER_CHUNK], depth + 1))
 
 
 def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):

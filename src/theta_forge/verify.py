@@ -121,20 +121,37 @@ def sample_gamma0(N: int, count: int, seed: int):
     return out
 
 
-def _ser_tau(z: complex):
-    return [z.real, z.imag]
+# How each law input is written into a report's JSON; inputs not named
+# here (k, c, x_prec) are plain ints and pass through.
+_INPUT_JSON = {
+    "form": lambda form: {"rank": form.rank, "det": form.det, "level": form.level},
+    "h": lambda h: list(h.rep),
+    "v": lambda v: None if v is None else {"w": [str(c) for c in v.w], "s": str(v.s)},
+    "gamma": Gamma0Matrix.as_list,
+    "tau": lambda z: [z.real, z.imag],
+    "x": lambda x: [str(Fraction(c)) for c in x],
+}
 
 
-def _ser_form(form: QuadraticForm) -> dict:
-    return {"rank": form.rank, "det": form.det, "level": form.level}
+def _report(law: str, residual: float, tol: float, **inputs) -> LawReport:
+    encoded = {
+        name: _INPUT_JSON[name](value) if name in _INPUT_JSON else value
+        for name, value in inputs.items()
+    }
+    return LawReport.make(law, encoded, residual, tol)
 
 
-def _ser_v(v: InsertionVector) -> dict:
-    return {"w": [str(c) for c in v.w], "s": str(v.s)}
-
-
-def _norm_complex(v: InsertionVector, form: QuadraticForm) -> complex:
-    return complex(v.norm(form))
+def _completed(form, v, k, h, tau, inner, x) -> complex:
+    """sum over t of x^t pairing_coeff(t, k) theta(A, h, v, k-2t, tau); h=None
+    sums the plain series."""
+    total = 0j
+    for t in range(k // 2 + 1):
+        total += (
+            x ** t
+            * float(pairing_coeff(t, k))
+            * theta_numeric(ThetaSpec(form, v, k - 2 * t, h), tau, inner)
+        )
+    return total
 
 
 def check_generating_modularity(
@@ -157,7 +174,7 @@ def check_generating_modularity(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     inner = tol * 1e-3
-    nv = _norm_complex(v, form)
+    nv = complex(v.norm(form))
     eps = form.character(gamma.d)
     theta_at = {}
     for n in range(x_prec):
@@ -175,18 +192,7 @@ def check_generating_modularity(
             rhs += efac * float(Fraction(2 ** m, math.factorial(2 * m))) * theta_at[("t", 2 * m)]
         rhs *= eps * j ** form.half_rank
         residual = max(residual, abs(lhs - rhs))
-    return LawReport.make(
-        "generating",
-        {
-            "form": _ser_form(form),
-            "v": _ser_v(v),
-            "gamma": gamma.as_list(),
-            "tau": _ser_tau(z),
-            "x_prec": x_prec,
-        },
-        residual,
-        tol,
-    )
+    return _report("generating", residual, tol, form=form, v=v, gamma=gamma, tau=z, x_prec=x_prec)
 
 
 def check_e2_quasimodularity(gamma: Gamma0Matrix, tau, tol: float) -> LawReport:
@@ -195,12 +201,7 @@ def check_e2_quasimodularity(gamma: Gamma0Matrix, tau, tol: float) -> LawReport:
     j = gamma.jfactor(z)
     lhs = eisenstein_e2_numeric(gamma.act(z))
     rhs = j * j * eisenstein_e2_numeric(z) - gamma.c * j / (2j * pi)
-    return LawReport.make(
-        "e2",
-        {"gamma": gamma.as_list(), "tau": _ser_tau(z)},
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("e2", abs(lhs - rhs), tol, gamma=gamma, tau=z)
 
 
 def _completed_class_sum(
@@ -253,18 +254,7 @@ def check_inversion_law(
             * float(pairing_coeff(jj, k))
             * _completed_class_sum(form, classes, h, v, k, jj, z, inner)
         )
-    return LawReport.make(
-        "inversion",
-        {
-            "form": _ser_form(form),
-            "h": list(h.rep),
-            "v": _ser_v(v) if v is not None else None,
-            "k": k,
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("inversion", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
 
 def check_congruence_modularity(
@@ -299,26 +289,10 @@ def check_congruence_modularity(
     eps = form.character(gamma.d)
     ah = CongruenceClass(form, tuple(gamma.a * x for x in h.rep))
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
-    rhs = 0j
-    for jj in range(k // 2 + 1):
-        rhs += (
-            (ql * gamma.c / (1j * pi * j)) ** jj
-            * float(pairing_coeff(jj, k))
-            * theta_numeric(ThetaSpec(form, v, k - 2 * jj, ah), z, inner)
-        )
+    rhs = _completed(form, v, k, ah, z, inner, ql * gamma.c / (1j * pi * j))
     rhs *= phase * eps
-    return LawReport.make(
-        "congruence",
-        {
-            "form": _ser_form(form),
-            "h": list(h.rep),
-            "v": _ser_v(v) if v is not None else None,
-            "k": k,
-            "gamma": gamma.as_list(),
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
+    return _report(
+        "congruence", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, gamma=gamma, tau=z
     )
 
 
@@ -337,18 +311,7 @@ def check_translation(
     lhs = theta_numeric(spec, z + 1, inner)
     qh = int(form.q_value(h.rep))
     rhs = _phase(Fraction(qh, form.level ** 2)) * theta_numeric(spec, z, inner)
-    return LawReport.make(
-        "translation",
-        {
-            "form": _ser_form(form),
-            "h": list(h.rep),
-            "v": _ser_v(v) if v is not None else None,
-            "k": k,
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("translation", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
 
 def check_rescale(
@@ -373,19 +336,7 @@ def check_rescale(
         g = tuple(h.rep[i] + N * w[i] for i in range(form.rank))
         gcls = CongruenceClass(scaled, g)
         rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), c * z, inner / c ** form.rank)
-    return LawReport.make(
-        "rescale",
-        {
-            "form": _ser_form(form),
-            "h": list(h.rep),
-            "v": _ser_v(v) if v is not None else None,
-            "k": k,
-            "c": c,
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)
 
 
 def check_cusp_expansion(
@@ -410,14 +361,7 @@ def check_cusp_expansion(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     r = form.half_rank
-    e2_g = eisenstein_e2_numeric(gz)
-    lhs = 0j
-    for t in range(k // 2 + 1):
-        lhs += (
-            float(pairing_coeff(t, k))
-            * e2_g ** t
-            * theta_numeric(ThetaSpec(form, v, k - 2 * t), gz, inner)
-        )
+    lhs = _completed(form, v, k, None, gz, inner, eisenstein_e2_numeric(gz))
     lhs *= j ** (-(r + k))
     e2_t = eisenstein_e2_numeric(z)
     zero = CongruenceClass.zero(form)
@@ -426,27 +370,9 @@ def check_cusp_expansion(
         phi = gauss_sum(form, gamma.a, gamma.d, gamma.c, zero, q)
         if abs(phi) < 1e-13:
             continue
-        part = 0j
-        for s in range(k // 2 + 1):
-            part += (
-                float(pairing_coeff(s, k))
-                * e2_t ** s
-                * theta_numeric(ThetaSpec(form, v, k - 2 * s, q), z, inner)
-            )
-        rhs += phi * part
+        rhs += phi * _completed(form, v, k, q, z, inner, e2_t)
     rhs *= _minus_i_pow(r + 2 * k) / (gamma.c ** r * math.sqrt(form.det))
-    return LawReport.make(
-        "cusp",
-        {
-            "form": _ser_form(form),
-            "v": _ser_v(v),
-            "k": k,
-            "gamma": gamma.as_list(),
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("cusp", abs(lhs - rhs), tol, form=form, v=v, k=k, gamma=gamma, tau=z)
 
 
 def check_poisson_inversion(form: QuadraticForm, x, tau, tol: float) -> LawReport:
@@ -456,16 +382,7 @@ def check_poisson_inversion(form: QuadraticForm, x, tau, tol: float) -> LawRepor
     lhs = theta_offset_numeric(form, x, z, inner)
     pref = (-1j * z) ** form.half_rank * math.sqrt(form.det)
     rhs = theta_dual_numeric(form, x, -1 / z, inner) / pref
-    return LawReport.make(
-        "poisson",
-        {
-            "form": _ser_form(form),
-            "x": [str(Fraction(c)) for c in x],
-            "tau": _ser_tau(z),
-        },
-        abs(lhs - rhs),
-        tol,
-    )
+    return _report("poisson", abs(lhs - rhs), tol, form=form, x=x, tau=z)
 
 
 def check_gauss_orthogonality(form: QuadraticForm, gamma: Gamma0Matrix, tol: float) -> LawReport:
@@ -483,12 +400,7 @@ def check_gauss_orthogonality(form: QuadraticForm, gamma: Gamma0Matrix, tol: flo
                 total += _phase(Fraction(int(form.bilinear(diff, q.rep)), N * N))
             expect = form.det if g.rep == bh else 0
             residual = max(residual, abs(total - expect))
-    return LawReport.make(
-        "gauss_orthogonality",
-        {"form": _ser_form(form), "gamma": gamma.as_list()},
-        residual,
-        tol,
-    )
+    return _report("gauss_orthogonality", residual, tol, form=form, gamma=gamma)
 
 
 def check_gauss_closed_form(
@@ -513,12 +425,7 @@ def check_gauss_closed_form(
         * _phase(Fraction(qh * gamma.a * gamma.b, N * N))
         * form.character(gamma.d)
     )
-    return LawReport.make(
-        "gauss_closed_form",
-        {"form": _ser_form(form), "gamma": gamma.as_list(), "h": list(h.rep)},
-        abs(phi - expect),
-        tol,
-    )
+    return _report("gauss_closed_form", abs(phi - expect), tol, form=form, gamma=gamma, h=h)
 
 
 def _pick_tau(gamma: Gamma0Matrix, rng: random.Random, min_im: float):

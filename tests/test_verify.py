@@ -74,6 +74,29 @@ class TestReport:
         assert d["pass"] is True
         assert d["residual"] <= 1e-12
 
+    # v=None (the plain series): each check, then the input keys its report carries
+    PLAIN = {
+        "inversion": (lambda h: check_inversion_law(A2, h, None, 0, 0.1 + 1.1j, 1e-8),
+                      {"form", "h", "v", "k", "tau"}),
+        "congruence": (lambda h: check_congruence_modularity(
+                           A2, h, None, 0, Gamma0Matrix(1, 0, 3, 1), 0.1 + 1.1j, 1e-8),
+                       {"form", "h", "v", "k", "gamma", "tau"}),
+        "translation": (lambda h: check_translation(A2, h, None, 0, 0.1 + 1.1j, 1e-8),
+                        {"form", "h", "v", "k", "tau"}),
+        "rescale": (lambda h: check_rescale(A2, h, None, 0, 2, 0.1 + 1.1j, 1e-8),
+                    {"form", "h", "v", "k", "c", "tau"}),
+    }
+
+    @pytest.mark.parametrize("law", sorted(PLAIN))
+    def test_plain_series_writes_null_vector(self, law):
+        check, keys = self.PLAIN[law]
+        d = check(CongruenceClass(A2, (1, 2))).to_json_dict()
+        assert d["law"] == law and d["pass"] is True
+        assert d["inputs"]["v"] is None
+        assert set(d["inputs"]) == keys
+        assert d["inputs"]["h"] == [1, 2] and d["inputs"]["k"] == 0
+        json.dumps(d)  # the encoded inputs are plain JSON
+
 
 class TestIdentityMatrix:
     # the c = 0 evaluation path involves only exact unit powers, so the
