@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from cmath import exp as cexp
 from fractions import Fraction
 from itertools import product
 from math import lcm, pi
@@ -30,7 +29,7 @@ class InvalidFormError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Estimated lattice-point count exceeds ENUMERATION_BUDGET."""
+    """Estimated lattice-point count (or Gauss-sum size) exceeds ENUMERATION_BUDGET."""
 
 
 def _ldl_exact(gram):
@@ -487,26 +486,53 @@ def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:
     return InsertionVector(m, Fraction(1, 2 * mu))
 
 
+_GAUSS_BLOCK = 1 << 16  # points per block of the Gauss-sum walk
+
+
 def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
 
     Phases are exact rationals mod 1; only the final exponentials are
-    floating point.  c must be positive.
+    floating point.  With g = h + N w, w in [0, c)^rank, the numerator is
+    a Q(h) + d Q(q) + h'Aq + N (a Ah + Aq)'w + a N^2 Q(w).  Everything that
+    depends on h, q, a or d is reduced mod cN^2 in Python integers, so the
+    walk over w runs in int64 blocks of _GAUSS_BLOCK points; the residues
+    mod cN^2 are counted exactly and the counts summed against one table
+    of exponentials.  c must be positive.  Before anything is allocated,
+    OverflowError is raised when an int64 intermediate could pass 2^62,
+    and EnumerationBudgetError when the c^rank points or the cN^2 residues
+    exceed ENUMERATION_BUDGET.
     """
     if c <= 0:
         raise ValueError("gauss_sum requires c > 0")
     hrep = h.rep if isinstance(h, CongruenceClass) else tuple(int(x) for x in h)
     qrep = q.rep if isinstance(q, CongruenceClass) else tuple(int(x) for x in q)
-    N = form.level
-    qq = form.q_value(qrep)
-    denom = c * N * N
-    total = 0j
-    for w in product(range(c), repeat=form.rank):
-        g = tuple(hrep[i] + N * w[i] for i in range(form.rank))
-        num = a * form.q_value(g) + d * qq + form.bilinear(g, qrep)
-        frac = Fraction(num, denom) % 1
-        total += cexp(2j * pi * float(frac))
-    return total
+    f, N = form.rank, form.level
+    M = c * N * N
+    if max((f + 2) * c * M, f * f * c ** 3) > 2 ** 62:
+        raise OverflowError(f"gauss_sum residues mod cN^2 = {M} overflow int64 at c = {c}")
+    if max(c ** f, M) > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{c}^{f} points over {M} residues exceeds budget {ENUMERATION_BUDGET:.2e}"
+        )
+    const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
+    lin = [N * sum(row[j] * (a * hrep[j] + qrep[j]) for j in range(f)) % M for row in form.gram]
+    # Q(w) = sum over i <= j of u_ij w_i w_j, u_ii = A_ii/2 and u_ij = A_ij above
+    quad = [
+        (i, j, form.gram[i][j] // (1 + (i == j)) % c)
+        for i in range(f)
+        for j in range(i, f)
+    ]
+    aq = N * N * (a % c)  # a N^2 Q(w) mod cN^2 needs Q(w) mod c only
+    points = c ** f
+    counts = np.zeros(M, dtype=np.int64)
+    for start in range(0, points, _GAUSS_BLOCK):
+        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
+        w = [idx // c ** (f - 1 - i) % c for i in range(f)]
+        qw = sum(u * w[i] * w[j] for i, j, u in quad if u) % c
+        num = const + sum(lin[i] * w[i] for i in range(f)) + aq * qw
+        counts += np.bincount(num % M, minlength=M)
+    return complex(counts @ np.exp(2j * np.pi * np.arange(M) / M))
 
 
 CATALOG = {

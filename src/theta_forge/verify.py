@@ -168,6 +168,8 @@ def check_generating_modularity(
     RHS: eps(d) (c tau+d)^r exp(c <v,v> X/(c tau+d)) times the series at
     tau, its exponential expanded through Y^(x_prec-1).
     """
+    if v is None:
+        raise ValueError("the generating law needs an insertion vector")
     if x_prec < 1:
         raise ValueError("x_prec must be >= 1")
     z = _as_complex(tau)

@@ -6,8 +6,10 @@ criterion instead of reciprocity.  Slow but hard to get wrong.
 """
 
 import math
+from cmath import exp as cexp
 from fractions import Fraction
 from itertools import product
+from math import pi
 
 
 def quad_value_twice(gram, x):
@@ -125,3 +127,24 @@ def one_dim_theta(y, tol=1e-15):
             return total
         total += 2 * term
         n += 1
+
+
+def gauss_sum_bruteforce(form, a, d, c, h, q):
+    """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
+
+    One Fraction phase per point: the loop the library kernel replaced.
+    """
+    if c <= 0:
+        raise ValueError("gauss_sum requires c > 0")
+    hrep = h.rep if hasattr(h, "rep") else tuple(int(x) for x in h)
+    qrep = q.rep if hasattr(q, "rep") else tuple(int(x) for x in q)
+    N = form.level
+    qq = form.q_value(qrep)
+    denom = c * N * N
+    total = 0j
+    for w in product(range(c), repeat=form.rank):
+        g = tuple(hrep[i] + N * w[i] for i in range(form.rank))
+        num = a * form.q_value(g) + d * qq + form.bilinear(g, qrep)
+        frac = Fraction(num, denom) % 1
+        total += cexp(2j * pi * float(frac))
+    return total

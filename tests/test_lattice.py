@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from theta_forge.lattice import (
     unit_insertion_vector,
 )
 
-from oracles import box_enumerate, kronecker_euler, quad_value_twice
+from oracles import box_enumerate, gauss_sum_bruteforce, kronecker_euler, quad_value_twice
 
 
 class TestValidation:
@@ -367,3 +368,50 @@ class TestGaussSum:
         assert abs(
             gauss_sum(a2, 1, 1, 2, h, (0, 0)) - gauss_sum(a2, 1, 1, 2, (1, 2), (0, 0))
         ) < 1e-14
+
+    # largest c the brute-force loop is asked to check, per form
+    ORACLE_C = {"A2": 6, "A1A1": 6, "2A2": 6, "D4": 6, "E8": 2}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bruteforce(self, data):
+        name = data.draw(st.sampled_from(sorted(self.ORACLE_C)))
+        form, c = catalog_form(name), data.draw(st.integers(1, self.ORACLE_C[name]))
+        a, d = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 2))
+        classes = form.congruence_classes()
+        h, q = (data.draw(st.sampled_from(classes)) for _ in range(2))
+        expect = gauss_sum_bruteforce(form, a, d, c, h, q)
+        assert abs(gauss_sum(form, a, d, c, h, q) - expect) < 1e-9
+
+    def test_huge_representatives(self):
+        # h and q enter only through residues mod cN^2 taken in Python ints
+        a2 = catalog_form("A2")
+        h, q = (1 + 3 * 10 ** 12, 2 - 3 * 10 ** 12), (2 + 9 * 10 ** 12, 1)
+        twin = gauss_sum_bruteforce(a2, 5, -7, 3, (1, 2), (2, 1))
+        assert abs(gauss_sum(a2, 5, -7, 3, h, q) - twin) < 1e-9
+        # not a class: no reduction applies, the loop itself is the reference
+        odd = (10 ** 12, 1)
+        assert abs(
+            gauss_sum(a2, 3, 5, 2, odd, odd) - gauss_sum_bruteforce(a2, 3, 5, 2, odd, odd)
+        ) < 1e-9
+
+    def test_int64_overflow_refused(self):
+        with pytest.raises(OverflowError):
+            gauss_sum(catalog_form("A2"), 1, 1, 10 ** 9, (0, 0), (0, 0))
+
+    def test_budget_refused(self):
+        # 10^8 points: refused before the walk starts
+        with pytest.raises(EnumerationBudgetError):
+            gauss_sum(catalog_form("A2"), 1, 1, 10 ** 4, (0, 0), (0, 0))
+
+    def test_block_walk_memory(self):
+        # 31^4 = 923521 points; every row at once would take more than 60 MB
+        d4 = catalog_form("D4")
+        tracemalloc.start()
+        try:
+            phi = gauss_sum(d4, 1, 1, 31, (0,) * 4, (0,) * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert abs(phi - 961) < 1e-8

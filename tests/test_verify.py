@@ -15,6 +15,7 @@ from theta_forge.lattice import (
 )
 from theta_forge.arith import GaussianRational
 from theta_forge.verify import (
+    _GAUSS_SUM_CAP,
     LAW_IDS,
     Gamma0Matrix,
     LawReport,
@@ -140,6 +141,12 @@ class TestGeneratingLaw:
         with pytest.raises(ValueError, match="x_prec"):
             check_generating_modularity(A2, V_A2, g, 0.21 + 1.3j, 0, 1e-8)
 
+    def test_missing_vector_rejected(self):
+        # used to fail with AttributeError on None.norm
+        g = Gamma0Matrix(1, 1, 3, 4)
+        with pytest.raises(ValueError, match="insertion vector"):
+            check_generating_modularity(A2, None, g, 0.21 + 1.3j, 2, 1e-8)
+
 
 class TestInversion:
     @pytest.mark.parametrize("k", [0, 2, 4])
@@ -233,6 +240,15 @@ class TestGaussSums:
         for g in sample_gamma0(3, 6, seed=12):
             for h in A2.congruence_classes():
                 assert check_gauss_closed_form(A2, g, h, 1e-10).residual < 1e-10
+
+    def test_closed_form_d4_every_class(self):
+        # every matrix whose Gauss sum the campaign would evaluate
+        d4 = catalog_form("D4")
+        for g in sample_gamma0(2, 40, seed=0):
+            if g.d ** d4.rank > _GAUSS_SUM_CAP:
+                continue
+            for h in d4.congruence_classes():
+                assert check_gauss_closed_form(d4, g, h, 1e-10).residual < 1e-10
 
     def test_closed_form_nontrivial_phase(self):
         # d = 4 has character -1 on this form and Q(h) a b / 9 is not integral
