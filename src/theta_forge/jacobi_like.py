@@ -91,9 +91,10 @@ def e2_exponential(x_prec: int, q_prec: int, sign: int = 1) -> JacobiLikeForm:
     ycoeffs = []
     power = FracQSeries.constant(1, q_prec)
     for n in range(x_prec):
+        if n:
+            power = power * e2
         scale = Fraction((-sign) ** n, math.factorial(n))
         ycoeffs.append(power * scale)
-        power = power * e2
     return JacobiLikeForm(
         xseries=XSeries(ycoeffs),
         weight=0,
@@ -114,9 +115,10 @@ def completed_theta(form: QuadraticForm, v: InsertionVector, k: int, q_prec: int
     total = FracQSeries.zero(q_prec)
     e2_power = FracQSeries.constant(1, q_prec)
     for t in range(k // 2 + 1):
+        if t:
+            e2_power = e2_power * e2
         theta = theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec)
         total = total + theta * e2_power * pairing_coeff(t, k)
-        e2_power = e2_power * e2
     return total
 
 

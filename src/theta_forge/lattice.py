@@ -125,22 +125,20 @@ class QuadraticForm:
     def half_rank(self) -> int:
         return self.rank // 2
 
+    def _gram_times(self, x):
+        """A x as a tuple: the one Gram product behind every exact pairing."""
+        if len(x) != self.rank:
+            raise ValueError(f"vector of length {len(x)} for a rank-{self.rank} form")
+        return tuple(sum(a * xj for a, xj in zip(row, x)) for row in self.gram)
+
     def q_value(self, x):
         """Q(x) = x'Ax/2, exact; integer vectors give an integer."""
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            row = self.gram[i]
-            acc += xi * sum(row[j] * x[j] for j in range(self.rank))
-        acc = Fraction(acc, 2)
+        acc = Fraction(self.bilinear(x, x), 2)
         return int(acc) if acc.denominator == 1 else acc
 
     def bilinear(self, x, y):
         """<x,y> = x'Ay; exact for rational input."""
-        acc = 0
-        for i, xi in enumerate(x):
-            row = self.gram[i]
-            acc = acc + xi * sum(row[j] * y[j] for j in range(self.rank))
-        return acc
+        return sum(xi * ay for xi, ay in zip(x, self._gram_times(y)))
 
     def character(self, n: int) -> int:
         disc = self.det if self.half_rank % 2 == 0 else -self.det
@@ -162,10 +160,7 @@ class QuadraticForm:
         N = self.level
         out = []
         for h in product(range(N), repeat=self.rank):
-            if all(
-                sum(self.gram[i][j] * h[j] for j in range(self.rank)) % N == 0
-                for i in range(self.rank)
-            ):
+            if not any(x % N for x in self._gram_times(h)):
                 out.append(CongruenceClass(self, h))
         if len(out) != self.det:
             raise ArithmeticError(f"found {len(out)} classes mod {N}, expected det = {self.det}")
@@ -193,9 +188,8 @@ class CongruenceClass:
         rep = tuple(int(x) % N for x in rep)
         if len(rep) != form.rank:
             raise ValueError("representative has the wrong length")
-        for i in range(form.rank):
-            if sum(form.gram[i][j] * rep[j] for j in range(form.rank)) % N:
-                raise ValueError(f"A h is not 0 mod {N} for h = {rep}")
+        if any(x % N for x in form._gram_times(rep)):
+            raise ValueError(f"A h is not 0 mod {N} for h = {rep}")
         self.form = form
         self.rep = rep
 
@@ -230,13 +224,17 @@ class InsertionVector:
     that way.
     """
 
-    __slots__ = ("w", "s")
+    __slots__ = ("w", "s", "_den", "_re", "_im")
 
     def __init__(self, w, s=1):
         self.w = tuple(_as_gaussian(x) for x in w)
         self.s = Fraction(s)
         if self.s <= 0:
             raise ValueError("scaling s must be positive")
+        # den * w = re + i im with integer vectors, so Gram products stay in Z
+        self._den = lcm(1, *(d for x in self.w for d in (x.re.denominator, x.im.denominator)))
+        self._re = tuple(int(self._den * x.re) for x in self.w)
+        self._im = tuple(int(self._den * x.im) for x in self.w)
 
     @classmethod
     def from_root(cls, root) -> "InsertionVector":
@@ -245,14 +243,12 @@ class InsertionVector:
 
     def norm(self, form: QuadraticForm) -> GaussianRational:
         """<v,v> = s * w'Aw (bilinear, no conjugation)."""
-        acc = GaussianRational(0)
-        for i, wi in enumerate(self.w):
-            row = form.gram[i]
-            inner = GaussianRational(0)
-            for j in range(form.rank):
-                inner = inner + row[j] * self.w[j]
-            acc = acc + wi * inner
-        return acc * self.s
+        re, im = self._re, self._im
+        scale = self.s / self._den ** 2
+        return GaussianRational(
+            scale * (form.bilinear(re, re) - form.bilinear(im, im)),
+            scale * 2 * form.bilinear(re, im),
+        )
 
     def is_unit(self, form) -> bool:
         return self.norm(form) == GaussianRational(1)
@@ -265,20 +261,13 @@ class InsertionVector:
 
         One row when w'A is real, two (real then imaginary part) otherwise.
         """
-        wa = []
-        for j in range(form.rank):
-            col = GaussianRational(0)
-            for i in range(form.rank):
-                col = col + self.w[i] * form.gram[i][j]
-            wa.append(col)
-        den = 1
-        for c in wa:
-            den = lcm(den, c.re.denominator, c.im.denominator)
-        re_row = tuple(int(den * c.re) for c in wa)
-        im_row = tuple(int(den * c.im) for c in wa)
+        ar, ai = form._gram_times(self._re), form._gram_times(self._im)
+        g = math.gcd(self._den, *ar, *ai)
+        re_row = tuple(x // g for x in ar)
+        im_row = tuple(x // g for x in ai)
         if any(im_row):
-            return den, (re_row, im_row)
-        return den, (re_row,)
+            return self._den // g, (re_row, im_row)
+        return self._den // g, (re_row,)
 
     def __eq__(self, other):
         if not isinstance(other, InsertionVector):
@@ -433,13 +422,18 @@ def _accumulate_cells(cells: dict, e, ts):
         cells[k] = cells.get(k, 0) + int(binc[code])
 
 
-def enumerate_upto(form: QuadraticForm, bound: int):
-    """All integer vectors with Q(m) <= bound, lexicographically sorted."""
+def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):
+    """(z, Q(z)) for every z = h0 + scale*u with Q(z) <= bound, sorted by z."""
     out = []
-    for Z, _ in _leaf_chunks(form, bound, 1, (0,) * form.rank):
-        out.extend(tuple(int(x) for x in row) for row in Z)
+    for Z, e in _leaf_chunks(form, bound, scale, h0):
+        out.extend(zip(map(tuple, Z.tolist()), e.tolist()))
     out.sort()
     return out
+
+
+def enumerate_upto(form: QuadraticForm, bound: int):
+    """All integer vectors with Q(m) <= bound, lexicographically sorted."""
+    return [m for m, _ in _sorted_walk(form, bound, 1, (0,) * form.rank)]
 
 
 def enumerate_congruence(form: QuadraticForm, h, bound):
@@ -453,27 +447,22 @@ def enumerate_congruence(form: QuadraticForm, h, bound):
         CongruenceClass(form, rep)  # validates A h = 0 mod N
     N = form.level
     raw = int(Fraction(bound) * N * N)
-    out = []
-    for Z, _ in _leaf_chunks(form, raw, N, rep):
-        out.extend(tuple(int(x) for x in row) for row in Z)
-    out.sort()
-    return out
+    return [m for m, _ in _sorted_walk(form, raw, N, rep)]
 
 
 def first_root(form: QuadraticForm):
     """Lexicographically smallest vector with Q = 1, or None."""
-    roots = [m for m in enumerate_upto(form, 1) if form.q_value(m) == 1]
-    return roots[0] if roots else None
+    return next((m for m, e in _sorted_walk(form, 1, 1, (0,) * form.rank) if e == 1), None)
 
 
 def minimal_vector(form: QuadraticForm):
     """(m, Q(m)) with Q minimal positive, lexicographically smallest m."""
     bound = 1
     while True:
-        nonzero = [m for m in enumerate_upto(form, bound) if any(m)]
+        nonzero = [(e, m) for m, e in _sorted_walk(form, bound, 1, (0,) * form.rank) if e]
         if nonzero:
-            mu = min(form.q_value(m) for m in nonzero)
-            return min(m for m in nonzero if form.q_value(m) == mu), mu
+            mu, m = min(nonzero)
+            return m, mu
         bound *= 2
 
 
@@ -516,7 +505,7 @@ def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
             f"{c}^{f} points over {M} residues exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
     const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
-    lin = [N * sum(row[j] * (a * hrep[j] + qrep[j]) for j in range(f)) % M for row in form.gram]
+    lin = [N * x % M for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
     # Q(w) = sum over i <= j of u_ij w_i w_j, u_ii = A_ii/2 and u_ij = A_ij above
     quad = [
         (i, j, form.gram[i][j] // (1 + (i == j)) % c)

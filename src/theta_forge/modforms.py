@@ -1,8 +1,10 @@
 """q-expansions and numeric evaluation of Eisenstein and theta series.
 
 Exact expansions run through the lattice histogram engine and stay in
-Q(i).  Numeric evaluation truncates the same lattice sums at a certified
-radius, so both views of every series share one enumeration.
+Q(i).  Every numeric theta (plain, class, Poisson offset and dual) is one
+coset sum: the histogram of a coset x + Z^f, cut at a certified radius
+and summed against exp(2 pi i tau e/M).  Both views of every series
+share one enumeration.
 """
 
 from __future__ import annotations
@@ -92,14 +94,14 @@ def _exp_denom(spec: ThetaSpec) -> int:
     return 1 if spec.h is None else spec.form.level ** 2
 
 
-def _spec_cells(spec: ThetaSpec, bound: int):
-    """(den, cells): the insertion histogram of the lattice sum spec
-    describes, exponents in units of 1/M up to bound.  Keys are (e,) for
-    k = 0, otherwise (e, t...) with t/den the parts of w'Am."""
+def _spec_slice(spec: ThetaSpec):
+    """(den, slice): the insertion_histogram keywords of the lattice sum
+    spec describes, whose keys are (e,) for k = 0, otherwise (e, t...)
+    with t/den the parts of w'Am."""
     form = spec.form
     scale, h0 = (1, None) if spec.h is None else (form.level, spec.h.rep)
     den, weights = spec.v.integral_weights(form) if spec.k else (1, ())
-    return den, insertion_histogram(form, bound, scale=scale, h0=h0, weights=weights)
+    return den, {"scale": scale, "h0": h0, "weights": weights}
 
 
 def _class_symmetric(spec: ThetaSpec) -> bool:
@@ -128,7 +130,8 @@ def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
         raise ValueError(
             "odd insertion power on an asymmetric class has no exact expansion"
         )
-    den, cells = _spec_cells(spec, series_prec - 1)
+    den, coset = _spec_slice(spec)
+    cells = insertion_histogram(spec.form, series_prec - 1, **coset)
     if spec.k == 0:
         coeffs = [(e, GaussianRational(c)) for (e,), c in cells.items()]
         return FracQSeries(coeffs, prec=series_prec, exp_denom=M)
@@ -161,8 +164,17 @@ def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:
     return r
 
 
-def _phased_cell_sum(cells, tau_over: complex, insert=None) -> complex:
-    """Sum count * insert(key) * exp(tau_over * e), smallest terms first."""
+def _coset_sum(
+    form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, **coset
+) -> complex:
+    """Sum count * insert(key) * exp(2 pi i tau e/M), smallest terms first.
+
+    The cells are the insertion histogram of the slice named by coset
+    (scale, h0, weights), cut at the radius certified for tol and k.
+    """
+    radius = _truncation_radius(tau.imag, k, form.rank, tol)
+    cells = insertion_histogram(form, radius * M, **coset)
+    tau_over = 2j * pi * tau / M
     total = 0j
     for key in sorted(cells, key=lambda kk: -kk[0]):
         term = cells[key] * cmath.exp(tau_over * key[0])
@@ -180,22 +192,20 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     campaign fallbacks go lower at their own expense).
     """
     z = _as_complex(tau)
+    den, coset = _spec_slice(spec)
     M = _exp_denom(spec)
-    radius = _truncation_radius(z.imag, spec.k, spec.form.rank, tol)
-    den, cells = _spec_cells(spec, radius * M)
-    w = 2j * pi * z / M
-    if spec.k == 0:
-        return _phased_cell_sum(cells, w)
-    pref = float(spec.v.s) ** (spec.k / 2) / den ** spec.k
-    if spec.h is not None:
-        pref /= float(spec.form.level) ** spec.k
     k = spec.k
+    if k == 0:
+        return _coset_sum(spec.form, z, tol, 0, M, **coset)
+    pref = float(spec.v.s) ** (k / 2) / den ** k
+    if spec.h is not None:
+        pref /= float(spec.form.level) ** k
 
     def insert(key):
         base = complex(key[1], key[2] if len(key) > 2 else 0)
         return pref * base ** k
 
-    return _phased_cell_sum(cells, w, insert)
+    return _coset_sum(spec.form, z, tol, k, M, insert, **coset)
 
 
 def _offset_geometry(form: QuadraticForm, x):
@@ -213,10 +223,7 @@ def theta_offset_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     """sum over m of exp(2 pi i tau Q(m + x)) for a rational offset x."""
     z = _as_complex(tau)
     rho, h0 = _offset_geometry(form, x)
-    M = rho * rho
-    radius = _truncation_radius(z.imag, 0, form.rank, tol)
-    cells = insertion_histogram(form, radius * M, scale=rho, h0=h0)
-    return _phased_cell_sum(cells, 2j * pi * z / M)
+    return _coset_sum(form, z, tol, 0, rho * rho, scale=rho, h0=h0)
 
 
 def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
@@ -227,18 +234,14 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     theta_dual_numeric(form, x, -1/t) / ((-i t)^r sqrt(D)).
     """
     z = _as_complex(tau)
-    dual = form.dual()
-    D = form.det
     rho, h0 = _offset_geometry(form, x)
-    # m'A^-1 m / 2 = Q_adj(m) / D; the offset enters only as the phase m'x
-    radius = _truncation_radius(z.imag, 0, form.rank, tol)
-    cells = insertion_histogram(dual, radius * D, weights=(h0,))
     phase = 2j * pi / rho
 
     def insert(key):
         return cmath.exp(phase * key[1])
 
-    return _phased_cell_sum(cells, 2j * pi * z / D, insert)
+    # m'A^-1 m / 2 = Q_adj(m) / D; the offset enters only as the phase m'x
+    return _coset_sum(form.dual(), z, tol, 0, form.det, insert, weights=(h0,))
 
 
 def eisenstein_e2_numeric(tau, tol: float = 1e-12) -> complex:

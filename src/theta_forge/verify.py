@@ -206,33 +206,6 @@ def check_e2_quasimodularity(gamma: Gamma0Matrix, tau, tol: float) -> LawReport:
     return _report("e2", abs(lhs - rhs), tol, gamma=gamma, tau=z)
 
 
-def _completed_class_sum(
-    form: QuadraticForm,
-    classes,
-    h: CongruenceClass,
-    v: Optional[InsertionVector],
-    k: int,
-    jj: int,
-    tau: complex,
-    inner: float,
-) -> complex:
-    """(-i)^(r+2k) tau^(r+k-2j) / sqrt(D) times the phased sum over
-    classes g of exp(2 pi i g'Ah/N^2) theta(A,g,v,k-2j,tau)."""
-    N = form.level
-    pref = (
-        _minus_i_pow(form.half_rank + 2 * k)
-        * tau ** (form.half_rank + k - 2 * jj)
-        / math.sqrt(form.det)
-    )
-    total = 0j
-    for g in classes:
-        ph = _phase(Fraction(int(form.bilinear(g.rep, h.rep)), N * N))
-        total += ph * theta_numeric(
-            ThetaSpec(form, v, k - 2 * jj, g), tau, inner
-        )
-    return pref * total
-
-
 def check_inversion_law(
     form: QuadraticForm,
     h: CongruenceClass,
@@ -247,15 +220,14 @@ def check_inversion_law(
     z = _as_complex(tau)
     inner = tol * 1e-3
     lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner)
-    classes = form.congruence_classes()
+    N = form.level
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
+    x = ql / (1j * pi * z)
     rhs = 0j
-    for jj in range(k // 2 + 1):
-        rhs += (
-            (ql * z / (1j * pi)) ** jj
-            * float(pairing_coeff(jj, k))
-            * _completed_class_sum(form, classes, h, v, k, jj, z, inner)
-        )
+    for g in form.congruence_classes():
+        ph = _phase(Fraction(int(form.bilinear(g.rep, h.rep)), N * N))
+        rhs += ph * _completed(form, v, k, g, z, inner, x)
+    rhs *= _minus_i_pow(form.half_rank + 2 * k) * z ** (form.half_rank + k) / math.sqrt(form.det)
     return _report("inversion", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
 

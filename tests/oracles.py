@@ -9,7 +9,7 @@ import math
 from cmath import exp as cexp
 from fractions import Fraction
 from itertools import product
-from math import pi
+from math import lcm, pi
 
 
 def quad_value_twice(gram, x):
@@ -148,3 +148,40 @@ def gauss_sum_bruteforce(form, a, d, c, h, q):
         frac = Fraction(num, denom) % 1
         total += cexp(2j * pi * float(frac))
     return total
+
+
+def insertion_norm_loop(gram, w, s):
+    """s * w'Aw for a Q(i)-vector w (components with .re and .im), as the
+    exact pair (re, im): one Gaussian product per Gram entry."""
+    f = len(gram)
+    acc_re = acc_im = Fraction(0)
+    for i in range(f):
+        in_re = in_im = Fraction(0)
+        for j in range(f):
+            in_re += gram[i][j] * w[j].re
+            in_im += gram[i][j] * w[j].im
+        acc_re += w[i].re * in_re - w[i].im * in_im
+        acc_im += w[i].re * in_im + w[i].im * in_re
+    return acc_re * s, acc_im * s
+
+
+def integral_weights_loop(gram, w):
+    """(den, rows) with row_i . m = den * component_i of w'Am, den minimal.
+
+    Column sums of w'A over Q(i), then the lcm of every denominator; one
+    row when w'A is real, two (real then imaginary part) otherwise.
+    """
+    f = len(gram)
+    wa = [
+        (sum(Fraction(w[i].re) * gram[i][j] for i in range(f)),
+         sum(Fraction(w[i].im) * gram[i][j] for i in range(f)))
+        for j in range(f)
+    ]
+    den = 1
+    for re, im in wa:
+        den = lcm(den, re.denominator, im.denominator)
+    re_row = tuple(int(den * re) for re, _ in wa)
+    im_row = tuple(int(den * im) for _, im in wa)
+    if any(im_row):
+        return den, (re_row, im_row)
+    return den, (re_row,)

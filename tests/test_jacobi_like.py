@@ -14,6 +14,7 @@ from theta_forge.jacobi_like import (
 )
 from theta_forge.lattice import InsertionVector, catalog_form, unit_insertion_vector
 from theta_forge.modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
+from theta_forge.qseries import FracQSeries
 
 
 class TestThetaGenerating:
@@ -100,6 +101,45 @@ class TestCompletedTheta:
         for k in (1, 2, 3):
             c = completed_theta(a2, v, 2 * k, 5).coefficient(Fraction(0))
             assert c == GaussianRational(pairing_coeff(k, 2 * k) * Fraction(-1, 12) ** k)
+
+
+class TestE2PowerProducts:
+    """The running E2 power is formed only when the loop still uses it."""
+
+    @staticmethod
+    def _series_products(monkeypatch, build):
+        count = 0
+        mul = FracQSeries.__mul__
+
+        def counted(self, other):
+            nonlocal count
+            count += isinstance(other, FracQSeries)
+            return mul(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FracQSeries, "__mul__", counted)
+            result = build()
+        return count, result
+
+    @pytest.mark.parametrize("k", [0, 2, 4, 6])
+    def test_completed_theta(self, monkeypatch, k):
+        a2 = catalog_form("A2")
+        v = unit_insertion_vector(a2)
+        count, got = self._series_products(monkeypatch, lambda: completed_theta(a2, v, k, 30))
+        assert count <= k + 1
+        e2 = eisenstein_e2(30)
+        expect = FracQSeries.zero(30)
+        for t in range(k // 2 + 1):
+            expect = expect + theta_expand(ThetaSpec(a2, v, k - 2 * t), 30) * e2 ** t * pairing_coeff(t, k)
+        assert got == expect
+
+    @pytest.mark.parametrize("x_prec", [1, 3])
+    def test_e2_exponential(self, monkeypatch, x_prec):
+        count, got = self._series_products(monkeypatch, lambda: e2_exponential(x_prec, 30))
+        assert count <= x_prec - 1
+        e2 = eisenstein_e2(30)
+        for n in range(x_prec):
+            assert got.ycoeff(n) == e2 ** n * Fraction((-1) ** n, math.factorial(n))
 
 
 class TestProductRelation:

@@ -24,7 +24,16 @@ from theta_forge.lattice import (
     unit_insertion_vector,
 )
 
-from oracles import box_enumerate, gauss_sum_bruteforce, kronecker_euler, quad_value_twice
+from oracles import (
+    box_enumerate,
+    gauss_sum_bruteforce,
+    insertion_norm_loop,
+    integral_weights_loop,
+    kronecker_euler,
+    quad_value_twice,
+)
+
+_CATALOG_FORMS = {name: catalog_form(name) for name in CATALOG}
 
 
 class TestValidation:
@@ -266,6 +275,30 @@ class TestInsertionVector:
         # w'A = (2, 2i): one real row and one imaginary row
         assert den == 1
         assert rows == ((2, 0), (0, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG)),
+        gaussian=st.booleans(),
+        s=st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+        data=st.data(),
+    )
+    def test_matches_gaussian_loops(self, name, gaussian, s, data):
+        form = _CATALOG_FORMS[name]
+        small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+        part = st.builds(GaussianRational, small, small if gaussian else st.just(0))
+        w = data.draw(st.lists(part, min_size=form.rank, max_size=form.rank))
+        v = InsertionVector(w, s)
+        assert v.integral_weights(form) == integral_weights_loop(form.gram, v.w)
+        norm = v.norm(form)
+        assert (norm.re, norm.im) == insertion_norm_loop(form.gram, v.w, v.s)
+
+    def test_wrong_length_rejected(self):
+        a2 = catalog_form("A2")
+        with pytest.raises(ValueError):
+            InsertionVector((1, 0, 0)).norm(a2)
+        with pytest.raises(ValueError):
+            a2.q_value((1, 0, 0))
 
 
 class TestHistogram:

@@ -155,6 +155,16 @@ class TestInversion:
             res = check_inversion_law(A2, h, V_A2, k, 0.4 + 0.9j, 1e-8)
             assert res.residual < 1e-8
 
+    @pytest.mark.parametrize("name", ["A1A1", "2A2", "D4"])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_every_class_beyond_a2(self, name, k):
+        form = catalog_form(name)
+        v = unit_insertion_vector(form)
+        for h in form.congruence_classes():
+            for tau in (0.4 + 0.9j, -0.2 + 1.1j):
+                res = check_inversion_law(form, h, v, k, tau, 1e-9)
+                assert res.passed, (h, tau, res.residual)
+
     def test_large_index_rejected(self):
         h = A2.congruence_classes()[0]
         with pytest.raises(ValueError):
