@@ -138,13 +138,18 @@ def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
     pref = spec.v.s ** (spec.k // 2) * Fraction(1, den ** spec.k)
     if spec.h is not None:
         pref /= spec.form.level ** spec.k
+    # sum count * (t1 + i t2)^k per exponent in Gaussian integers, then
+    # scale each exponent's sum by pref once
     acc: dict = {}
     for key, count in cells.items():
-        e = key[0]
-        base = GaussianRational(key[1], key[2] if len(key) > 2 else 0)
-        val = (base ** spec.k) * (pref * count)
-        acc[e] = acc[e] + val if e in acc else val
-    return FracQSeries(acc, prec=series_prec, exp_denom=M)
+        t1, t2 = key[1], key[2] if len(key) > 2 else 0
+        re, im = 1, 0
+        for _ in range(spec.k):
+            re, im = re * t1 - im * t2, re * t2 + im * t1
+        old_re, old_im = acc.get(key[0], (0, 0))
+        acc[key[0]] = (old_re + count * re, old_im + count * im)
+    coeffs = [(e, GaussianRational(re, im) * pref) for e, (re, im) in acc.items()]
+    return FracQSeries(coeffs, prec=series_prec, exp_denom=M)
 
 
 def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:

@@ -2,16 +2,19 @@
 
 A series lives on the exponent lattice (1/M) Z_{>=0} for a fixed
 denominator M and is known modulo q^(prec/M).  Coefficients are stored
-sparsely; exact zeros are simply absent.  All arithmetic tracks precision
-pessimistically, so a result never claims more terms than its inputs
-support.
+sparsely as GaussianRationals; exact zeros are simply absent.  A product
+of two series runs on packed integers (Kronecker substitution): each
+operand is cleared to one denominator, its real and imaginary parts are
+packed into big integers, and one to three integer products give every
+coefficient at once.  All arithmetic tracks precision pessimistically, so
+a result never claims more terms than its inputs support.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import GaussianRational
 
@@ -150,17 +153,7 @@ class FracQSeries:
         if isinstance(other, FracQSeries):
             a, b = self._aligned(other)
             prec = min(a.prec, b.prec)
-            out = {}
-            # supports are nonnegative, so truncation at min prec is safe
-            for e1, c1 in a.coeffs.items():
-                if e1 >= prec:
-                    continue
-                for e2, c2 in b.coeffs.items():
-                    e = e1 + e2
-                    if e >= prec:
-                        continue
-                    p = c1 * c2
-                    out[e] = out[e] + p if e in out else p
+            out = _series_product(a.coeffs, b.coeffs, prec)
             return FracQSeries(out, prec=prec, exp_denom=a.exp_denom)
         s = GaussianRational._coerce(other)
         if s is None:
@@ -244,6 +237,89 @@ class FracQSeries:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(q^{Fraction(self.prec, self.exp_denom)})>"
+
+
+def _series_product(a: dict, b: dict, prec: int) -> dict:
+    """Coefficients below prec of the product of two sparse coefficient
+    dicts, by Kronecker substitution.
+
+    Exponents are shifted to start at 0 and packed at stride g, the gcd of
+    their gaps in both operands, so slot j holds exponent min + g*j.  The
+    slot width fits every product digit with its sign, so the integer
+    product of two packed operands is the packed convolution.
+    """
+    if not a or not b:
+        return {}
+    a0, b0 = min(a), min(b)
+    room = prec - a0 - b0  # product offsets from a0 + b0 below room lie below prec
+    if room <= 0:
+        return {}
+    ea = [e for e in a if e - a0 < room]
+    eb = [e for e in b if e - b0 < room]
+    g = gcd(*(e - a0 for e in ea), *(e - b0 for e in eb)) or 1
+    da, ar, ai = _integer_digits(a, ea, a0, g)
+    db, br, bi = _integer_digits(b, eb, b0, g)
+    top = max(map(abs, ar + ai)) * max(map(abs, br + bi))
+    bits = (2 * min(len(ea), len(eb)) * top).bit_length() + 2
+    A, Ai, B, Bi = (_pack(d, bits) for d in (ar, ai, br, bi))
+    if not (Ai or Bi):
+        re, im = A * B, 0
+    else:
+        # three products; a real operand packs to 0 and its terms vanish
+        rr, ii = A * B, Ai * Bi
+        re, im = rr - ii, (A + Ai) * (B + Bi) - rr - ii
+    n = (room - 1) // g + 1
+    re_digits = _unpack(re, bits, n)
+    im_digits = _unpack(im, bits, n) if im else [0] * n
+    den = da * db
+    out = {}
+    for j, (r, i) in enumerate(zip(re_digits, im_digits)):
+        if r or i:
+            out[a0 + b0 + g * j] = GaussianRational(Fraction(r, den), Fraction(i, den))
+    return out
+
+
+def _integer_digits(coeffs: dict, exps, e0: int, g: int):
+    """(den, re, im): dense digit lists over slots (e - e0)/g of den * c,
+    den the lcm of every denominator."""
+    den = 1
+    for e in exps:
+        c = coeffs[e]
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    size = (max(exps) - e0) // g + 1
+    re, im = [0] * size, [0] * size
+    for e in exps:
+        c = coeffs[e]
+        j = (e - e0) // g
+        re[j] = c.re.numerator * (den // c.re.denominator)
+        im[j] = c.im.numerator * (den // c.im.denominator)
+    return den, re, im
+
+
+def _pack(digits, bits: int) -> int:
+    """sum digits[j] 2^(bits*j): signed digits in one Python integer."""
+    x = 0
+    for d in reversed(digits):
+        x = (x << bits) + d
+    return x
+
+
+def _unpack(x: int, bits: int, n: int):
+    """The n lowest signed digits of x in base 2^bits, each in
+    [-2^(bits-1), 2^(bits-1)): a digit at or over the top half borrows one
+    from the next slot."""
+    x &= (1 << (bits * n)) - 1
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    out = []
+    for _ in range(n):
+        d = x & mask
+        x >>= bits
+        if d >= half:
+            d -= full
+            x += 1
+        out.append(d)
+    return out
 
 
 def _require(x):

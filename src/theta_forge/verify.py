@@ -178,10 +178,13 @@ def check_generating_modularity(
     inner = tol * 1e-3
     nv = complex(v.norm(form))
     eps = form.character(gamma.d)
+    # The largest power at the lower point needs the largest radius; asked
+    # first, its histogram (kept by the form) serves every later call.
+    points = sorted((("g", gz), ("t", z)), key=lambda p: p[1].imag)
     theta_at = {}
-    for n in range(x_prec):
-        theta_at[("g", 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), gz, inner)
-        theta_at[("t", 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), z, inner)
+    for n in reversed(range(x_prec)):
+        for side, point in points:
+            theta_at[(side, 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), point, inner)
     residual = 0.0
     for n in range(x_prec):
         coeff = Fraction(2 ** n, math.factorial(2 * n))

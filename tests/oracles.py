@@ -59,6 +59,25 @@ def theta_coefficients(gram, prec):
     return counts
 
 
+def insertion_theta_loop(gram, w, s, k, prec):
+    """{e: (re, im)}: sum of s^(k/2) (w'Am)^k over m with Q(m) = e < prec,
+    for even k and a Q(i)-vector w (components with .re and .im); one
+    Fraction pair per box vector."""
+    f = len(gram)
+    out = {}
+    for m in box_enumerate(gram, prec - 1):
+        am = [sum(gram[i][j] * m[j] for j in range(f)) for i in range(f)]
+        t_re = sum(Fraction(w[i].re) * am[i] for i in range(f))
+        t_im = sum(Fraction(w[i].im) * am[i] for i in range(f))
+        re, im = Fraction(s) ** (k // 2), Fraction(0)
+        for _ in range(k):
+            re, im = re * t_re - im * t_im, re * t_im + im * t_re
+        e = quad_value_twice(gram, m) // 2
+        old = out.get(e, (0, 0))
+        out[e] = (old[0] + re, old[1] + im)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
 def bernoulli_double_sum(n):
     """B_n from the explicit double sum over set partitions."""
     total = Fraction(0)
@@ -185,3 +204,22 @@ def integral_weights_loop(gram, w):
     if any(im_row):
         return den, (re_row, im_row)
     return den, (re_row,)
+
+
+def series_product_loop(a, b):
+    """a * b for two FracQSeries by the schoolbook double loop: one Q(i)
+    product per pair of terms, the product the packed-integer kernel
+    replaced."""
+    a, b = a._aligned(b)
+    prec = min(a.prec, b.prec)
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        if e1 >= prec:
+            continue
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e >= prec:
+                continue
+            p = c1 * c2
+            out[e] = out[e] + p if e in out else p
+    return type(a)(out, prec=prec, exp_denom=a.exp_denom)

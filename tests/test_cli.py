@@ -154,6 +154,16 @@ class TestVerifyIdentity:
         assert doc["residual_zero"] is True
         assert doc["prec"] == 8
 
+    def test_deep_identity(self, capsys):
+        # the q^400 identity runs on packed-integer series products
+        code, out, _ = run(
+            capsys, "verify-identity", "--lattice", "A2", "--prec", "400", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "identity": "root", "lattice": "A2", "prec": 400, "residual_zero": True
+        }
+
     def test_rootless_fails_cleanly(self, capsys):
         code, _, err = run(capsys, "verify-identity", "--lattice", "2A2")
         assert code == 2

@@ -23,7 +23,7 @@ from theta_forge.modforms import (
     theta_offset_numeric,
 )
 
-from oracles import one_dim_theta, theta_coefficients
+from oracles import insertion_theta_loop, one_dim_theta, theta_coefficients
 
 
 def real_coeffs(series, upto):
@@ -106,6 +106,25 @@ class TestThetaExpand:
         v = unit_insertion_vector(a2)
         got = real_coeffs(theta_expand(ThetaSpec(a2, v, 2), 4), 4)
         assert got == [0, 6, 0, 18]
+
+    @pytest.mark.parametrize(
+        "name, w, s",
+        [
+            ("A2", ((1, 0), (0, 2)), 1),
+            ("A2", ((Fraction(1, 2), 1), (Fraction(1, 3), 0)), Fraction(2, 5)),
+            ("D4", ((1, 1), (0, -1), (2, 0), (0, 0)), 3),
+        ],
+    )
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_gaussian_insertion_matches_box_oracle(self, name, w, s, k):
+        # real and imaginary parts of w are not A-orthogonal, so the
+        # imaginary parts of (w'Am)^k survive the shell sums
+        form = catalog_form(name)
+        v = InsertionVector(tuple(GaussianRational(re, im) for re, im in w), s)
+        got = theta_expand(ThetaSpec(form, v, k), 5)
+        want = insertion_theta_loop(form.gram, v.w, s, k, 5)
+        assert got.coeffs == {e: GaussianRational(re, im) for e, (re, im) in want.items()}
+        assert any(c.im for c in got.coeffs.values())
 
     def test_insertion_scaling(self):
         # <2v, m>^2 = 4 <v, m>^2 termwise

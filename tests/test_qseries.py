@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import series_product_loop
 from theta_forge.arith import GaussianRational
-from theta_forge.qseries import FracQSeries, PrecisionError, XSeries
+from theta_forge.modforms import eisenstein_e2, eisenstein_e2k
+from theta_forge.qseries import FracQSeries, PrecisionError, XSeries, _pack, _unpack
 
 
 def S(pairs, prec=10, exp_denom=1):
@@ -112,6 +114,98 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+_BIG = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+_COEFFS = {
+    "real": st.builds(GaussianRational, _BIG),
+    "imaginary": st.builds(lambda y: GaussianRational(0, y), _BIG),
+    "mixed": st.builds(GaussianRational, _BIG, _BIG),
+}
+
+
+@st.composite
+def _sparse_series(draw):
+    """Sparse series with real, purely imaginary or mixed Q(i) coefficients
+    at a random exponent stride, exp_denom and precision."""
+    coeff = _COEFFS[draw(st.sampled_from(sorted(_COEFFS)))]
+    stride = draw(st.sampled_from((1, 2, 3)))
+    terms = draw(st.lists(st.tuples(st.integers(0, 30), coeff), max_size=12))
+    return FracQSeries(
+        [(e * stride, c) for e, c in terms],
+        prec=draw(st.integers(1, 60)),
+        exp_denom=draw(st.sampled_from((1, 3, 9))),
+    )
+
+
+def _assert_same_product(a, b):
+    got, want = a * b, series_product_loop(a, b)
+    assert (got.prec, got.exp_denom) == (want.prec, want.exp_denom)
+    assert got.coeffs == want.coeffs
+
+
+class TestPackedProduct:
+    @given(_sparse_series(), _sparse_series())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_schoolbook_loop(self, a, b):
+        _assert_same_product(a, b)
+        _assert_same_product(b, a)
+
+    def test_empty_one_term_and_mixed_exp_denoms(self):
+        e2 = eisenstein_e2(12)
+        one = FracQSeries([(0, GaussianRational(Fraction(3, 7), -2))], prec=30, exp_denom=9)
+        _assert_same_product(e2, FracQSeries.zero(20, 9))
+        _assert_same_product(e2, one)
+        _assert_same_product(one, S([(5, 1)], prec=7, exp_denom=9))
+
+    @pytest.mark.parametrize("bits", [2, 3, 7, 30, 64, 65])
+    def test_unpack_at_slot_limits(self, bits):
+        top = (1 << (bits - 1)) - 1
+        digits = [top, -top, -top - 1, 0, -1, -1, -1, top, 1, -1, -top - 1]
+        assert _unpack(_pack(digits, bits), bits, len(digits)) == digits
+        assert _unpack(_pack([-1] * 50, bits), bits, 50) == [-1] * 50
+        # only the low n digits are read, whatever lies above them
+        assert _unpack(_pack(digits + [-top - 1, top], bits), bits, 3) == digits[:3]
+
+    @pytest.mark.parametrize("m", [1, 2 ** 31 - 1, 10 ** 30])
+    def test_largest_digits_of_the_slot_bound(self, m):
+        # (m + im)(m - im) = 2m^2 per pair: every real digit in the middle
+        # reaches the 2 min(len) max|a| max|b| the slot width is sized for
+        n = 40
+        a = FracQSeries([(j, GaussianRational(m, m)) for j in range(n)], prec=2 * n)
+        for b in (
+            FracQSeries([(j, GaussianRational(m, -m)) for j in range(n)], prec=2 * n),
+            FracQSeries([(j, GaussianRational(-m, -m)) for j in range(n)], prec=2 * n),
+            FracQSeries([(j, GaussianRational(-m, m)) for j in range(n)], prec=2 * n),
+        ):
+            _assert_same_product(a, b)
+        assert (a * -a).coefficient(n - 1) == GaussianRational(0, -2 * n * m * m)
+
+    def test_runs_of_negative_one_digits(self):
+        ones = FracQSeries([(j, GaussianRational(1)) for j in range(400)], prec=400)
+        minus = FracQSeries.constant(-1, 400)
+        assert (minus * ones).coeffs == {j: GaussianRational(-1) for j in range(400)}
+        # (1 - q)(1 + q + ... ) = 1 through the horizon
+        assert S([(0, 1), (1, -1)], prec=400) * ones == FracQSeries.constant(1, 400)
+
+    def test_deep_eisenstein_product(self):
+        e2, e4 = eisenstein_e2(401), eisenstein_e2k(2, 401)
+        _assert_same_product(e2, e4)
+
+    def test_no_gaussian_products_in_a_series_product(self, monkeypatch):
+        e2, e4 = eisenstein_e2(401), eisenstein_e2k(2, 401)
+        calls = []
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        original = GaussianRational.__mul__
+        monkeypatch.setattr(GaussianRational, "__mul__", counted)
+        monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+        product = e2 * e4
+        assert len(product.coeffs) == 401
+        assert calls == []
 
 
 class TestRebase:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from theta_forge import lattice
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
@@ -134,6 +135,37 @@ class TestGeneratingLaw:
         r2 = check_generating_modularity(A2, scaled, g, tau, 3, 1e-8).residual
         assert r2 < 2 * r1 + 1e-13
         assert r1 < 2 * r2 + 1e-13
+
+    @pytest.mark.parametrize(
+        "name, vector, gamma, tau, x_prec",
+        [
+            ("A2", None, (1, 1, 3, 4), -0.25 + 0.4j, 4),
+            ("A2", None, (1, 0, 3, 1), 0.1 + 1.1j, 1),
+            ("D4", None, (1, 0, 2, 1), 0.1 + 1.1j, 3),
+            ("A1A1", (1, 1j), (1, 0, 4, 1), 0.3 + 0.8j, 4),
+        ],
+    )
+    def test_one_lattice_walk_per_check(self, monkeypatch, name, vector, gamma, tau, x_prec):
+        # every power at both points is served by one histogram: the one
+        # for the largest power at the point nearer the real axis
+        form = catalog_form(name)  # a fresh form keeps no histograms yet
+        if vector is None:
+            v = unit_insertion_vector(form)
+        else:
+            v = InsertionVector(
+                tuple(GaussianRational(int(c.real), int(c.imag)) for c in vector), 1
+            )
+        walks = []
+        original = lattice._leaf_chunks
+
+        def counted(form, bound, scale, h0):
+            walks.append(bound)
+            return original(form, bound, scale, h0)
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", counted)
+        res = check_generating_modularity(form, v, Gamma0Matrix(*gamma), tau, x_prec, 1e-8)
+        assert res.passed
+        assert len(walks) == 1, walks
 
     def test_empty_x_expansion_rejected(self):
         # x_prec = 0 compares two empty sums and used to pass with residual 0
