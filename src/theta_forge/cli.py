@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     except InvalidFormError as exc:
         print(f"error: invalid Gram matrix ({exc.code}): {exc}", file=sys.stderr)
         return 2
-    except (EnumerationBudgetError, ValueError) as exc:
+    except (EnumerationBudgetError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,16 @@
 """Even positive-definite forms and exact lattice-point bookkeeping.
 
 The enumeration engine walks integer vectors z = h0 + scale*u with
-Q(z) <= bound by completing squares against an exact LDL factorization.
-Pruning runs in floating point with an inflated bound; membership and the
-exponent of every surviving vector are settled exactly afterwards, so the
-histograms feeding the series expansions carry no rounding.
+Q(z) <= bound (Fincke-Pohst), one coordinate at a time.  On its first
+walk a form reduces its basis once by exact integer LLL, and every walk
+runs in that basis, so a badly conditioned Gram matrix of a good lattice
+costs what the good basis costs.  Pruning compares a float LDL partial
+against an inflated bound; every frontier row also carries exact int64
+partials of 2Q and of its weight sums, so the leaf test 2Q <= 2 bound,
+the exponents and the weights of every vector are integer arithmetic and
+the histograms feeding the series expansions carry no rounding.  A walk
+whose partials could leave int64 is refused with OverflowError before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -55,6 +61,69 @@ def _ldl_exact(gram):
     return L, d
 
 
+def _lll_basis(gram):
+    """LLL-reduced basis of the lattice with Gram matrix gram, as rows in
+    the original coordinates.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7) on the Gram matrix alone: the Gram-Schmidt
+    data is kept as the integers d_i (leading principal minors of the
+    current basis) and lam_kj = d_j mu_kj, and updated in place by each
+    size reduction and swap, so every step is exact integer arithmetic.
+    Indices are 1-based as in the book; d[0] = 1.  The Lovasz constant
+    is 99/100.
+    """
+    n = len(gram)
+    b = [None] + [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) <= d[l]:
+            return
+        r = (2 * lam[k][l] + d[l]) // (2 * d[l])  # nearest integer to mu_kl
+        b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+        lam[k][l] -= r * d[l]
+        for i in range(1, l):
+            lam[k][i] -= r * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        big = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
+            lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k]
+        d[k - 1] = big
+
+    d[1] = gram[0][0]
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            # vector k is still the k-th unit vector, so b_k . b_j is a row of A times b_j
+            kmax = k
+            for j in range(1, k + 1):
+                x = sum(a * y for a, y in zip(gram[k - 1], b[j]))
+                for i in range(1, j):
+                    x = (d[i] * x - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = x
+                else:
+                    d[k] = x
+        reduce(k, k - 1)
+        if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+            k += 1
+    return [tuple(row) for row in b[1:]]
+
+
 def _inverse_exact(gram):
     f = len(gram)
     aug = [
@@ -82,7 +151,7 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_ldl", "_cells", "_dual")
+    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual")
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -104,9 +173,8 @@ class QuadraticForm:
             raise InvalidFormError("odd-rank", f"rank {f} is odd; only even rank is supported")
         self.gram = tuple(rows)
         self.rank = f
-        self._ldl = _ldl_exact(rows)
         det = Fraction(1)
-        for dj in self._ldl[1]:
+        for dj in _ldl_exact(rows)[1]:
             det *= dj
         self.det = int(det)
         self.inverse_gram = _inverse_exact(rows)
@@ -120,6 +188,8 @@ class QuadraticForm:
         # insertion histograms built for this form: (scale, h0, weights) -> (bound, cells)
         self._cells = {}
         self._dual = None
+        # the walk's reduced basis, built on the first walk (see _reduced)
+        self._lll = None
 
     @property
     def half_rank(self) -> int:
@@ -130,6 +200,28 @@ class QuadraticForm:
         if len(x) != self.rank:
             raise ValueError(f"vector of length {len(x)} for a rank-{self.rank} form")
         return tuple(sum(a * xj for a, xj in zip(row, x)) for row in self.gram)
+
+    def _reduced(self):
+        """(gram, (L, d), U, U^-1, inv_diag) of the LLL-reduced basis the walk runs in.
+
+        The columns of the unimodular U are the reduced basis in the
+        original coordinates, gram = U'AU with exact LDL factors (L, d),
+        and inv_diag is the diagonal of gram^-1, which bounds every
+        coordinate of a vector in an ellipsoid.  Computed on the first
+        walk and kept, so building a form costs no reduction.
+        """
+        if self._lll is None:
+            # walked in LLL order: reversed (the walk fixes the last
+            # coordinate first), the benchmark walks met up to 0.5% more
+            # candidates and ran no faster
+            basis = _lll_basis(self.gram)
+            f = self.rank
+            u = tuple(tuple(b[i] for b in basis) for i in range(f))
+            gram = tuple(tuple(self.bilinear(bi, bj) for bj in basis) for bi in basis)
+            uinv = tuple(tuple(int(x) for x in row) for row in _inverse_exact(u))
+            inv = _inverse_exact(gram)
+            self._lll = (gram, _ldl_exact(gram), u, uinv, tuple(inv[j][j] for j in range(f)))
+        return self._lll
 
     def q_value(self, x):
         """Q(x) = x'Ax/2, exact; integer vectors give an integer."""
@@ -295,59 +387,83 @@ ENUMERATION_BUDGET = 60_000_000
 _FRONTIER_CHUNK = 150_000  # rows per frontier block pushed back on the stack
 
 
-def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0):
-    """Yield (Z, e) blocks: integer vectors z = h0 + scale*u with Q(z) = e <= bound.
+def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
+    """Yield (e, T) blocks over the vectors z = h0 + scale*u with Q(z) = e <= bound.
 
-    Breadth-first over coordinates f-1 .. 0, float pruning against an
-    inflated bound, exact integer exponents at the leaves.
+    Row i of the int64 block T holds weight . z for every weight row, so
+    identity weights give the vectors themselves.  The descent runs in the
+    form's LLL-reduced basis y = U^-1 z (so h0 becomes U^-1 h0 mod scale and
+    a weight row w becomes w U), breadth-first over coordinates f-1 .. 0.
+    Every frontier row carries its coordinates, a float LDL partial for
+    pruning against an inflated bound, and exact int64 partials: 2Q of the
+    coordinates fixed so far and their weight sums.  A new coordinate y_j
+    adds A_jj y_j^2 + 2 y_j sum_{i>j} A_ji y_i to 2Q, so the leaf test
+    2Q <= 2 bound and the exponents are integer arithmetic.  Raises
+    OverflowError before allocating when a partial could pass 2^62.
     """
+    gram, (L, d), U, uinv, inv_diag = form._reduced()
     f = form.rank
-    L, d = form._ldl
+    hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
+    wy = [[sum(w[i] * U[i][j] for i in range(f)) for j in range(f)] for w in weights]
+    # a candidate y_j lies in the projection of the inflated ellipsoid,
+    # |y_j| <= sqrt(2 bf gram^-1_jj): 4(bound + 1) covers the margin and
+    # the + 1 the rounding of each candidate range
+    radii = [math.isqrt(math.ceil(4 * (bound + 1) * x)) + 1 for x in inv_diag]
+    partial = sum(abs(a) * ri * rk for row, ri in zip(gram, radii) for a, rk in zip(row, radii))
+    sums = [sum(abs(x) * r for x, r in zip(w, radii)) for w in wy]
+    if max([4 * partial] + sums) > 2 ** 62:
+        raise OverflowError(
+            f"lattice walk to bound {bound} could pass 2^62 in int64 partials"
+        )
+    A = np.array(gram, dtype=np.int64)
     Lf = np.array([[float(x) for x in row] for row in L])
     df = np.array([float(x) for x in d])
+    W = np.array(wy, dtype=np.int64).reshape(len(wy), f)
     margin = 1e-6 * (1.0 + bound)
     bf = bound + margin
-    h0 = np.array(h0, dtype=np.int64)
 
-    stack = [(np.zeros((1, f), dtype=np.int64), np.zeros(1), 0)]
+    stack = [(
+        np.zeros((1, f), dtype=np.int64),
+        np.zeros(1),
+        np.zeros(1, dtype=np.int64),
+        np.zeros((1, len(wy)), dtype=np.int64),
+        0,
+    )]
     while stack:
-        Z, S, depth = stack.pop()
+        Y, S, Q2, T, depth = stack.pop()
         j = f - 1 - depth
-        if depth:
-            dot = Z[:, j + 1:].astype(np.float64) @ Lf[j + 1:, j]
-        else:
-            dot = np.zeros(len(Z))
+        tail = Y[:, j + 1:]
+        dot = tail.astype(np.float64) @ Lf[j + 1:, j]
+        lin = 2 * (tail @ A[j + 1:, j])
         rad = np.sqrt(np.maximum(0.0, 2.0 * (bf - S) / df[j]))
-        lo = np.ceil((-dot - rad - h0[j]) / scale - 1e-9).astype(np.int64)
-        hi = np.floor((-dot + rad - h0[j]) / scale + 1e-9).astype(np.int64)
+        lo = np.ceil((-dot - rad - hy[j]) / scale - 1e-9).astype(np.int64)
+        hi = np.floor((-dot + rad - hy[j]) / scale + 1e-9).astype(np.int64)
         counts = np.maximum(0, hi - lo + 1)
         total = int(counts.sum())
         if total == 0:
             continue
-        rep = np.repeat(np.arange(len(Z)), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offs = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        u = lo[rep] + offs
-        zj = h0[j] + scale * u
-        Z2 = Z[rep]
-        Z2[:, j] = zj
-        y = zj + dot[rep]
-        S2 = S[rep] + 0.5 * df[j] * y * y
-        keep = S2 <= bf
-        Z2, S2 = Z2[keep], S2[keep]
-        if len(Z2) == 0:
-            continue
+        rep = np.repeat(np.arange(len(Y)), counts)
+        starts = np.cumsum(counts) - counts
+        yj = hy[j] + scale * (np.arange(total, dtype=np.int64) + (lo - starts)[rep])
+        q2 = Q2[rep] + yj * (A[j, j] * yj + lin[rep])
         if depth + 1 == f:
-            e = np.rint(S2).astype(np.int64)
-            drift = float(np.abs(S2 - e).max())
-            if not drift < 1e-2:
-                raise ArithmeticError(f"leaf exponent is {drift:.2e} off an integer")
-            inside = e <= bound
-            if inside.any():
-                yield Z2[inside], e[inside]
-        else:
-            for i in range(0, len(Z2), _FRONTIER_CHUNK):
-                stack.append((Z2[i:i + _FRONTIER_CHUNK], S2[i:i + _FRONTIER_CHUNK], depth + 1))
+            inside = q2 <= 2 * bound
+            if not inside.all():
+                rep, yj, q2 = rep[inside], yj[inside], q2[inside]
+            if len(q2):
+                yield q2 >> 1, T[rep] + yj[:, None] * W[:, j]
+            continue
+        S2 = S[rep] + 0.5 * df[j] * (yj + dot[rep]) ** 2
+        keep = S2 <= bf
+        rep, yj, S2, q2 = rep[keep], yj[keep], S2[keep], q2[keep]
+        if len(rep) == 0:
+            continue
+        Y2 = Y[rep]
+        Y2[:, j] = yj
+        T2 = T[rep] + yj[:, None] * W[:, j]
+        for i in range(0, len(Y2), _FRONTIER_CHUNK):
+            block = slice(i, i + _FRONTIER_CHUNK)
+            stack.append((Y2[block], S2[block], q2[block], T2[block], depth + 1))
 
 
 def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):
@@ -377,14 +493,8 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
         raise EnumerationBudgetError(
             f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
-    wmat = (
-        np.array(weights, dtype=np.int64).T
-        if weights
-        else np.zeros((form.rank, 0), dtype=np.int64)
-    )
     cells: dict = {}
-    for Z, e in _leaf_chunks(form, bound, scale, h0):
-        ts = Z @ wmat if weights else None
+    for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
         _accumulate_cells(cells, e, ts)
     form._cells[(scale, h0, weights)] = (bound, cells)
     return dict(cells)
@@ -392,10 +502,7 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
 
 def _accumulate_cells(cells: dict, e, ts):
     """Fold one leaf block into the histogram via composite-code bincount."""
-    if ts is None:
-        cols = [e]
-    else:
-        cols = [e] + [ts[:, i] for i in range(ts.shape[1])]
+    cols = [e] + [ts[:, i] for i in range(ts.shape[1])]
     lows = [int(c.min()) for c in cols]
     spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
     space = 1
@@ -423,9 +530,15 @@ def _accumulate_cells(cells: dict, e, ts):
 
 
 def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):
-    """(z, Q(z)) for every z = h0 + scale*u with Q(z) <= bound, sorted by z."""
+    """(z, Q(z)) for every z = h0 + scale*u with Q(z) <= bound, sorted by z.
+
+    The walk's weight sums under identity weights are the vectors
+    themselves, in the caller's coordinates.
+    """
+    f = form.rank
+    identity = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
     out = []
-    for Z, e in _leaf_chunks(form, bound, scale, h0):
+    for e, Z in _leaf_chunks(form, bound, scale, h0, identity):
         out.extend(zip(map(tuple, Z.tolist()), e.tolist()))
     out.sort()
     return out

@@ -175,13 +175,15 @@ def _coset_sum(
     """Sum count * insert(key) * exp(2 pi i tau e/M), smallest terms first.
 
     The cells are the insertion histogram of the slice named by coset
-    (scale, h0, weights), cut at the radius certified for tol and k.
+    (scale, h0, weights), cut at the radius certified for tol and k.  They
+    are summed in the order of the full key (-e, t...), so the value does
+    not depend on the order the walk met the vectors in, nor on the basis.
     """
     radius = _truncation_radius(tau.imag, k, form.rank, tol)
     cells = insertion_histogram(form, radius * M, **coset)
     tau_over = 2j * pi * tau / M
     total = 0j
-    for key in sorted(cells, key=lambda kk: -kk[0]):
+    for key in sorted(cells, key=lambda kk: (-kk[0],) + kk[1:]):
         term = cells[key] * cmath.exp(tau_over * key[0])
         if insert is not None:
             term *= insert(key)

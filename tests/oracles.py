@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, pi
 
+import numpy as np
+
 
 def quad_value_twice(gram, x):
     """x'Ax as an exact integer."""
@@ -223,3 +225,105 @@ def series_product_loop(a, b):
             p = c1 * c2
             out[e] = out[e] + p if e in out else p
     return type(a)(out, prec=prec, exp_denom=a.exp_denom)
+
+
+def float_walk_histogram(gram, bound, scale=1, h0=None, weights=()):
+    """{(e, t...): count} over z = h0 + scale*u with z'Az/2 = e <= bound and
+    t_i = weights_i . z, by the float walk the integer kernel replaced.
+
+    Fincke-Pohst in the given basis, last coordinate first, with float LDL
+    pruning against an inflated bound; the exponents are float partial
+    sums rounded at the leaves, checked to sit within 1e-2 of an integer.
+    """
+    f = len(gram)
+    L = [[Fraction(int(i == j)) for j in range(f)] for i in range(f)]
+    d = []
+    for j in range(f):
+        d.append(Fraction(gram[j][j]) - sum(L[j][k] ** 2 * d[k] for k in range(j)))
+        for i in range(j + 1, f):
+            L[i][j] = (
+                Fraction(gram[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
+            ) / d[j]
+    Lf = np.array([[float(x) for x in row] for row in L])
+    df = np.array([float(x) for x in d])
+    bf = bound + 1e-6 * (1.0 + bound)
+    h0 = np.array(h0 if h0 is not None else (0,) * f, dtype=np.int64)
+    wmat = np.array(weights, dtype=np.int64).reshape(len(weights), f).T
+    out = {}
+    stack = [(np.zeros((1, f), dtype=np.int64), np.zeros(1), 0)]
+    while stack:
+        Z, S, depth = stack.pop()
+        j = f - 1 - depth
+        dot = Z[:, j + 1:].astype(np.float64) @ Lf[j + 1:, j]
+        rad = np.sqrt(np.maximum(0.0, 2.0 * (bf - S) / df[j]))
+        lo = np.ceil((-dot - rad - h0[j]) / scale - 1e-9).astype(np.int64)
+        hi = np.floor((-dot + rad - h0[j]) / scale + 1e-9).astype(np.int64)
+        counts = np.maximum(0, hi - lo + 1)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        rep = np.repeat(np.arange(len(Z)), counts)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        u = lo[rep] + np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+        Z2 = Z[rep]
+        Z2[:, j] = h0[j] + scale * u
+        S2 = S[rep] + 0.5 * df[j] * (Z2[:, j] + dot[rep]) ** 2
+        keep = S2 <= bf
+        Z2, S2 = Z2[keep], S2[keep]
+        if depth + 1 < f:
+            stack.append((Z2, S2, depth + 1))
+            continue
+        e = np.rint(S2).astype(np.int64)
+        if len(e) and not float(np.abs(S2 - e).max()) < 1e-2:
+            raise ArithmeticError("leaf exponent is off an integer")
+        inside = e <= bound
+        for key in zip(e[inside].tolist(), *(Z2[inside] @ wmat).T.tolist()):
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def unimodular_pair(f, ops):
+    """(U, U^-1) as integer row tuples, built from elementary column
+    operations (i, j, k): column i of U gains k times column j, and row j
+    of U^-1 loses k times row i."""
+    u = [[int(a == b) for b in range(f)] for a in range(f)]
+    v = [row[:] for row in u]
+    for i, j, k in ops:
+        for row in u:
+            row[i] += k * row[j]
+        v[j] = [x - k * y for x, y in zip(v[j], v[i])]
+    return tuple(map(tuple, u)), tuple(map(tuple, v))
+
+
+def congruent_gram(gram, u):
+    """U'AU, exact."""
+    f = len(gram)
+    return tuple(
+        tuple(
+            sum(u[a][i] * gram[a][b] * u[b][j] for a in range(f) for b in range(f))
+            for j in range(f)
+        )
+        for i in range(f)
+    )
+
+
+def mat_vec(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def skewed_basis(gram, target):
+    """(U'AU, U, U^-1) for a fixed unimodular U, grown by column operations
+    until some entry of U'AU reaches target: the same badly skewed basis
+    on every call."""
+    f = len(gram)
+    ops, k = [], 0
+    u, uinv = unimodular_pair(f, ops)
+    skew = gram
+    while max(abs(x) for row in skew for x in row) < target:
+        i, j = k % f, (3 * k + 1) % f
+        if i != j:
+            ops.append((i, j, 1 + k % 2))
+            u, uinv = unimodular_pair(f, ops)
+            skew = congruent_gram(gram, u)
+        k += 1
+    return skew, u, uinv

@@ -7,6 +7,8 @@ import pytest
 from theta_forge.cli import main
 from theta_forge.qseries import FracQSeries
 
+from oracles import congruent_gram
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -59,6 +61,32 @@ class TestExpandTheta:
         )
         assert code == 0
         assert out.strip() == "[0, 0, 0, 0, 0]"
+
+    def test_badly_conditioned_a2(self, capsys, tmp_path):
+        # A2 in the basis U = [[F35, F34], [F34, F33]] (Fibonacci numbers):
+        # entries near 10^14, same lattice, enumerated in the reduced basis
+        fib = [0, 1]
+        while len(fib) < 36:
+            fib.append(fib[-1] + fib[-2])
+        u = ((fib[35], fib[34]), (fib[34], fib[33]))
+        gram = congruent_gram(((2, -1), (-1, 2)), u)
+        assert max(abs(x) for row in gram for x in row) > 10 ** 14
+        path = tmp_path / "a2_skewed.json"
+        path.write_text(json.dumps({"gram": gram}))
+        code, out, _ = run(capsys, "expand-theta", "--lattice", str(path), "--prec", "4")
+        assert code == 0
+        assert out.strip() == "[1, 6, 0, 6]"
+
+    def test_int64_overflow_refused(self, capsys, tmp_path):
+        # exponents up to 10^19 do not fit in int64: the walk refuses
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"gram": [[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]]}))
+        code, out, err = run(
+            capsys, "expand-theta", "--lattice", str(path), "--prec", str(10 ** 19 + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "2^62" in err
 
     def test_unknown_lattice(self, capsys):
         code, _, err = run(capsys, "expand-theta", "--lattice", "Z9")

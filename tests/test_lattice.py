@@ -23,17 +23,61 @@ from theta_forge.lattice import (
     minimal_vector,
     unit_insertion_vector,
 )
+from theta_forge.modforms import ThetaSpec, theta_expand
 
 from oracles import (
     box_enumerate,
+    congruent_gram,
+    float_walk_histogram,
     gauss_sum_bruteforce,
     insertion_norm_loop,
     integral_weights_loop,
     kronecker_euler,
+    mat_vec,
     quad_value_twice,
+    skewed_basis,
+    unimodular_pair,
 )
 
 _CATALOG_FORMS = {name: catalog_form(name) for name in CATALOG}
+
+
+def _block(*grams):
+    f = sum(len(g) for g in grams)
+    out = [[0] * f for _ in range(f)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return tuple(map(tuple, out))
+
+
+# even positive-definite Gram matrices the random forms are built from
+_EVEN_BASES = {
+    2: (CATALOG["A2"], CATALOG["A1A1"], ((2, 1), (1, 4)), ((4, 1), (1, 4)), ((6, 3), (3, 2))),
+    4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(((2, 1), (1, 4)), CATALOG["A1A1"])),
+}
+
+
+def _column_ops(f):
+    return st.tuples(
+        st.integers(0, f - 1), st.integers(0, f - 1), st.sampled_from((-3, -2, -1, 1, 2, 3))
+    ).filter(lambda op: op[0] != op[1])
+
+
+def _draw_skewed(data, gram, target):
+    """A random unimodular (U, U^-1) whose U'AU has an entry of size at
+    least target (or sixty column operations, whichever comes first)."""
+    f = len(gram)
+    ops = []
+    u, uinv = unimodular_pair(f, ops)
+    for _ in range(60):
+        if max(abs(x) for row in congruent_gram(gram, u) for x in row) >= target:
+            break
+        ops.append(data.draw(_column_ops(f)))
+        u, uinv = unimodular_pair(f, ops)
+    return u, uinv
 
 
 class TestValidation:
@@ -361,6 +405,87 @@ class TestHistogram:
         big = insertion_histogram(d4, 9)
         small = insertion_histogram(d4, 4)
         assert small == {k: v for k, v in big.items() if k[0] <= 4}
+
+
+class TestWalkKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_float_walk(self, data):
+        # random even forms, often in a skewed basis, on random cosets
+        # h0 + scale Z^f with 0-2 weight rows: the same histogram exactly
+        f = data.draw(st.sampled_from((2, 4)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        c = data.draw(st.lists(st.sampled_from((1, 1, 2)), min_size=f, max_size=f))
+        gram = tuple(tuple(c[i] * base[i][j] * c[j] for j in range(f)) for i in range(f))
+        u, _ = _draw_skewed(data, gram, data.draw(st.sampled_from((0, 100, 10 ** 4))))
+        gram = congruent_gram(gram, u)
+        bound = data.draw(st.integers(0, 12 if f == 2 else 5))
+        scale = data.draw(st.integers(1, 3))
+        h0 = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=f, max_size=f)))
+        row = st.lists(st.integers(-3, 3), min_size=f, max_size=f).map(tuple)
+        weights = tuple(data.draw(st.lists(row, max_size=2)))
+        got = insertion_histogram(QuadraticForm(gram), bound, scale=scale, h0=h0, weights=weights)
+        assert got == float_walk_histogram(gram, bound, scale, h0, weights)
+
+    def test_walk_refuses_int64_overflow(self):
+        # 2Q reaches 2 * 10^19 > 2^63 on this form; refused before any array
+        big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError):
+                insertion_histogram(big, 10 ** 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestReducedBasis:
+    @pytest.mark.parametrize(
+        "gram", [CATALOG[name] for name in sorted(CATALOG)] + [skewed_basis(CATALOG["E8"], 10 ** 4)[0]]
+    )
+    def test_stored_basis_is_unimodular(self, gram):
+        form = QuadraticForm(gram)
+        assert form._lll is None  # building a form reduces nothing
+        enumerate_upto(form, 1)
+        reduced, _, u, uinv, _ = form._lll
+        f = form.rank
+        u_times_uinv = tuple(zip(*(mat_vec(u, col) for col in zip(*uinv))))
+        assert u_times_uinv == tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
+        assert congruent_gram(gram, u) == reduced
+
+    def test_skewed_bases_reduce(self):
+        # a skewed E8 basis comes back with small entries, and the walk
+        # finds the same 240 roots in the caller's coordinates
+        skew = QuadraticForm(skewed_basis(CATALOG["E8"], 10 ** 4)[0])
+        roots = [m for m in enumerate_upto(skew, 1) if any(m)]
+        assert len(roots) == 240
+        assert all(skew.q_value(m) == 1 for m in roots)
+        assert max(abs(x) for row in skew._lll[0] for x in row) <= 2
+
+
+class TestBasisInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(("A2", "A1A1", "2A2", "D4")), data=st.data())
+    def test_theta_and_vectors_follow_the_basis(self, name, data):
+        form = _CATALOG_FORMS[name]
+        u, uinv = _draw_skewed(data, form.gram, data.draw(st.sampled_from((10, 10 ** 4))))
+        skew = QuadraticForm(congruent_gram(form.gram, u))
+        v = unit_insertion_vector(form)
+        v_skew = InsertionVector(mat_vec(uinv, v.w), v.s)
+        h = data.draw(st.sampled_from(form.congruence_classes()))
+        h_skew = CongruenceClass(skew, mat_vec(uinv, h.rep))
+        k = data.draw(st.sampled_from((2, 4)))
+        prec = 6 if form.rank == 2 else 4
+        for spec, spec_skew, p in (
+            (ThetaSpec(form), ThetaSpec(skew), prec),
+            (ThetaSpec(form, v, k), ThetaSpec(skew, v_skew, k), prec),
+            (ThetaSpec(form, None, 0, h), ThetaSpec(skew, None, 0, h_skew), 2),
+            (ThetaSpec(form, v, 2, h), ThetaSpec(skew, v_skew, 2, h_skew), 2),
+        ):
+            assert theta_expand(spec_skew, p) == theta_expand(spec, p)
+        bound = 4 if form.rank == 2 else 2
+        assert set(enumerate_upto(skew, bound)) == {mat_vec(uinv, m) for m in enumerate_upto(form, bound)}
 
 
 class TestGaussSum:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from theta_forge.arith import GaussianRational
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
+    QuadraticForm,
     catalog_form,
     unit_insertion_vector,
 )
@@ -23,7 +25,13 @@ from theta_forge.modforms import (
     theta_offset_numeric,
 )
 
-from oracles import insertion_theta_loop, one_dim_theta, theta_coefficients
+from oracles import (
+    insertion_theta_loop,
+    mat_vec,
+    one_dim_theta,
+    skewed_basis,
+    theta_coefficients,
+)
 
 
 def real_coeffs(series, upto):
@@ -212,6 +220,41 @@ class TestThetaNumeric:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             theta_numeric(ThetaSpec.plain(catalog_form("A2")), 0.3 - 1j, 1e-8)
+
+    @pytest.mark.parametrize("name", ["E8", "D4"])
+    def test_bit_identical_under_change_of_basis(self, name):
+        # cells are summed in the order of their full key, and the keys do
+        # not depend on the basis, so a skewed copy gives the same floats
+        form = catalog_form(name)
+        gram, _, uinv = skewed_basis(form.gram, 10 ** 4)
+        skew = QuadraticForm(gram)
+        v = unit_insertion_vector(form)
+        mapped = InsertionVector(mat_vec(uinv, v.w), v.s)
+        h = form.congruence_classes()[-1]
+        h_skew = CongruenceClass(skew, mat_vec(uinv, h.rep))
+        tau = 0.13 + 0.8j
+        for k in (0, 2, 4):
+            for spec, spec_skew in (
+                (ThetaSpec(form, v, k), ThetaSpec(skew, mapped, k)),
+                (ThetaSpec(form, v, k, h), ThetaSpec(skew, mapped, k, h_skew)),
+            ):
+                assert theta_numeric(spec_skew, tau, 1e-10) == theta_numeric(spec, tau, 1e-10)
+        x = (Fraction(1, 2), Fraction(1, 3)) + (0,) * (form.rank - 2)
+        got = theta_offset_numeric(skew, mat_vec(uinv, x), tau, 1e-10)
+        assert got == theta_offset_numeric(form, x, tau, 1e-10)
+
+    def test_sum_ignores_walk_order(self):
+        # the same cells met in another order give the same floats
+        e8 = catalog_form("E8")
+        v = unit_insertion_vector(e8)
+        tau = 0.13 + 0.8j
+        values = [theta_numeric(ThetaSpec(e8, v, k), tau, 1e-10) for k in (2, 4)]
+        twin = catalog_form("E8")
+        for key, (bound, cells) in e8._cells.items():
+            items = list(cells.items())
+            random.Random(0).shuffle(items)
+            twin._cells[key] = (bound, dict(items))
+        assert [theta_numeric(ThetaSpec(twin, v, k), tau, 1e-10) for k in (2, 4)] == values
 
     def test_odd_k_asymmetric_class_numeric_ok(self):
         # the numeric path has no exactness constraint, so odd powers on

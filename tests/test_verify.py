@@ -158,9 +158,9 @@ class TestGeneratingLaw:
         walks = []
         original = lattice._leaf_chunks
 
-        def counted(form, bound, scale, h0):
+        def counted(form, bound, *rest):
             walks.append(bound)
-            return original(form, bound, scale, h0)
+            return original(form, bound, *rest)
 
         monkeypatch.setattr(lattice, "_leaf_chunks", counted)
         res = check_generating_modularity(form, v, Gamma0Matrix(*gamma), tau, x_prec, 1e-8)
