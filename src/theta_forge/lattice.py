@@ -1,16 +1,18 @@
 """Even positive-definite forms and exact lattice-point bookkeeping.
 
-The enumeration engine walks integer vectors z = h0 + scale*u with
-Q(z) <= bound (Fincke-Pohst), one coordinate at a time.  On its first
-walk a form reduces its basis once by exact integer LLL, and every walk
-runs in that basis, so a badly conditioned Gram matrix of a good lattice
-costs what the good basis costs.  Pruning compares a float LDL partial
-against an inflated bound; every frontier row also carries exact int64
-partials of 2Q and of its weight sums, so the leaf test 2Q <= 2 bound,
-the exponents and the weights of every vector are integer arithmetic and
-the histograms feeding the series expansions carry no rounding.  A walk
-whose partials could leave int64 is refused with OverflowError before
-anything is allocated.
+Building a form runs one exact elimination of its Gram matrix (LDL
+pivots and inverse, hence determinant and level).  The enumeration
+engine walks integer vectors z = h0 + scale*u with Q(z) <= bound
+(Fincke-Pohst), one coordinate at a time, in a basis the form reduces
+once, on its first walk, by exact integer LLL, so a badly conditioned
+Gram matrix of a good lattice costs what the good basis costs.  Pruning
+compares a float LDL partial against an inflated bound; every frontier
+row also carries exact int64 partials of 2Q and of its weight sums, so
+the leaf test, the exponents and the weights are integer arithmetic and
+the histograms feeding the series expansions carry no rounding.  Every
+walk, histogram or vector query, enters one walker that refuses it
+before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
+estimated points, OverflowError when a partial could leave int64.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import product
 from math import lcm, pi
 
 import numpy as np
@@ -38,32 +39,41 @@ class EnumerationBudgetError(RuntimeError):
     """Estimated lattice-point count (or Gauss-sum size) exceeds ENUMERATION_BUDGET."""
 
 
-def _ldl_exact(gram):
-    """A = L D L' over Q with unit lower-triangular L; raises unless A > 0."""
+def _eliminate(gram):
+    """(A^-1, (L, d)) of a symmetric A by one exact Gauss-Jordan pass over Q.
+
+    Columns are eliminated in their natural order with no pivot search, so
+    the pivots are the d of A = L D L' with unit lower-triangular L, and by
+    symmetry the normalized pivot row j holds column j of L.  Raises on the
+    first pivot <= 0, that is unless A > 0.
+    """
     f = len(gram)
-    L = [[Fraction(int(i == j)) for j in range(f)] for i in range(f)]
-    d = []
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(f)]
+        for i, row in enumerate(gram)
+    ]
+    d, cols = [], []
     for j in range(f):
-        dj = Fraction(gram[j][j]) - sum(
-            (L[j][k] * L[j][k]) * d[k] for k in range(j)
-        )
-        if dj <= 0:
+        pv = aug[j][j]
+        if pv <= 0:
             raise InvalidFormError(
                 "not-positive-definite",
-                f"pivot {j} of the LDL factorization is {dj}",
+                f"pivot {j} of the LDL factorization is {pv}",
             )
-        d.append(dj)
-        for i in range(j + 1, f):
-            L[i][j] = (
-                Fraction(gram[i][j])
-                - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            ) / dj
-    return L, d
+        d.append(pv)
+        aug[j] = [x / pv for x in aug[j]]
+        cols.append(aug[j][:f])
+        for r in range(f):
+            fac = aug[r][j]
+            if r != j and fac:
+                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[j])]
+    return tuple(tuple(row[f:]) for row in aug), (tuple(zip(*cols)), d)
 
 
 def _lll_basis(gram):
-    """LLL-reduced basis of the lattice with Gram matrix gram, as rows in
-    the original coordinates.
+    """(basis, U^-1): the LLL-reduced basis of the lattice with Gram matrix
+    gram as rows in the original coordinates, and the inverse of the
+    unimodular U whose columns they are.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Algorithm 2.6.7) on the Gram matrix alone: the Gram-Schmidt
@@ -71,10 +81,13 @@ def _lll_basis(gram):
     current basis) and lam_kj = d_j mu_kj, and updated in place by each
     size reduction and swap, so every step is exact integer arithmetic.
     Indices are 1-based as in the book; d[0] = 1.  The Lovasz constant
-    is 99/100.
+    is 99/100.  Each step is elementary, so U^-1 follows it row by row:
+    b_k -= r b_l adds r times row k to row l, and a swap of b_k and b_k-1
+    swaps rows k and k-1.
     """
     n = len(gram)
     b = [None] + [[int(i == j) for j in range(n)] for i in range(n)]
+    binv = [None] + [[int(i == j) for j in range(n)] for i in range(n)]
     d = [1] + [0] * n
     lam = [[0] * (n + 1) for _ in range(n + 1)]
 
@@ -83,12 +96,14 @@ def _lll_basis(gram):
             return
         r = (2 * lam[k][l] + d[l]) // (2 * d[l])  # nearest integer to mu_kl
         b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+        binv[l] = [x + r * y for x, y in zip(binv[l], binv[k])]
         lam[k][l] -= r * d[l]
         for i in range(1, l):
             lam[k][i] -= r * lam[l][i]
 
     def swap(k):
         b[k], b[k - 1] = b[k - 1], b[k]
+        binv[k], binv[k - 1] = binv[k - 1], binv[k]
         for j in range(1, k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lk = lam[k][k - 1]
@@ -121,26 +136,7 @@ def _lll_basis(gram):
             for l in range(k - 2, 0, -1):
                 reduce(k, l)
             k += 1
-    return [tuple(row) for row in b[1:]]
-
-
-def _inverse_exact(gram):
-    f = len(gram)
-    aug = [
-        [Fraction(gram[i][j]) for j in range(f)]
-        + [Fraction(int(i == j)) for j in range(f)]
-        for i in range(f)
-    ]
-    for col in range(f):
-        piv = next(r for r in range(col, f) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(f):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[f:]) for row in aug)
+    return [tuple(row) for row in b[1:]], tuple(tuple(row) for row in binv[1:])
 
 
 class QuadraticForm:
@@ -173,11 +169,8 @@ class QuadraticForm:
             raise InvalidFormError("odd-rank", f"rank {f} is odd; only even rank is supported")
         self.gram = tuple(rows)
         self.rank = f
-        det = Fraction(1)
-        for dj in _ldl_exact(rows)[1]:
-            det *= dj
-        self.det = int(det)
-        self.inverse_gram = _inverse_exact(rows)
+        self.inverse_gram, (_, d) = _eliminate(rows)
+        self.det = int(math.prod(d))
         n0 = 1
         for row in self.inverse_gram:
             for x in row:
@@ -185,7 +178,7 @@ class QuadraticForm:
         if any((n0 * self.inverse_gram[i][i]) % 2 for i in range(f)):
             n0 *= 2
         self.level = n0
-        # insertion histograms built for this form: (scale, h0, weights) -> (bound, cells)
+        # insertion histograms built for this form: (scale, h0) -> {weights: (bound, cells)}
         self._cells = {}
         self._dual = None
         # the walk's reduced basis, built on the first walk (see _reduced)
@@ -214,13 +207,10 @@ class QuadraticForm:
             # walked in LLL order: reversed (the walk fixes the last
             # coordinate first), the benchmark walks met up to 0.5% more
             # candidates and ran no faster
-            basis = _lll_basis(self.gram)
-            f = self.rank
-            u = tuple(tuple(b[i] for b in basis) for i in range(f))
+            basis, uinv = _lll_basis(self.gram)
             gram = tuple(tuple(self.bilinear(bi, bj) for bj in basis) for bi in basis)
-            uinv = tuple(tuple(int(x) for x in row) for row in _inverse_exact(u))
-            inv = _inverse_exact(gram)
-            self._lll = (gram, _ldl_exact(gram), u, uinv, tuple(inv[j][j] for j in range(f)))
+            inv, ldl = _eliminate(gram)
+            self._lll = (gram, ldl, tuple(zip(*basis)), uinv, tuple(inv[j][j] for j in range(self.rank)))
         return self._lll
 
     def q_value(self, x):
@@ -248,15 +238,26 @@ class QuadraticForm:
         return self._dual
 
     def congruence_classes(self):
-        """All classes h mod N with A h = 0 mod N; exactly det(A) of them."""
-        N = self.level
-        out = []
-        for h in product(range(N), repeat=self.rank):
-            if not any(x % N for x in self._gram_times(h)):
-                out.append(CongruenceClass(self, h))
-        if len(out) != self.det:
-            raise ArithmeticError(f"found {len(out)} classes mod {N}, expected det = {self.det}")
-        return out
+        """All classes h mod N with A h = 0 mod N, sorted; exactly det(A) of them.
+
+        A h = 0 mod N exactly when h = N A^-1 y for an integer y, so the
+        classes are the closure of the rows of the symmetric N A^-1 mod N
+        under addition: at most det * rank steps, not N^rank.
+        """
+        N, f = self.level, self.rank
+        gens = [tuple(int(N * x) % N for x in row) for row in self.inverse_gram]
+        seen = {(0,) * f}
+        todo = list(seen)
+        while todo:
+            h = todo.pop()
+            for g in gens:
+                s = tuple((x + y) % N for x, y in zip(h, g))
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        if len(seen) != self.det:
+            raise ArithmeticError(f"found {len(seen)} classes mod {N}, expected det = {self.det}")
+        return [CongruenceClass(self, h) for h in sorted(seen)]
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -373,16 +374,6 @@ class InsertionVector:
         return f"InsertionVector(w={list(map(str, self.w))}, s={self.s})"
 
 
-def _leaf_estimate(form: QuadraticForm, bound: int, scale: int) -> float:
-    # ellipsoid volume for z'Az <= 2(bound+1), shrunk to the u-lattice
-    f = form.rank
-    return (
-        pi ** (f / 2) / math.gamma(f / 2 + 1)
-        * (2.0 * (bound + 1)) ** (f / 2)
-        / (math.sqrt(form.det) * scale ** f)
-    )
-
-
 ENUMERATION_BUDGET = 60_000_000
 _FRONTIER_CHUNK = 150_000  # rows per frontier block pushed back on the stack
 
@@ -398,11 +389,20 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
     pruning against an inflated bound, and exact int64 partials: 2Q of the
     coordinates fixed so far and their weight sums.  A new coordinate y_j
     adds A_jj y_j^2 + 2 y_j sum_{i>j} A_ji y_i to 2Q, so the leaf test
-    2Q <= 2 bound and the exponents are integer arithmetic.  Raises
-    OverflowError before allocating when a partial could pass 2^62.
+    2Q <= 2 bound and the exponents are integer arithmetic.  Every walk is
+    guarded before it reduces or allocates: EnumerationBudgetError above
+    ENUMERATION_BUDGET estimated points, OverflowError when a partial could
+    pass 2^62.
     """
-    gram, (L, d), U, uinv, inv_diag = form._reduced()
     f = form.rank
+    # ellipsoid volume for z'Az <= 2(bound+1), shrunk to the u-lattice
+    est = pi ** (f / 2) / math.gamma(f / 2 + 1) * (2.0 * (bound + 1)) ** (f / 2)
+    est /= math.sqrt(form.det) * scale ** f
+    if est > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
+        )
+    gram, (L, d), U, uinv, inv_diag = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
     wy = [[sum(w[i] * U[i][j] for i in range(f)) for j in range(f)] for w in weights]
     # a candidate y_j lies in the projection of the inflated ellipsoid,
@@ -471,32 +471,28 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
 
     Keys are (e, t_1, ..., t_m) with e = Q(z) and t_i = weight_i . z, all
     exact integers; values count the vectors landing in the cell.  The form
-    keeps every histogram it builds, keyed by (scale, h0, weights); a kept
-    histogram of the same slice with at least this bound serves the call
-    when it has the same weights or none are asked for.  Enumerations
-    estimated above ENUMERATION_BUDGET points raise EnumerationBudgetError.
+    keeps every histogram it builds, per slice (scale, h0) and then per
+    weights; a kept histogram of the slice with at least this bound serves
+    the call when it has the same weights or none are asked for.  A walk
+    estimated above ENUMERATION_BUDGET points raises EnumerationBudgetError.
     """
     if h0 is None:
         h0 = (0,) * form.rank
     h0 = tuple(int(x) for x in h0)
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
     width = 1 + len(weights)
-    for (s2, h2, w2), (b2, cells2) in form._cells.items():
-        if (s2, h2) == (scale, h0) and b2 >= bound and (w2 == weights or not weights):
+    kept = form._cells.setdefault((scale, h0), {})
+    for w2, (b2, cells2) in kept.items():
+        if b2 >= bound and (w2 == weights or not weights):
             out: dict = {}
             for k2, c2 in cells2.items():
                 if k2[0] <= bound:
                     out[k2[:width]] = out.get(k2[:width], 0) + c2
             return out
-    est = _leaf_estimate(form, bound, scale)
-    if est > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
-        )
     cells: dict = {}
     for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
         _accumulate_cells(cells, e, ts)
-    form._cells[(scale, h0, weights)] = (bound, cells)
+    kept[weights] = (bound, cells)
     return dict(cells)
 
 

@@ -13,6 +13,8 @@ from math import lcm, pi
 
 import numpy as np
 
+from theta_forge.lattice import InvalidFormError
+
 
 def quad_value_twice(gram, x):
     """x'Ax as an exact integer."""
@@ -236,14 +238,7 @@ def float_walk_histogram(gram, bound, scale=1, h0=None, weights=()):
     sums rounded at the leaves, checked to sit within 1e-2 of an integer.
     """
     f = len(gram)
-    L = [[Fraction(int(i == j)) for j in range(f)] for i in range(f)]
-    d = []
-    for j in range(f):
-        d.append(Fraction(gram[j][j]) - sum(L[j][k] ** 2 * d[k] for k in range(j)))
-        for i in range(j + 1, f):
-            L[i][j] = (
-                Fraction(gram[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            ) / d[j]
+    L, d = ldl_exact(gram)
     Lf = np.array([[float(x) for x in row] for row in L])
     df = np.array([float(x) for x in d])
     bf = bound + 1e-6 * (1.0 + bound)
@@ -327,3 +322,56 @@ def skewed_basis(gram, target):
             skew = congruent_gram(gram, u)
         k += 1
     return skew, u, uinv
+
+
+def ldl_exact(gram):
+    """A = L D L' over Q with unit lower-triangular L; raises unless A > 0."""
+    f = len(gram)
+    L = [[Fraction(int(i == j)) for j in range(f)] for i in range(f)]
+    d = []
+    for j in range(f):
+        dj = Fraction(gram[j][j]) - sum(
+            (L[j][k] * L[j][k]) * d[k] for k in range(j)
+        )
+        if dj <= 0:
+            raise InvalidFormError(
+                "not-positive-definite",
+                f"pivot {j} of the LDL factorization is {dj}",
+            )
+        d.append(dj)
+        for i in range(j + 1, f):
+            L[i][j] = (
+                Fraction(gram[i][j])
+                - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
+            ) / dj
+    return L, d
+
+
+def inverse_exact(gram):
+    """A^-1 over Q by Gauss-Jordan with a search for a nonzero pivot."""
+    f = len(gram)
+    aug = [
+        [Fraction(gram[i][j]) for j in range(f)]
+        + [Fraction(int(i == j)) for j in range(f)]
+        for i in range(f)
+    ]
+    for col in range(f):
+        piv = next(r for r in range(col, f) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(f):
+            if r != col and aug[r][col]:
+                fac = aug[r][col]
+                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[f:]) for row in aug)
+
+
+def congruence_classes_scan(form):
+    """Every h in [0, N)^rank with A h = 0 mod N, in lexicographic order,
+    by scanning all N^rank residues."""
+    N = form.level
+    return [
+        h for h in product(range(N), repeat=form.rank)
+        if not any(sum(a * x for a, x in zip(row, h)) % N for row in form.gram)
+    ]

@@ -1,10 +1,12 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta_forge import lattice
 from theta_forge.arith import GaussianRational
 from theta_forge.lattice import (
     CATALOG,
@@ -22,17 +24,21 @@ from theta_forge.lattice import (
     load_form,
     minimal_vector,
     unit_insertion_vector,
+    _eliminate,
 )
 from theta_forge.modforms import ThetaSpec, theta_expand
 
 from oracles import (
     box_enumerate,
+    congruence_classes_scan,
     congruent_gram,
     float_walk_histogram,
     gauss_sum_bruteforce,
     insertion_norm_loop,
     integral_weights_loop,
+    inverse_exact,
     kronecker_euler,
+    ldl_exact,
     mat_vec,
     quad_value_twice,
     skewed_basis,
@@ -57,6 +63,13 @@ def _block(*grams):
 _EVEN_BASES = {
     2: (CATALOG["A2"], CATALOG["A1A1"], ((2, 1), (1, 4)), ((4, 1), (1, 4)), ((6, 3), (3, 2))),
     4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(((2, 1), (1, 4)), CATALOG["A1A1"])),
+}
+
+
+# forms whose N^rank residues the class scan covers quickly
+_SCANNABLE = {
+    2: _EVEN_BASES[2],
+    4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(CATALOG["A1A1"], CATALOG["A2"])),
 }
 
 
@@ -117,6 +130,25 @@ class TestValidation:
     def test_bool_entries_rejected(self):
         with pytest.raises(InvalidFormError):
             QuadraticForm([[True, 0], [0, 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_elimination_matches_oracles(self, data):
+        # one Gauss-Jordan pass gives the LDL factors and the inverse, or
+        # refuses a matrix that is not positive-definite as the LDL does
+        f = data.draw(st.integers(1, 5))
+        shift = data.draw(st.sampled_from((0, 6, 20)))
+        upper = {(i, j): data.draw(st.integers(-6, 6)) for i in range(f) for j in range(i, f)}
+        gram = [[upper[min(i, j), max(i, j)] + shift * (i == j) for j in range(f)] for i in range(f)]
+        try:
+            ldl = ldl_exact(gram)
+        except InvalidFormError as e:
+            with pytest.raises(InvalidFormError) as got:
+                _eliminate(gram)
+            assert (got.value.code, str(got.value)) == (e.code, str(e))
+            return
+        inv, (L, d) = _eliminate(gram)
+        assert (inv, [list(row) for row in L], d) == (inverse_exact(gram), *ldl)
 
 
 class TestCatalog:
@@ -232,6 +264,15 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetError):
             insertion_histogram(catalog_form("E8"), 10 ** 7)
 
+    def test_budget_guards_vector_queries(self, monkeypatch):
+        # the vector queries walk through the same guarded entry as the histograms
+        a2 = catalog_form("A2")
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 100)
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_upto(a2, 200)
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_congruence(a2, (1, 2), 30)
+
 
 class TestCongruenceClasses:
     def test_class_counts_match_det(self):
@@ -242,6 +283,21 @@ class TestCongruenceClasses:
     def test_a2_classes(self):
         reps = {c.rep for c in catalog_form("A2").congruence_classes()}
         assert reps == {(0, 0), (1, 2), (2, 1)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=st.sampled_from((2, 4)), data=st.data())
+    def test_closure_matches_scan(self, f, data):
+        base = data.draw(st.sampled_from(_SCANNABLE[f]))
+        u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 10, 100))))
+        form = QuadraticForm(congruent_gram(base, u))
+        assert [h.rep for h in form.congruence_classes()] == congruence_classes_scan(form)
+
+    def test_large_level(self):
+        # 4036^4 residues are out of reach for a scan; the 16144 classes are not
+        form = QuadraticForm([[2018, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        assert (form.level, form.det) == (4036, 16144)
+        reps = [h.rep for h in form.congruence_classes()]
+        assert reps == sorted(product(range(0, 4036, 2), *[(0, 2018)] * 3))
 
     def test_invalid_class_rejected(self):
         a2 = catalog_form("A2")

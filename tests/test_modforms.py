@@ -250,10 +250,11 @@ class TestThetaNumeric:
         tau = 0.13 + 0.8j
         values = [theta_numeric(ThetaSpec(e8, v, k), tau, 1e-10) for k in (2, 4)]
         twin = catalog_form("E8")
-        for key, (bound, cells) in e8._cells.items():
-            items = list(cells.items())
-            random.Random(0).shuffle(items)
-            twin._cells[key] = (bound, dict(items))
+        for key, kept in e8._cells.items():
+            for weights, (bound, cells) in kept.items():
+                items = list(cells.items())
+                random.Random(0).shuffle(items)
+                twin._cells.setdefault(key, {})[weights] = (bound, dict(items))
         assert [theta_numeric(ThetaSpec(twin, v, k), tau, 1e-10) for k in (2, 4)] == values
 
     def test_odd_k_asymmetric_class_numeric_ok(self):
