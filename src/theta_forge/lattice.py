@@ -9,8 +9,14 @@ Gram matrix of a good lattice costs what the good basis costs.  Pruning
 compares a float LDL partial against an inflated bound; every frontier
 row also carries exact int64 partials of 2Q and of its weight sums, so
 the leaf test, the exponents and the weights are integer arithmetic and
-the histograms feeding the series expansions carry no rounding.  Every
-walk, histogram or vector query, enters one walker that refuses it
+the histograms feeding the series expansions carry no rounding.  A
+histogram of the whole lattice under one weight row t = w.z is walked
+fiber by fiber along t when that meets fewer vectors: Q splits as
+t^2/(2G) plus the norm of a kernel-form coset that depends on t only
+through a residue mod D (the theta decomposition of Jacobi forms,
+Eichler-Zagier, 1985, Thm 5.1), so one walk of the rank f-1 kernel per
+residue gives exactly the direct walk's histogram.  Every walk,
+histogram, fiber or vector query, enters one walker that refuses it
 before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
 estimated points, OverflowError when a partial could leave int64.
 """
@@ -183,6 +189,20 @@ class QuadraticForm:
         self._dual = None
         # the walk's reduced basis, built on the first walk (see _reduced)
         self._lll = None
+
+    @classmethod
+    def _kernel(cls, gram, det):
+        """The form of a weight row's kernel, of any rank, for the fiber walks
+        of insertion_histogram.
+
+        Built without the public checks and without an elimination: a walk
+        needs only the Gram matrix, the rank, the determinant (given) and
+        _reduced; the inverse and the level are left unset.
+        """
+        form = cls.__new__(cls)
+        form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
+        form._cells, form._dual, form._lll = {}, None, None
+        return form
 
     @property
     def half_rank(self) -> int:
@@ -466,6 +486,94 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
             stack.append((Y2[block], S2[block], q2[block], T2[block], depth + 1))
 
 
+def _column_gcd(a):
+    """(V, V^-1, g): a unimodular V with a V = (0, ..., 0, g), g = gcd(a) >= 0,
+    both as rows.
+
+    Euclid between each entry and the last one, by column operations on V;
+    each is undone by the matching row operation on V^-1.
+    """
+    f = len(a)
+    a = list(a)
+    V = [[int(i == j) for j in range(f)] for i in range(f)]
+    Vinv = [row[:] for row in V]
+    for j in range(f - 1):
+        while a[j]:
+            q = a[-1] // a[j]
+            a[-1] -= q * a[j]
+            a[j], a[-1] = a[-1], a[j]
+            for row in V:
+                row[-1] -= q * row[j]
+                row[j], row[-1] = row[-1], row[j]
+            Vinv[j] = [x + q * y for x, y in zip(Vinv[j], Vinv[-1])]
+            Vinv[j], Vinv[-1] = Vinv[-1], Vinv[j]
+    if a[-1] < 0:
+        a[-1] = -a[-1]
+        for row in V:
+            row[-1] = -row[-1]
+        Vinv[-1] = [-x for x in Vinv[-1]]
+    return V, Vinv, a[-1]
+
+
+def _fibered_cells(form: QuadraticForm, bound: int, row):
+    """The (e, t) histogram over all z with Q(z) <= bound and t = row . z,
+    walked fiber by fiber along t; None when that walk would not be shorter.
+
+    In the reduced basis, V from _column_gcd splits y = V (x, s) with
+    t = g s and x the coordinates of the row's kernel.  Completing the
+    square on the Gram matrix [[K, b], [b', c0]] of that split gives
+    Q(z) = Q_K(x + s c) + s^2 g^2/(2G) with K c = b and G = row A^-1 row',
+    so with D the common denominator of c, u = D x + s D c runs over the
+    coset s D c + D Z^(f-1) and Q(z) = Q_K(u)/D^2 + t^2/(2G): a fiber
+    depends on s mod D only, and s and -s give mirrored cosets.  Every
+    residue 0 <= r <= D/2 is walked once, on the kernel form at scale D,
+    to the bound of its smallest fiber |s| = r, and folded into each fiber
+    s = +-r mod D in exact integers.  That is the direct walk's histogram
+    exactly, met in fewer vectors when the D residues are fewer than the
+    2 s_max + 1 fibers; otherwise, and for a zero row, this returns None.
+    """
+    f = form.rank
+    gram, _, U, uinv, _ = form._reduced()
+    V, Vinv, g = _column_gcd([sum(row[i] * U[i][j] for i in range(f)) for j in range(f)])
+    if g == 0:
+        return None
+    # the split Gram matrix has inverse (U V)^-1 A^-1 (U V)^-T, and row U V = g e_f,
+    # so its last column is (U V)^-1 A^-1 row' / g: c is minus its head over its tail
+    p = [sum(x * r for x, r in zip(inv, row)) for inv in form.inverse_gram]
+    up = [sum(x * y for x, y in zip(urow, p)) for urow in uinv]
+    q = [sum(x * y for x, y in zip(vrow, up)) for vrow in Vinv]
+    c = [-x / q[-1] for x in q[:-1]]
+    D = lcm(1, *(x.denominator for x in c))
+    half = Fraction(g, 2 * q[-1])  # g^2/(2G), since G = row . p = g q_f
+    sn, sd = half.numerator, half.denominator
+    s_max = math.isqrt(bound * sd // sn)
+    if D >= 2 * s_max + 1:
+        return None
+    gv = [[sum(x * V[k][j] for k, x in enumerate(r)) for j in range(f - 1)] for r in gram]
+    K = [[sum(V[k][i] * gv[k][j] for k in range(f)) for j in range(f - 1)] for i in range(f - 1)]
+    # det K = det A * (last entry of the split inverse) = det A * q_f / g, an integer
+    kernel = QuadraticForm._kernel(K, int(form.det * q[-1] / g))
+    Dc = [int(D * x) for x in c]
+    # residue r = s mod D is walked at its smallest fiber |s| = r <= s_max;
+    # r = 0 walks first, at the largest bound, so a refusal comes before any walk
+    walks = [(r, D * D * (bound * sd - r * r * sn) // sd) for r in range(D // 2 + 1)]
+    fibers = []
+    for r, kbound in walks:
+        norms: dict = {}
+        for m, ts in _leaf_chunks(kernel, kbound, D, [r * x % D for x in Dc], ()):
+            _accumulate_cells(norms, m, ts)
+        fibers.append(norms)
+    cells = {}
+    for s in range(-s_max, s_max + 1):
+        for (m,), count in fibers[min(s % D, -s % D)].items():
+            e, rem = divmod(m * sd + s * s * sn * D * D, D * D * sd)
+            if rem:
+                raise ArithmeticError(f"Q_K = {m} on fiber s = {s} gives a non-integral norm")
+            if e <= bound:
+                cells[(e, g * s)] = count
+    return cells
+
+
 def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):
     """Histogram of lattice vectors z = h0 + scale*u with Q(z) <= bound.
 
@@ -473,8 +581,15 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     exact integers; values count the vectors landing in the cell.  The form
     keeps every histogram it builds, per slice (scale, h0) and then per
     weights; a kept histogram of the slice with at least this bound serves
-    the call when it has the same weights or none are asked for.  A walk
-    estimated above ENUMERATION_BUDGET points raises EnumerationBudgetError.
+    the call when it has the same weights or none are asked for.
+
+    The whole lattice (scale 1) under one weight row is walked fiber by
+    fiber along t (_fibered_cells: one walk of the row's kernel per
+    residue of t, the theta decomposition of a Jacobi-like series) when
+    that meets fewer vectors, and gives exactly the direct walk's
+    histogram; every other slice is one direct walk.  Every walk refuses
+    before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
+    estimated points, OverflowError when an int64 partial could overflow.
     """
     if h0 is None:
         h0 = (0,) * form.rank
@@ -489,9 +604,11 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
                 if k2[0] <= bound:
                     out[k2[:width]] = out.get(k2[:width], 0) + c2
             return out
-    cells: dict = {}
-    for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
-        _accumulate_cells(cells, e, ts)
+    cells = _fibered_cells(form, bound, weights[0]) if scale == 1 and len(weights) == 1 else None
+    if cells is None:
+        cells = {}
+        for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
+            _accumulate_cells(cells, e, ts)
     kept[weights] = (bound, cells)
     return dict(cells)
 

@@ -21,8 +21,11 @@ from math import gcd, pi
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .arith import pairing_coeff
 from .lattice import (
+    ENUMERATION_BUDGET,
     CongruenceClass,
     InsertionVector,
     QuadraticForm,
@@ -364,19 +367,29 @@ def check_poisson_inversion(form: QuadraticForm, x, tau, tol: float) -> LawRepor
 
 def check_gauss_orthogonality(form: QuadraticForm, gamma: Gamma0Matrix, tol: float) -> LawReport:
     """sum over classes q of exp(2 pi i (g-bh)'Aq/N^2) = D delta_{g,bh},
-    over all class pairs (h, g) for the sampled matrix's b."""
-    N = form.level
+    over all class pairs (h, g) for the sampled matrix's b.
+
+    The residues <h, q> mod N^2 of every class pair come from one integer
+    Gram product, and each q-sum is a row product of their phase matrix.
+    The det^2 residues and det^3 products are refused with ValueError
+    above ENUMERATION_BUDGET, before anything is allocated.
+    """
+    N, det = form.level, form.det
+    if det ** 3 > ENUMERATION_BUDGET:  # det^3 >= det^2: one test covers both
+        raise ValueError(f"{det}^3 class-pair products exceed budget {ENUMERATION_BUDGET:.2e}")
+    M = N * N
     classes = form.congruence_classes()
-    residual = 0.0
-    for h in classes:
-        bh = tuple((gamma.b * x) % N for x in h.rep)
-        for g in classes:
-            total = 0j
-            for q in classes:
-                diff = tuple(g.rep[i] - bh[i] for i in range(form.rank))
-                total += _phase(Fraction(int(form.bilinear(diff, q.rep)), N * N))
-            expect = form.det if g.rep == bh else 0
-            residual = max(residual, abs(total - expect))
+    H = np.array([h.rep for h in classes], dtype=np.int64)
+    A = np.array([[x % M for x in row] for row in form.gram], dtype=np.int64)
+    pair = (H @ A % M) @ H.T % M  # <h, q> mod N^2; N <= 2 det keeps int64 exact
+    phases = np.exp(2j * pi * pair / M)
+    shifted = np.exp(-2j * pi * ((gamma.b % M) * pair % M) / M)
+    total = shifted @ phases  # [h, g]: sum over q of e((<g, q> - b <h, q>) / N^2)
+    index = {h.rep: i for i, h in enumerate(classes)}
+    expect = np.zeros((det, det))
+    for i, h in enumerate(classes):
+        expect[i, index[tuple(gamma.b * x % N for x in h.rep)]] = det
+    residual = float(np.abs(total - expect).max())
     return _report("gauss_orthogonality", residual, tol, form=form, gamma=gamma)
 
 

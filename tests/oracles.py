@@ -173,6 +173,27 @@ def gauss_sum_bruteforce(form, a, d, c, h, q):
     return total
 
 
+def gauss_orthogonality_residual_loop(form, b):
+    """max over class pairs (h, g) of |sum_q e((g - bh)'Aq/N^2) - det [g = bh]|.
+
+    One Fraction phase per class triple: the loop the library's phase-matrix
+    product replaced.
+    """
+    N = form.level
+    classes = [h.rep for h in form.congruence_classes()]
+    residual = 0.0
+    for h in classes:
+        bh = tuple((b * x) % N for x in h)
+        for g in classes:
+            diff = tuple(gi - bi for gi, bi in zip(g, bh))
+            total = sum(
+                cexp(2j * pi * float(Fraction(form.bilinear(diff, q), N * N) % 1))
+                for q in classes
+            )
+            residual = max(residual, abs(total - (form.det if g == bh else 0)))
+    return residual
+
+
 def insertion_norm_loop(gram, w, s):
     """s * w'Aw for a Q(i)-vector w (components with .re and .im), as the
     exact pair (re, im): one Gaussian product per Gram entry."""

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -284,6 +285,20 @@ class TestVerifyLaws:
         doc = json.loads(out)
         assert len(doc["reports"]) == 2
         assert all(r["pass"] for r in doc["reports"])
+
+    def test_large_det_orthogonality_returns(self, capsys, tmp_path):
+        # det 16144: the det^3 class-pair sums are refused per matrix and
+        # noted, where they used to run a Python triple loop without end
+        path = tmp_path / "big.json"
+        path.write_text('{"gram": [[2018, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]}')
+        start = time.perf_counter()
+        _, out, err = run(
+            capsys, "verify-laws", "--lattice", str(path), "--laws", "gauss_orthogonality",
+            "--count", "1", "--format", "json",
+        )
+        assert time.perf_counter() - start < 10
+        assert json.loads(out) == {"reports": []}
+        assert "exceed budget" in err
 
 
 class TestCatalog:

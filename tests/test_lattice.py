@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -63,6 +64,7 @@ def _block(*grams):
 _EVEN_BASES = {
     2: (CATALOG["A2"], CATALOG["A1A1"], ((2, 1), (1, 4)), ((4, 1), (1, 4)), ((6, 3), (3, 2))),
     4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(((2, 1), (1, 4)), CATALOG["A1A1"])),
+    8: (CATALOG["E8"], _block(CATALOG["D4"], CATALOG["D4"]), _block(CATALOG["A2"], CATALOG["D4"], ((2, 1), (1, 4)))),
 }
 
 
@@ -494,6 +496,147 @@ class TestWalkKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _direct_cells(form, bound, weights):
+    """The histogram of one direct walk, bypassing the fibered dispatch."""
+    cells = {}
+    for e, ts in lattice._leaf_chunks(form, bound, 1, (0,) * form.rank, weights):
+        lattice._accumulate_cells(cells, e, ts)
+    return cells
+
+
+class TestFiberedWalk:
+    def test_catalog_e8_matches_direct(self, monkeypatch):
+        # the benchmark's case: E8 at bound 20 along its first root is two
+        # rank-7 kernel walks at scale 2, for the residues of t mod 2
+        rows = unit_insertion_vector(_CATALOG_FORMS["E8"]).integral_weights(_CATALOG_FORMS["E8"])[1]
+        direct = _direct_cells(catalog_form("E8"), 20, rows)
+        walks = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def counting(form, bound, scale, h0, weights):
+            met = 0
+            for e, ts in leaf_chunks(form, bound, scale, h0, weights):
+                met += len(e)
+                yield e, ts
+            walks.append((form.rank, scale, met))
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        assert insertion_histogram(catalog_form("E8"), 20, weights=rows) == direct
+        assert sum(direct.values()) == 11_513_521
+        assert walks == [(7, 2, 1_480_685), (7, 2, 1_421_592)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_float_walk(self, data):
+        # random even forms of rank 2, 4 and 8 in skewed bases, the whole
+        # lattice under one weight row: random, or the Gram product of a
+        # short vector of the unskewed basis as an insertion vector gives
+        # it, then scaled by 0 to 3 for zero and non-primitive rows
+        f = data.draw(st.sampled_from((2, 4, 8)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        u, uinv = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100) if f == 8 else (0, 100, 10 ** 4))))
+        gram = congruent_gram(base, u)
+        top = {2: 30, 4: 8, 8: 4}[f]
+        bound = top - data.draw(st.integers(0, top))  # fibers repeat more at large bounds
+        if data.draw(st.sampled_from(("short", "short", "random"))) == "short":
+            i, j = data.draw(st.tuples(st.integers(0, f - 1), st.integers(0, f - 1)))
+            sign = data.draw(st.sampled_from((0, 1, -1)))
+            short = [int(k == i) + sign * (k == j) for k in range(f)]
+            row = mat_vec(gram, mat_vec(uinv, short))
+        else:
+            row = data.draw(st.lists(st.integers(-3, 3), min_size=f, max_size=f))
+        row = tuple(data.draw(st.sampled_from((1, 1, 1, 2, 3, 0))) * x for x in row)
+        got = insertion_histogram(QuadraticForm(gram), bound, weights=(row,))
+        assert got == float_walk_histogram(gram, bound, 1, None, (row,))
+
+    @pytest.mark.parametrize(
+        "gram, bound, row, fibered",
+        [
+            (CATALOG["A2"], 1, (1, 0), True),  # a rank-1 kernel: t mod 2 over t = -1, 0, 1
+            (CATALOG["A2"], 0, (1, 0), False),  # one fiber
+            (CATALOG["A2"], 5, (0, 0), False),  # no direction to split along
+            (CATALOG["A2"], 3, (-3, -2), False),  # residues do not repeat
+            (CATALOG["D4"], 6, (2, -2, 0, 0), True),  # non-primitive
+            (CATALOG["A1A1"], 6, (0, 2), True),  # an orthogonal summand: one residue
+        ],
+    )
+    def test_dispatch(self, gram, bound, row, fibered):
+        form = QuadraticForm(gram)
+        cells = lattice._fibered_cells(form, bound, row)
+        assert (cells is not None) == fibered
+        direct = _direct_cells(form, bound, (row,))
+        assert insertion_histogram(form, bound, weights=(row,)) == direct
+        if fibered:
+            assert cells == direct
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+    def test_column_gcd(self, a):
+        V, Vinv, g = lattice._column_gcd(a)
+        f = len(a)
+        assert g == math.gcd(*a)
+        assert [sum(x * V[i][j] for i, x in enumerate(a)) for j in range(f)] == [0] * (f - 1) + [g]
+        identity = [[int(i == j) for j in range(f)] for i in range(f)]
+        assert [[sum(V[i][k] * Vinv[k][j] for k in range(f)) for j in range(f)] for i in range(f)] == identity
+
+    @pytest.mark.parametrize("name", ["A2", "D4", "E8"])
+    def test_kernel_determinant(self, monkeypatch, name):
+        # the kernel's determinant comes from the split inverse, not an
+        # elimination of its own; it must be the exact one
+        made = []
+        kernel = QuadraticForm._kernel
+
+        def spy(gram, det):
+            made.append((gram, det))
+            return kernel(gram, det)
+
+        monkeypatch.setattr(QuadraticForm, "_kernel", spy)
+        skew = QuadraticForm(skewed_basis(CATALOG[name], 100)[0])
+        root_row = skew._gram_times(first_root(skew))
+        for row in (root_row, tuple(2 * x for x in root_row)):
+            assert lattice._fibered_cells(skew, 6, row) is not None
+        assert len(made) == 2
+        for gram, det in made:
+            assert det == math.prod(_eliminate(gram)[1][1])
+
+    def test_kernel_form_of_odd_rank(self):
+        # the private path walks an odd-rank kernel; the public one refuses it
+        a3 = QuadraticForm._kernel(((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 4)
+        assert len(enumerate_upto(a3, 1)) == 13
+        with pytest.raises(InvalidFormError):
+            QuadraticForm(a3.gram)
+
+    def _refusing_ranks(self, monkeypatch, form, bound, weights, error):
+        ranks = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def spy(walked, *args):
+            ranks.append(walked.rank)
+            return leaf_chunks(walked, *args)
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                insertion_histogram(form, bound, weights=weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        return ranks
+
+    def test_kernel_walk_refuses_over_budget(self, monkeypatch):
+        e8 = catalog_form("E8")
+        rows = unit_insertion_vector(e8).integral_weights(e8)[1]
+        ranks = self._refusing_ranks(monkeypatch, e8, 10 ** 7, rows, EnumerationBudgetError)
+        assert ranks == [7]  # refused by the first kernel walk, before any walk
+
+    def test_kernel_walk_refuses_int64_overflow(self, monkeypatch):
+        big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
+        ranks = self._refusing_ranks(monkeypatch, big, 10 ** 19, ((1, 0),), OverflowError)
+        assert ranks == [1]
 
 
 class TestReducedBasis:

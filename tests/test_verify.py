@@ -3,14 +3,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from theta_forge import lattice
+from theta_forge import modforms
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
+    QuadraticForm,
     catalog_form,
     unit_insertion_vector,
 )
@@ -33,6 +35,8 @@ from theta_forge.verify import (
     run_campaign,
     sample_gamma0,
 )
+
+from oracles import gauss_orthogonality_residual_loop
 
 A2 = catalog_form("A2")
 V_A2 = unit_insertion_vector(A2)
@@ -147,7 +151,9 @@ class TestGeneratingLaw:
     )
     def test_one_lattice_walk_per_check(self, monkeypatch, name, vector, gamma, tau, x_prec):
         # every power at both points is served by one histogram: the one
-        # for the largest power at the point nearer the real axis
+        # for the largest power at the point nearer the real axis.  Builds
+        # are counted as the entries the form adds to its kept histograms,
+        # since a fibered build walks the lattice once per residue.
         form = catalog_form(name)  # a fresh form keeps no histograms yet
         if vector is None:
             v = unit_insertion_vector(form)
@@ -155,17 +161,25 @@ class TestGeneratingLaw:
             v = InsertionVector(
                 tuple(GaussianRational(int(c.real), int(c.imag)) for c in vector), 1
             )
-        walks = []
-        original = lattice._leaf_chunks
+        asked = []
+        original = modforms.insertion_histogram
 
-        def counted(form, bound, *rest):
-            walks.append(bound)
-            return original(form, bound, *rest)
+        def recorded(form, bound, **coset):
+            asked.append((bound, bool(coset.get("weights"))))
+            return original(form, bound, **coset)
 
-        monkeypatch.setattr(lattice, "_leaf_chunks", counted)
+        monkeypatch.setattr(modforms, "insertion_histogram", recorded)
         res = check_generating_modularity(form, v, Gamma0Matrix(*gamma), tau, x_prec, 1e-8)
         assert res.passed
-        assert len(walks) == 1, walks
+        builds = [
+            (weights, bound)
+            for kept in form._cells.values()
+            for weights, (bound, _) in kept.items()
+        ]
+        assert len(builds) == 1, builds
+        # weighted whenever a power k > 0 was asked for (x_prec > 1)
+        weights, bound = builds[0]
+        assert (bound, bool(weights)) == max(asked), (builds, asked)
 
     def test_empty_x_expansion_rejected(self):
         # x_prec = 0 compares two empty sums and used to pass with residual 0
@@ -275,8 +289,26 @@ class TestPoisson:
 
 class TestGaussSums:
     def test_orthogonality(self):
-        for g in sample_gamma0(3, 6, seed=11):
-            assert check_gauss_orthogonality(A2, g, 1e-10).residual < 1e-10
+        # the phase-matrix product against the triple loop it replaced;
+        # only the order of the float sums differs
+        for name in ("A2", "A1A1", "2A2", "D4", "E8"):
+            form = catalog_form(name)
+            for g in sample_gamma0(form.level, 6, seed=11):
+                residual = check_gauss_orthogonality(form, g, 1e-10).residual
+                assert residual < 1e-10
+                assert abs(residual - gauss_orthogonality_residual_loop(form, g.b)) < 1e-12
+
+    def test_orthogonality_refused_before_allocating(self):
+        # det 16144: 4.2e12 class-pair products; the campaign notes a skip
+        form = QuadraticForm([[2018, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                check_gauss_orthogonality(form, Gamma0Matrix(1, 0, form.level, 1), 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_closed_form(self):
         for g in sample_gamma0(3, 6, seed=12):
