@@ -105,7 +105,12 @@ def _dump_json(obj) -> str:
 
 
 def _series_text(series) -> str:
-    if series.exp_denom == 1 and all(
+    """A dense list [c_0, c_1, ...] for an integral series with integer
+    exponents whose precision is not much longer than its stored terms,
+    otherwise one `q^e: c` line per stored term, so a sparse series with a
+    huge precision prints its terms, not every exponent below it."""
+    dense = series.prec <= 4 * len(series.coeffs) + 64
+    if dense and series.exp_denom == 1 and all(
         c.is_real and c.re.denominator == 1 for _, c in sorted(series.coeffs.items())
     ):
         vals = [series.coefficient(Fraction(n)) for n in range(series.prec)]

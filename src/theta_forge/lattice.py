@@ -15,10 +15,15 @@ fiber by fiber along t when that meets fewer vectors: Q splits as
 t^2/(2G) plus the norm of a kernel-form coset that depends on t only
 through a residue mod D (the theta decomposition of Jacobi forms,
 Eichler-Zagier, 1985, Thm 5.1), so one walk of the rank f-1 kernel per
-residue gives exactly the direct walk's histogram.  Every walk,
-histogram, fiber or vector query, enters one walker that refuses it
-before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
-estimated points, OverflowError when a partial could leave int64.
+residue gives exactly the direct walk's histogram.  A family of class
+slices g + scale*c*Z^f, g = h0 + scale*w for w in [0, c)^f, is walked
+once as the coarse coset h0 + scale*Z^f: the walk codes every vector by
+its slice, and each slice's histogram is kept under the key its own
+call looks up (the rescale law's c^f class thetas of cA).  Every walk,
+histogram, family, fiber or vector query, enters one walker that
+refuses it before allocating: EnumerationBudgetError above
+ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
+slice code could leave int64.
 """
 
 from __future__ import annotations
@@ -398,21 +403,32 @@ ENUMERATION_BUDGET = 60_000_000
 _FRONTIER_CHUNK = 150_000  # rows per frontier block pushed back on the stack
 
 
-def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
+def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
     """Yield (e, T) blocks over the vectors z = h0 + scale*u with Q(z) = e <= bound.
 
-    Row i of the int64 block T holds weight . z for every weight row, so
-    identity weights give the vectors themselves.  The descent runs in the
-    form's LLL-reduced basis y = U^-1 z (so h0 becomes U^-1 h0 mod scale and
-    a weight row w becomes w U), breadth-first over coordinates f-1 .. 0.
-    Every frontier row carries its coordinates, a float LDL partial for
-    pruning against an inflated bound, and exact int64 partials: 2Q of the
-    coordinates fixed so far and their weight sums.  A new coordinate y_j
-    adds A_jj y_j^2 + 2 y_j sum_{i>j} A_ji y_i to 2Q, so the leaf test
-    2Q <= 2 bound and the exponents are integer arithmetic.  Every walk is
-    guarded before it reduces or allocates: EnumerationBudgetError above
-    ENUMERATION_BUDGET estimated points, OverflowError when a partial could
-    pass 2^62.
+    e is an int64 array and T a list of int64 columns, weight . z for each
+    weight row, so identity weights give the vectors themselves.  The
+    descent runs in the form's LLL-reduced basis y = U^-1 z (so h0 becomes
+    U^-1 h0 mod scale and a weight row w becomes w U), breadth-first over
+    coordinates f-1 .. 0.  Every frontier block carries the coordinates
+    fixed so far, a float LDL partial for pruning against an inflated
+    bound, and exact int64 partials: 2Q of the fixed coordinates and their
+    weight sums, all as separate columns, since numpy gathers and
+    broadcasts one-dimensional arrays several times faster than the rows
+    of a narrow matrix.  A new coordinate y_j adds
+    A_jj y_j^2 + 2 y_j sum_{i>j} A_ji y_i to 2Q, so the leaf test
+    2Q <= 2 bound and the exponents are integer arithmetic.
+
+    With split > 1 a last column of T names the fine slice
+    h0 + scale*w + scale*split*Z^f of each vector by the code
+    sum_i w_i split^i, w in [0, split)^f.  The walk packs the residues mod
+    split of its own coordinates m = (y - hy)/scale level by level; as
+    u = k0 + U m with k0 = (U hy - h0)/scale, one table over the split^f
+    codes turns them into the caller's w = k0 + U m mod split at the leaf.
+
+    Every walk is guarded before it reduces or allocates:
+    EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
+    OverflowError when a partial or the code could pass 2^62.
     """
     f = form.rank
     # ellipsoid volume for z'Az <= 2(bound+1), shrunk to the u-lattice
@@ -422,6 +438,8 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
         raise EnumerationBudgetError(
             f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
+    if split ** f > 2 ** 62:
+        raise OverflowError(f"{split}^{f} slice codes could pass 2^62 in int64")
     gram, (L, d), U, uinv, inv_diag = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
     wy = [[sum(w[i] * U[i][j] for i in range(f)) for j in range(f)] for w in weights]
@@ -435,26 +453,34 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
         raise OverflowError(
             f"lattice walk to bound {bound} could pass 2^62 in int64 partials"
         )
-    A = np.array(gram, dtype=np.int64)
-    Lf = np.array([[float(x) for x in row] for row in L])
-    df = np.array([float(x) for x in d])
-    W = np.array(wy, dtype=np.int64).reshape(len(wy), f)
+    A = [[int(x) for x in row] for row in gram]
+    Lf = [[float(x) for x in row] for row in L]
+    df = [float(x) for x in d]
+    if split > 1:
+        k0 = [(sum(a * y for a, y in zip(row, hy)) - x) // scale % split for row, x in zip(U, h0)]
+        powers = split ** np.arange(f, dtype=np.int64)
+        digits = np.arange(split ** f, dtype=np.int64)[:, None] // powers % split
+        Us = np.array([[x % split for x in row] for row in U], dtype=np.int64)
+        relabel = (digits @ Us.T + k0) % split @ powers
     margin = 1e-6 * (1.0 + bound)
     bf = bound + margin
 
-    stack = [(
-        np.zeros((1, f), dtype=np.int64),
-        np.zeros(1),
-        np.zeros(1, dtype=np.int64),
-        np.zeros((1, len(wy)), dtype=np.int64),
-        0,
-    )]
+    # a frontier block: the columns y_(f-1), ..., y_(j+1) of its fixed
+    # coordinates, the float LDL partials, the exact partials of 2Q, and one
+    # column per weight row (and the code)
+    zero = np.zeros(1, dtype=np.int64)
+    stack = [((), np.zeros(1), zero, (zero,) * (len(wy) + (split > 1)))]
     while stack:
-        Y, S, Q2, T, depth = stack.pop()
+        Y, S, Q2, T = stack.pop()
+        depth = len(Y)
         j = f - 1 - depth
-        tail = Y[:, j + 1:]
-        dot = tail.astype(np.float64) @ Lf[j + 1:, j]
-        lin = 2 * (tail @ A[j + 1:, j])
+        dot = np.zeros(len(S))
+        lin = np.zeros(len(S), dtype=np.int64)
+        for y, i in zip(Y, range(f - 1, j, -1)):
+            if Lf[i][j]:
+                dot += Lf[i][j] * y
+            if A[i][j]:
+                lin += 2 * A[i][j] * y
         rad = np.sqrt(np.maximum(0.0, 2.0 * (bf - S) / df[j]))
         lo = np.ceil((-dot - rad - hy[j]) / scale - 1e-9).astype(np.int64)
         hi = np.floor((-dot + rad - hy[j]) / scale + 1e-9).astype(np.int64)
@@ -462,28 +488,35 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
         total = int(counts.sum())
         if total == 0:
             continue
-        rep = np.repeat(np.arange(len(Y)), counts)
+        rep = np.repeat(np.arange(len(S)), counts)
         starts = np.cumsum(counts) - counts
         yj = hy[j] + scale * (np.arange(total, dtype=np.int64) + (lo - starts)[rep])
-        q2 = Q2[rep] + yj * (A[j, j] * yj + lin[rep])
-        if depth + 1 == f:
-            inside = q2 <= 2 * bound
-            if not inside.all():
-                rep, yj, q2 = rep[inside], yj[inside], q2[inside]
-            if len(q2):
-                yield q2 >> 1, T[rep] + yj[:, None] * W[:, j]
-            continue
-        S2 = S[rep] + 0.5 * df[j] * (yj + dot[rep]) ** 2
-        keep = S2 <= bf
-        rep, yj, S2, q2 = rep[keep], yj[keep], S2[keep], q2[keep]
+        q2 = Q2[rep] + yj * (A[j][j] * yj + lin[rep])
+        leaf = depth + 1 == f
+        if leaf:
+            keep = q2 <= 2 * bound
+        else:
+            S2 = S[rep] + 0.5 * df[j] * (yj + dot[rep]) ** 2
+            keep = S2 <= bf
+        if not keep.all():
+            rep, yj, q2 = rep[keep], yj[keep], q2[keep]
+            if not leaf:
+                S2 = S2[keep]
         if len(rep) == 0:
             continue
-        Y2 = Y[rep]
-        Y2[:, j] = yj
-        T2 = T[rep] + yj[:, None] * W[:, j]
-        for i in range(0, len(Y2), _FRONTIER_CHUNK):
+        T2 = [t[rep] + w[j] * yj for t, w in zip(T, wy)]
+        if split > 1:
+            code = T[-1][rep] + (yj - hy[j]) // scale % split * split ** j
+            T2.append(relabel[code] if leaf else code)
+        if leaf:
+            yield q2 >> 1, T2
+            continue
+        Y2 = [y[rep] for y in Y] + [yj]
+        for i in range(0, len(rep), _FRONTIER_CHUNK):
             block = slice(i, i + _FRONTIER_CHUNK)
-            stack.append((Y2[block], S2[block], q2[block], T2[block], depth + 1))
+            stack.append(
+                (tuple(y[block] for y in Y2), S2[block], q2[block], tuple(t[block] for t in T2))
+            )
 
 
 def _column_gcd(a):
@@ -587,9 +620,11 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     fiber along t (_fibered_cells: one walk of the row's kernel per
     residue of t, the theta decomposition of a Jacobi-like series) when
     that meets fewer vectors, and gives exactly the direct walk's
-    histogram; every other slice is one direct walk.  Every walk refuses
-    before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
-    estimated points, OverflowError when an int64 partial could overflow.
+    histogram; every other slice is one direct walk, unless one walk of a
+    coarser coset kept it with its whole class family (_keep_class_slices).
+    Every walk refuses before allocating: EnumerationBudgetError above
+    ENUMERATION_BUDGET estimated points, OverflowError when an int64
+    partial could overflow.
     """
     if h0 is None:
         h0 = (0,) * form.rank
@@ -613,33 +648,65 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     return dict(cells)
 
 
+def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weights, split: int):
+    """Keep the histograms of all split^f fine slices of one coset, from one walk of it.
+
+    The coset h0 + scale*Z^f is the union of the slices
+    g + scale*split*Z^f, g = h0 + scale*w for w in [0, split)^f.  One walk
+    of the coset codes every vector by its slice (_leaf_chunks with
+    split), and each slice's histogram is kept on the form under the key
+    insertion_histogram(form, bound, scale=scale*split, h0=g mod
+    scale*split, weights=weights) looks up, empty slices too, so every
+    such call is then served without a walk.  The refusals are the walk's.
+    """
+    h0 = tuple(int(x) for x in h0)
+    weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
+    binned: dict = {}
+    for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split):
+        _accumulate_cells(binned, e, ts)
+    slices = [{} for _ in range(split ** form.rank)]
+    for key, count in binned.items():
+        slices[key[-1]][key[:-1]] = count
+    fine = scale * split
+    for code, cells in enumerate(slices):
+        g = tuple((x + scale * (code // split ** i % split)) % fine for i, x in enumerate(h0))
+        form._cells.setdefault((fine, g), {})[weights] = (bound, cells)
+
+
 def _accumulate_cells(cells: dict, e, ts):
-    """Fold one leaf block into the histogram via composite-code bincount."""
-    cols = [e] + [ts[:, i] for i in range(ts.shape[1])]
+    """Fold one leaf block into the histogram.
+
+    The key columns (e, t...) of each row are packed into one composite
+    int64 code and counted: by bincount when the code space is at most a
+    few times the block, by sorting (np.unique) when it is sparse, and by
+    whole rows only when the space could pass 2^62.  The counted codes are
+    unpacked column by column, in ascending code order either way.
+    """
+    cols = [e, *ts]
     lows = [int(c.min()) for c in cols]
     spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
-    space = 1
-    for s in spans:
-        space *= s
-    if space > 50_000_000:
+    space = math.prod(spans)
+    if space > 2 ** 62:
         stacked = np.column_stack(cols)
         uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-        for row, c in zip(uniq, counts):
-            k = tuple(int(x) for x in row)
-            cells[k] = cells.get(k, 0) + int(c)
+        for row, c in zip(uniq.tolist(), counts.tolist()):
+            cells[tuple(row)] = cells.get(tuple(row), 0) + c
         return
     codes = np.zeros_like(cols[0])
     for col, lo, span in zip(cols, lows, spans):
         codes = codes * span + (col - lo)
-    binc = np.bincount(codes, minlength=space)
-    for code in np.nonzero(binc)[0]:
-        k = []
-        rem = int(code)
-        for span in reversed(spans):
-            k.append(rem % span)
-            rem //= span
-        k = tuple(x + lo for x, lo in zip(reversed(k), lows))
-        cells[k] = cells.get(k, 0) + int(binc[code])
+    if space > max(1 << 16, 8 * len(codes)):
+        uniq, counts = np.unique(codes, return_counts=True)
+    else:
+        counts = np.bincount(codes)
+        uniq = np.nonzero(counts)[0]
+        counts = counts[uniq]
+    parts = []
+    for lo, span in zip(reversed(lows), reversed(spans)):
+        parts.append((uniq % span + lo).tolist())
+        uniq = uniq // span
+    for key, c in zip(zip(*reversed(parts)), counts.tolist()):
+        cells[key] = cells.get(key, 0) + c
 
 
 def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):
@@ -652,7 +719,7 @@ def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):
     identity = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
     out = []
     for e, Z in _leaf_chunks(form, bound, scale, h0, identity):
-        out.extend(zip(map(tuple, Z.tolist()), e.tolist()))
+        out.extend(zip(zip(*(z.tolist() for z in Z)), e.tolist()))
     out.sort()
     return out
 

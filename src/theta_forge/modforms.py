@@ -169,18 +169,30 @@ def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:
     return r
 
 
+def _certified_bound(rank: int, tau: complex, tol: float, k: int, M: int) -> int:
+    """radius * M: the histogram bound that certifies, to tol, a coset sum
+    of rank `rank` with insertion power k and exponents e/M at tau."""
+    return _truncation_radius(tau.imag, k, rank, tol) * M
+
+
 def _coset_sum(
-    form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, **coset
+    form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, t_mod=None, **coset
 ) -> complex:
     """Sum count * insert(key) * exp(2 pi i tau e/M), smallest terms first.
 
     The cells are the insertion histogram of the slice named by coset
-    (scale, h0, weights), cut at the radius certified for tol and k.  They
-    are summed in the order of the full key (-e, t...), so the value does
-    not depend on the order the walk met the vectors in, nor on the basis.
+    (scale, h0, weights), cut at the certified bound for tol and k, with
+    every t reduced mod t_mod when that is given.  They are summed in the
+    order of the full key (-e, t...), so the value does not depend on the
+    order the walk met the vectors in, nor on the basis.
     """
-    radius = _truncation_radius(tau.imag, k, form.rank, tol)
-    cells = insertion_histogram(form, radius * M, **coset)
+    cells = insertion_histogram(form, _certified_bound(form.rank, tau, tol, k, M), **coset)
+    if t_mod is not None:
+        folded: dict = {}
+        for (e, *ts), count in cells.items():
+            key = (e, *(t % t_mod for t in ts))
+            folded[key] = folded.get(key, 0) + count
+        cells = folded
     tau_over = 2j * pi * tau / M
     total = 0j
     for key in sorted(cells, key=lambda kk: (-kk[0],) + kk[1:]):
@@ -247,8 +259,13 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     def insert(key):
         return cmath.exp(phase * key[1])
 
-    # m'A^-1 m / 2 = Q_adj(m) / D; the offset enters only as the phase m'x
-    return _coset_sum(form.dual(), z, tol, 0, form.det, insert, weights=(h0,))
+    # m'A^-1 m / 2 = Q_adj(m) / D, and the offset enters only as the phase
+    # of t = rho m'x mod rho: the walk is keyed by the short row of centred
+    # residues of rho x, which the fibered walk takes when its t repeat,
+    # and its cells are folded to t mod rho, so the value depends on
+    # neither the representative nor the basis
+    row = tuple((t + rho // 2) % rho - rho // 2 for t in h0)
+    return _coset_sum(form.dual(), z, tol, 0, form.det, insert, t_mod=rho, weights=(row,))
 
 
 def eisenstein_e2_numeric(tau, tol: float = 1e-12) -> complex:

@@ -29,12 +29,14 @@ from .lattice import (
     CongruenceClass,
     InsertionVector,
     QuadraticForm,
+    _keep_class_slices,
     gauss_sum,
     unit_insertion_vector,
 )
 from .modforms import (
     ThetaSpec,
     _as_complex,
+    _certified_bound,
     eisenstein_e2_numeric,
     theta_dual_numeric,
     theta_numeric,
@@ -303,19 +305,36 @@ def check_rescale(
     tau,
     tol: float,
 ) -> LawReport:
-    """theta for A at tau against the sum of c^f class thetas for cA at c tau."""
+    """theta for A at tau against the sum of c^f class thetas for cA at c tau.
+
+    Each class theta keeps its own spec (level cN, exponents e/(cN)^2 and
+    the prefactor) and is summed on its own, so only the walk is shared.
+    cA has level cN (r (cA)^-1 = (r/c) A^-1 is integral with even diagonal
+    exactly when r/c is a multiple of N, as A (r/c) A^-1 = (r/c) I is then
+    integral), so every class h + N w, w in [0, c)^f, is one fine slice of
+    the coset h + N Z^f.  One walk of cA over that coset, to the bound
+    each class call certifies, keeps every class histogram on the scaled
+    form before the sum reads them.  More than ENUMERATION_BUDGET classes
+    are refused with ValueError before anything is allocated.
+    """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")
+    if c ** form.rank > ENUMERATION_BUDGET:
+        raise ValueError(f"{c}^{form.rank} rescale classes exceed budget {ENUMERATION_BUDGET:.2e}")
     z = _as_complex(tau)
     inner = tol * 1e-3
     N = form.level
     lhs = theta_numeric(ThetaSpec(form, v, k, h), z, inner)
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
+    cz, ctol = c * z, inner / c ** form.rank
+    bound = _certified_bound(form.rank, cz, ctol, k, (c * N) ** 2)
+    weights = v.integral_weights(scaled)[1] if k else ()
+    _keep_class_slices(scaled, bound, scale=N, h0=h.rep, weights=weights, split=c)
     rhs = 0j
     for w in product(range(c), repeat=form.rank):
         g = tuple(h.rep[i] + N * w[i] for i in range(form.rank))
         gcls = CongruenceClass(scaled, g)
-        rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), c * z, inner / c ** form.rank)
+        rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), cz, ctol)
     return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)
 
 

@@ -1,10 +1,15 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import theta_forge
 from theta_forge.cli import main
 from theta_forge.qseries import FracQSeries
 
@@ -77,6 +82,26 @@ class TestExpandTheta:
         code, out, _ = run(capsys, "expand-theta", "--lattice", str(path), "--prec", "4")
         assert code == 0
         assert out.strip() == "[1, 6, 0, 6]"
+
+    def test_sparse_series_at_huge_precision(self, tmp_path):
+        # a few hundred vectors below q^(10^11): the text output lists the
+        # stored terms instead of every exponent.  Run in a child process
+        # with a timeout, so a regression fails instead of hanging.
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"gram": [[2 * 10 ** 9, 0], [0, 2 * 10 ** 9]]}))
+        src = str(Path(theta_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["expand-theta", "--lattice", str(path), "--prec", str(10 ** 11)]
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "theta_forge", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert time.monotonic() - start < 30
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[:4] == ["q^0: 1", "q^1000000000: 4", "q^2000000000: 4", "q^4000000000: 4"]
+        # m1^2 + m2^2 <= 99: every stored term is one line
+        assert len(lines) == len({a * a + b * b for a in range(10) for b in range(10) if a * a + b * b < 100})
 
     def test_int64_overflow_refused(self, capsys, tmp_path):
         # exponents up to 10^19 do not fit in int64: the walk refuses

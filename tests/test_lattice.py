@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -458,6 +459,17 @@ class TestHistogram:
         assert len(calls) == 2
         assert a2.dual() is a2.dual()  # so the dual's histograms stay with a2 too
 
+    @pytest.mark.parametrize("e_far, t_far", [(3, 2), (10 ** 6, 7), (2 ** 40, 2 ** 30)])
+    def test_fold_counts_every_key_space(self, e_far, t_far):
+        # a dense packed code space is counted by bincount, a sparse one by
+        # sorting the codes, and one past 2^62 by whole rows: same cells
+        e = np.array([0, e_far, 0, e_far, e_far], dtype=np.int64)
+        ts = [np.array([0, t_far, 0, -5, t_far], dtype=np.int64), np.array([1, -1, 1, 0, -1], dtype=np.int64)]
+        cells = {(0, 0, 1): 1}
+        lattice._accumulate_cells(cells, e, ts)
+        assert cells == {(0, 0, 1): 3, (e_far, t_far, -1): 2, (e_far, -5, 0): 1}
+        assert all(type(x) is int for key in cells for x in key)
+
     def test_cache_serves_smaller_bounds(self):
         d4 = catalog_form("D4")
         big = insertion_histogram(d4, 9)
@@ -637,6 +649,91 @@ class TestFiberedWalk:
         big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
         ranks = self._refusing_ranks(monkeypatch, big, 10 ** 19, ((1, 0),), OverflowError)
         assert ranks == [1]
+
+
+def _rescale_weights(scaled, vector):
+    """The weight rows a class theta of the scaled form asks for: none, one
+    (a real insertion vector) or two (a complex one)."""
+    if vector is None:
+        return ()
+    w = tuple(GaussianRational(int(x.real), int(x.imag)) for x in vector)
+    return InsertionVector(w).integral_weights(scaled)[1]
+
+
+def _check_class_slices(form, c, h, vector, radius):
+    """Keep the class family of c*form over h + N Z^f to the bound radius*(cN)^2,
+    as check_rescale does, and compare every one of the c^f fine slices
+    with its own direct walk on a twin form.  Returns the family's total."""
+    f, N = form.rank, form.level
+    scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
+    assert scaled.level == c * N  # so each class of cA is one fine slice
+    weights = _rescale_weights(scaled, vector)
+    bound = radius * (c * N) ** 2
+    lattice._keep_class_slices(scaled, bound, scale=N, h0=h, weights=weights, split=c)
+    assert len(scaled._cells) == c ** f  # every slice, the empty ones too
+    twin = QuadraticForm(scaled.gram)
+    met = 0
+    for w in product(range(c), repeat=f):
+        g = tuple(x + N * wi for x, wi in zip(h, w))
+        kept_bound, cells = scaled._cells[(c * N, g)][weights]
+        assert kept_bound == bound
+        assert cells == insertion_histogram(twin, bound, scale=c * N, h0=g, weights=weights), w
+        met += sum(cells.values())
+    return met
+
+
+class TestClassSlices:
+    # The rescale law sums every class, so a vector binned under the wrong
+    # class leaves its residual unchanged; only a slice-by-slice comparison
+    # with the direct walk sees it.
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_walks(self, data):
+        # random even forms of rank 2, 4 and 8 in skewed bases, every class
+        # h, c = 2 or 3 (2 on rank 8, whose 3^8 direct walks are too slow
+        # here), with no weights, the one row of a real vector or the two
+        # rows of a complex one
+        f = data.draw(st.sampled_from((2, 4, 8)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100, 10 ** 4))))
+        form = QuadraticForm(congruent_gram(base, u))
+        c = data.draw(st.sampled_from((2, 3) if f < 8 else (2,)))
+        h = data.draw(st.sampled_from(form.congruence_classes())).rep
+        entry = st.integers(-2, 2)
+        vector = data.draw(st.sampled_from((None, "real", "complex")))
+        if vector is not None:
+            parts = st.tuples(entry, entry if vector == "complex" else st.just(0))
+            vector = data.draw(
+                st.lists(parts.map(lambda p: complex(*p)), min_size=f, max_size=f).filter(
+                    lambda xs: any(x.real for x in xs) and (vector == "real" or any(x.imag for x in xs))
+                )
+            )
+        radius = data.draw(st.integers(1, {2: 4, 4: 2, 8: 1}[f]))
+        _check_class_slices(form, c, h, vector, radius)
+
+    # E8 at c = 3 would take 3^8 direct walks; c = 2 covers E8
+    @pytest.mark.parametrize(
+        "name, c", [(name, c) for name in sorted(CATALOG) for c in (2, 3) if (name, c) != ("E8", 3)]
+    )
+    def test_catalog_forms(self, name, c):
+        form = _CATALOG_FORMS[name]
+        h = form.congruence_classes()[-1].rep
+        vector = (1,) + (0,) * (form.rank - 2) + (1j,)
+        assert _check_class_slices(form, c, h, vector, 2) > 0
+
+    def test_code_column_refuses_int64_overflow(self):
+        # 3^40 slice codes could pass 2^62: refused before the walk
+        form = QuadraticForm(_block(*[CATALOG["A1A1"]] * 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match="slice codes"):
+                lattice._keep_class_slices(form, 1, scale=1, h0=(0,) * 40, weights=(), split=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert form._lll is None
 
 
 class TestReducedBasis:

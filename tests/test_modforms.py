@@ -242,6 +242,13 @@ class TestThetaNumeric:
         x = (Fraction(1, 2), Fraction(1, 3)) + (0,) * (form.rank - 2)
         got = theta_offset_numeric(skew, mat_vec(uinv, x), tau, 1e-10)
         assert got == theta_offset_numeric(form, x, tau, 1e-10)
+        # the dual sum's cells are keyed by t mod rho, which neither the
+        # basis nor the representative of rho x changes
+        for y in (x, (Fraction(3, 7), Fraction(-5, 7)) + (Fraction(1, 7),) * (form.rank - 2)):
+            dual = theta_dual_numeric(form, y, tau, 1e-10)
+            assert theta_dual_numeric(skew, mat_vec(uinv, y), tau, 1e-10) == dual
+            shifted = (y[0] + 2,) + y[1:-1] + (y[-1] - 1,)
+            assert theta_dual_numeric(form, shifted, tau, 1e-10) == dual
 
     def test_sum_ignores_walk_order(self):
         # the same cells met in another order give the same floats

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forge import modforms
+from theta_forge import lattice, modforms
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
@@ -250,6 +250,54 @@ class TestTranslationRescale:
         h = CongruenceClass(A2, (1, 2))
         res = check_rescale(A2, h, V_A2, 2, c, 0.15 + 1.4j, 1e-8)
         assert res.residual < 1e-10
+
+    @pytest.mark.parametrize(
+        "name, vector, k, c",
+        [
+            ("A2", None, 2, 3),
+            ("A1A1", (1, 1j), 2, 2),
+            ("2A2", None, 0, 3),
+            ("D4", None, 2, 2),
+            ("D4", (1, 0, 1j, 0), 4, 3),
+            ("E8", None, 0, 2),  # k = 0: E8's plain left side is one walk, not fibered
+        ],
+    )
+    def test_two_walks_per_rescale_check(self, monkeypatch, name, vector, k, c):
+        # one walk for the left side and one for the whole class family;
+        # every class theta is then read from the family's histograms
+        form = catalog_form(name)
+        if vector is None:
+            v = unit_insertion_vector(form)
+        else:
+            v = InsertionVector(
+                tuple(GaussianRational(int(x.real), int(x.imag)) for x in vector), 1
+            )
+        walks = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def counting(walked, bound, scale, h0, weights, split=1):
+            walks.append((walked.rank, scale, split))
+            return leaf_chunks(walked, bound, scale, h0, weights, split)
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        h = form.congruence_classes()[-1]
+        res = check_rescale(form, h, v, k, c, 0.15 + 1.1j, 1e-8)
+        assert res.passed, res.residual
+        N = form.level
+        assert walks == [(form.rank, N, 1), (form.rank, N, c)]
+
+    def test_rescale_refuses_oversized_family_before_allocating(self):
+        # 10^8 classes of 10 E8: refused up front, where the per-class sum
+        # used to start 10^8 walks
+        e8 = catalog_form("E8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="rescale classes exceed budget"):
+                check_rescale(e8, CongruenceClass.zero(e8), None, 0, 10, 0.1 + 1.1j, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCuspExpansion:
