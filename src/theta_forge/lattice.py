@@ -9,27 +9,33 @@ Gram matrix of a good lattice costs what the good basis costs.  Pruning
 compares a float LDL partial against an inflated bound; every frontier
 row also carries exact int64 partials of 2Q and of its weight sums, so
 the leaf test, the exponents and the weights are integer arithmetic and
-the histograms feeding the series expansions carry no rounding.  A
-histogram of the whole lattice under one weight row t = w.z is walked
-fiber by fiber along t when that meets fewer vectors: Q splits as
-t^2/(2G) plus the norm of a kernel-form coset that depends on t only
-through a residue mod D (the theta decomposition of Jacobi forms,
-Eichler-Zagier, 1985, Thm 5.1), so one walk of the rank f-1 kernel per
-residue gives exactly the direct walk's histogram.  A family of class
-slices g + scale*c*Z^f, g = h0 + scale*w for w in [0, c)^f, is walked
-once as the coarse coset h0 + scale*Z^f: the walk codes every vector by
-its slice, and each slice's histogram is kept under the key its own
-call looks up (the rescale law's c^f class thetas of cA).  Every walk,
+the histograms feeding the series expansions carry no rounding.  Every
+histogram of a slice with at most one weight row t = w.z enters one
+fibered entry (_slice_cells): along the row, or along the cheapest
+coordinate of the reduced basis when there is none, Q splits as a
+multiple of the fiber's square plus the norm of a kernel-form coset
+that depends on the fiber only through a residue (the theta
+decomposition of Jacobi forms, Eichler-Zagier, 1985, Thm 5.1), so one
+kernel walk per residue class, folded into each fiber of the class,
+gives exactly the direct walk's histogram.  Every kernel coset comes
+back through the same entry and is fibered in turn while the estimated
+cost says so.  A family of class slices g + scale*c*Z^f,
+g = h0 + scale*w for w in [0, c)^f, is walked once as the coarse coset
+h0 + scale*Z^f: the walk codes every vector by its slice, and each
+slice's histogram is kept under the key its own call looks up (the
+rescale law's c^f class thetas of cA).  Every walk,
 histogram, family, fiber or vector query, enters one walker that
 refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
-slice code could leave int64.
+slice code could leave int64; a fibered plan is refused before any walk
+when its estimated cost passes ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm, pi
 
@@ -50,35 +56,52 @@ class EnumerationBudgetError(RuntimeError):
     """Estimated lattice-point count (or Gauss-sum size) exceeds ENUMERATION_BUDGET."""
 
 
-def _eliminate(gram):
-    """(A^-1, (L, d)) of a symmetric A by one exact Gauss-Jordan pass over Q.
+def _bareiss(gram):
+    """(adj, minors, lower) of a symmetric integer A by one fraction-free
+    Gauss-Jordan pass (Bareiss) over [A | I], all in integers.
 
-    Columns are eliminated in their natural order with no pivot search, so
-    the pivots are the d of A = L D L' with unit lower-triangular L, and by
-    symmetry the normalized pivot row j holds column j of L.  Raises on the
-    first pivot <= 0, that is unless A > 0.
+    Columns are eliminated in their natural order with no pivot search.
+    Step j replaces every other row r by (p row_r - A_rj row_j) / p', with
+    p the pivot A_jj and p' the pivot before it; every division is exact
+    (Sylvester's identity).  The pivots are the leading principal minors
+    of A, returned as minors; lower[j] is column j of the matrix just
+    before step j, which is minors[j] times column j of the unit
+    lower-triangular L of A = L D L'; and the right block ends as
+    adj(A) = det(A) A^-1.  Raises on the first pivot <= 0, that is unless
+    A > 0.
     """
     f = len(gram)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(f)]
-        for i, row in enumerate(gram)
-    ]
-    d, cols = [], []
+    aug = [list(row) + [int(i == j) for j in range(f)] for i, row in enumerate(gram)]
+    prev, minors, lower = 1, [], []
     for j in range(f):
         pv = aug[j][j]
         if pv <= 0:
             raise InvalidFormError(
                 "not-positive-definite",
-                f"pivot {j} of the LDL factorization is {pv}",
+                f"pivot {j} of the LDL factorization is {Fraction(pv, prev)}",
             )
-        d.append(pv)
-        aug[j] = [x / pv for x in aug[j]]
-        cols.append(aug[j][:f])
+        minors.append(pv)
+        lower.append([row[j] for row in aug])
+        pivot_row = aug[j]
         for r in range(f):
-            fac = aug[r][j]
-            if r != j and fac:
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[j])]
-    return tuple(tuple(row[f:]) for row in aug), (tuple(zip(*cols)), d)
+            if r != j:
+                fac = aug[r][j]
+                aug[r] = [(pv * x - fac * y) // prev for x, y in zip(aug[r], pivot_row)]
+        prev = pv
+    return [row[f:] for row in aug], minors, lower
+
+
+def _eliminate(gram):
+    """(A^-1, (L, d)) of a symmetric integer A, exact, from _bareiss: the
+    pivots of A = L D L' are d_j = minors[j] / minors[j-1]."""
+    adj, minors, lower = _bareiss(gram)
+    f, det = len(gram), minors[-1]
+    L = tuple(
+        tuple(Fraction(lower[j][i], minors[j]) if i > j else Fraction(int(i == j)) for j in range(f))
+        for i in range(f)
+    )
+    d = [Fraction(m, p) for m, p in zip(minors, [1] + minors[:-1])]
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj), (L, d)
 
 
 def _lll_basis(gram):
@@ -158,7 +181,7 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual")
+    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual", "_fibers")
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -194,11 +217,13 @@ class QuadraticForm:
         self._dual = None
         # the walk's reduced basis, built on the first walk (see _reduced)
         self._lll = None
+        # the fiber walks' splits along weight rows of that basis (see _fibration)
+        self._fibers = {}
 
     @classmethod
     def _kernel(cls, gram, det):
         """The form of a weight row's kernel, of any rank, for the fiber walks
-        of insertion_histogram.
+        of _slice_cells.
 
         Built without the public checks and without an elimination: a walk
         needs only the Gram matrix, the rank, the determinant (given) and
@@ -206,7 +231,7 @@ class QuadraticForm:
         """
         form = cls.__new__(cls)
         form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
-        form._cells, form._dual, form._lll = {}, None, None
+        form._cells, form._dual, form._lll, form._fibers = {}, None, None, {}
         return form
 
     @property
@@ -220,13 +245,15 @@ class QuadraticForm:
         return tuple(sum(a * xj for a, xj in zip(row, x)) for row in self.gram)
 
     def _reduced(self):
-        """(gram, (L, d), U, U^-1, inv_diag) of the LLL-reduced basis the walk runs in.
+        """(gram, (L, d), U, U^-1, adj) of the LLL-reduced basis the walk runs in.
 
         The columns of the unimodular U are the reduced basis in the
-        original coordinates, gram = U'AU with exact LDL factors (L, d),
-        and inv_diag is the diagonal of gram^-1, which bounds every
-        coordinate of a vector in an ellipsoid.  Computed on the first
-        walk and kept, so building a form costs no reduction.
+        original coordinates, gram = U'AU with its LDL factors (L, d) as
+        floats for the walk's pruning, and adj = det(A) gram^-1, the
+        reduced inverse in integers: its diagonal bounds every coordinate
+        of a vector in an ellipsoid, and its columns give every fiber
+        split (_Fibration).  Computed on the first walk and kept, so
+        building a form costs no reduction.
         """
         if self._lll is None:
             # walked in LLL order: reversed (the walk fixes the last
@@ -234,8 +261,14 @@ class QuadraticForm:
             # candidates and ran no faster
             basis, uinv = _lll_basis(self.gram)
             gram = tuple(tuple(self.bilinear(bi, bj) for bj in basis) for bi in basis)
-            inv, ldl = _eliminate(gram)
-            self._lll = (gram, ldl, tuple(zip(*basis)), uinv, tuple(inv[j][j] for j in range(self.rank)))
+            adj, minors, lower = _bareiss(gram)
+            if minors[-1] != self.det:
+                raise ArithmeticError(f"reduced Gram determinant {minors[-1]} is not det = {self.det}")
+            ldl = (
+                [[lower[j][i] / minors[j] if i > j else float(i == j) for j in range(self.rank)] for i in range(self.rank)],
+                [m / p for m, p in zip(minors, [1] + minors[:-1])],
+            )
+            self._lll = (gram, ldl, tuple(zip(*basis)), uinv, adj)
         return self._lll
 
     def q_value(self, x):
@@ -315,6 +348,14 @@ class CongruenceClass:
     def zero(cls, form: QuadraticForm) -> "CongruenceClass":
         return cls(form, (0,) * form.rank)
 
+    @classmethod
+    def _known(cls, form: QuadraticForm, rep) -> "CongruenceClass":
+        """A class whose rep is in [0, N)^rank with A rep = 0 mod N by
+        construction, built without re-checking either."""
+        h = cls.__new__(cls)
+        h.form, h.rep = form, rep
+        return h
+
     def __eq__(self, other):
         if not isinstance(other, CongruenceClass):
             return NotImplemented
@@ -342,7 +383,7 @@ class InsertionVector:
     that way.
     """
 
-    __slots__ = ("w", "s", "_den", "_re", "_im")
+    __slots__ = ("w", "s", "_den", "_re", "_im", "_rows")
 
     def __init__(self, w, s=1):
         self.w = tuple(_as_gaussian(x) for x in w)
@@ -353,6 +394,8 @@ class InsertionVector:
         self._den = lcm(1, *(d for x in self.w for d in (x.re.denominator, x.im.denominator)))
         self._re = tuple(int(self._den * x.re) for x in self.w)
         self._im = tuple(int(self._den * x.im) for x in self.w)
+        # (form, integral_weights(form)) of the last form asked for
+        self._rows = None
 
     @classmethod
     def from_root(cls, root) -> "InsertionVector":
@@ -378,14 +421,17 @@ class InsertionVector:
         """(den, weight rows) with weight_i . m = den * component_i of w'Am.
 
         One row when w'A is real, two (real then imaginary part) otherwise.
+        The rows of the last form asked for are kept, so the class sums of
+        one form (c^f of them in a rescale check) compute them once.
         """
-        ar, ai = form._gram_times(self._re), form._gram_times(self._im)
-        g = math.gcd(self._den, *ar, *ai)
-        re_row = tuple(x // g for x in ar)
-        im_row = tuple(x // g for x in ai)
-        if any(im_row):
-            return self._den // g, (re_row, im_row)
-        return self._den // g, (re_row,)
+        if self._rows is None or self._rows[0] is not form:
+            ar, ai = form._gram_times(self._re), form._gram_times(self._im)
+            g = math.gcd(self._den, *ar, *ai)
+            re_row = tuple(x // g for x in ar)
+            im_row = tuple(x // g for x in ai)
+            rows = (re_row, im_row) if any(im_row) else (re_row,)
+            self._rows = (form, (self._den // g, rows))
+        return self._rows[1]
 
     def __eq__(self, other):
         if not isinstance(other, InsertionVector):
@@ -400,7 +446,14 @@ class InsertionVector:
 
 
 ENUMERATION_BUDGET = 60_000_000
-_FRONTIER_CHUNK = 150_000  # rows per frontier block pushed back on the stack
+_FRONTIER_CHUNK = 150_000  # most candidates a frontier block expands to at once
+
+
+def _ellipsoid_points(rank: int, det, bound: int, scale: int) -> float:
+    """Estimated points z = h0 + scale*u with Q(z) <= bound: the volume of
+    z'Az <= 2(bound + 1) over the covolume sqrt(det) * scale^rank."""
+    vol = pi ** (rank / 2) / math.gamma(rank / 2 + 1) * (2.0 * (bound + 1)) ** (rank / 2)
+    return vol / (math.sqrt(det) * scale ** rank)
 
 
 def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
@@ -417,7 +470,10 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     broadcasts one-dimensional arrays several times faster than the rows
     of a narrow matrix.  A new coordinate y_j adds
     A_jj y_j^2 + 2 y_j sum_{i>j} A_ji y_i to 2Q, so the leaf test
-    2Q <= 2 bound and the exponents are integer arithmetic.
+    2Q <= 2 bound and the exponents are integer arithmetic.  A block whose
+    candidates for y_j pass _FRONTIER_CHUNK is halved before it expands,
+    and a single row with more candidates expands them window by window,
+    so no block, leaf or frontier, holds more than _FRONTIER_CHUNK rows.
 
     With split > 1 a last column of T names the fine slice
     h0 + scale*w + scale*split*Z^f of each vector by the code
@@ -431,31 +487,26 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     OverflowError when a partial or the code could pass 2^62.
     """
     f = form.rank
-    # ellipsoid volume for z'Az <= 2(bound+1), shrunk to the u-lattice
-    est = pi ** (f / 2) / math.gamma(f / 2 + 1) * (2.0 * (bound + 1)) ** (f / 2)
-    est /= math.sqrt(form.det) * scale ** f
+    est = _ellipsoid_points(f, form.det, bound, scale)
     if est > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
     if split ** f > 2 ** 62:
         raise OverflowError(f"{split}^{f} slice codes could pass 2^62 in int64")
-    gram, (L, d), U, uinv, inv_diag = form._reduced()
+    A, (Lf, df), U, uinv, adj = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
     wy = [[sum(w[i] * U[i][j] for i in range(f)) for j in range(f)] for w in weights]
     # a candidate y_j lies in the projection of the inflated ellipsoid,
     # |y_j| <= sqrt(2 bf gram^-1_jj): 4(bound + 1) covers the margin and
     # the + 1 the rounding of each candidate range
-    radii = [math.isqrt(math.ceil(4 * (bound + 1) * x)) + 1 for x in inv_diag]
-    partial = sum(abs(a) * ri * rk for row, ri in zip(gram, radii) for a, rk in zip(row, radii))
+    radii = [math.isqrt(-(-4 * (bound + 1) * adj[j][j] // form.det)) + 1 for j in range(f)]
+    partial = sum(abs(a) * ri * rk for row, ri in zip(A, radii) for a, rk in zip(row, radii))
     sums = [sum(abs(x) * r for x, r in zip(w, radii)) for w in wy]
     if max([4 * partial] + sums) > 2 ** 62:
         raise OverflowError(
             f"lattice walk to bound {bound} could pass 2^62 in int64 partials"
         )
-    A = [[int(x) for x in row] for row in gram]
-    Lf = [[float(x) for x in row] for row in L]
-    df = [float(x) for x in d]
     if split > 1:
         k0 = [(sum(a * y for a, y in zip(row, hy)) - x) // scale % split for row, x in zip(U, h0)]
         powers = split ** np.arange(f, dtype=np.int64)
@@ -488,35 +539,41 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
         total = int(counts.sum())
         if total == 0:
             continue
-        rep = np.repeat(np.arange(len(S)), counts)
-        starts = np.cumsum(counts) - counts
-        yj = hy[j] + scale * (np.arange(total, dtype=np.int64) + (lo - starts)[rep])
-        q2 = Q2[rep] + yj * (A[j][j] * yj + lin[rep])
+        if total > _FRONTIER_CHUNK and len(S) > 1:
+            mid = len(S) // 2
+            for part in (slice(mid, None), slice(0, mid)):
+                stack.append((tuple(y[part] for y in Y), S[part], Q2[part], tuple(t[part] for t in T)))
+            continue
         leaf = depth + 1 == f
-        if leaf:
-            keep = q2 <= 2 * bound
-        else:
-            S2 = S[rep] + 0.5 * df[j] * (yj + dot[rep]) ** 2
-            keep = S2 <= bf
-        if not keep.all():
-            rep, yj, q2 = rep[keep], yj[keep], q2[keep]
-            if not leaf:
-                S2 = S2[keep]
-        if len(rep) == 0:
-            continue
-        T2 = [t[rep] + w[j] * yj for t, w in zip(T, wy)]
-        if split > 1:
-            code = T[-1][rep] + (yj - hy[j]) // scale % split * split ** j
-            T2.append(relabel[code] if leaf else code)
-        if leaf:
-            yield q2 >> 1, T2
-            continue
-        Y2 = [y[rep] for y in Y] + [yj]
-        for i in range(0, len(rep), _FRONTIER_CHUNK):
-            block = slice(i, i + _FRONTIER_CHUNK)
-            stack.append(
-                (tuple(y[block] for y in Y2), S2[block], q2[block], tuple(t[block] for t in T2))
-            )
+        for start in range(0, total, _FRONTIER_CHUNK):
+            if len(S) == 1:
+                stop = min(total, start + _FRONTIER_CHUNK)
+                rep = np.zeros(stop - start, dtype=np.intp)
+                yj = hy[j] + scale * (np.arange(start, stop, dtype=np.int64) + lo[0])
+            else:
+                rep = np.repeat(np.arange(len(S)), counts)
+                starts = np.cumsum(counts) - counts
+                yj = hy[j] + scale * (np.arange(total, dtype=np.int64) + (lo - starts)[rep])
+            q2 = Q2[rep] + yj * (A[j][j] * yj + lin[rep])
+            if leaf:
+                keep = q2 <= 2 * bound
+            else:
+                S2 = S[rep] + 0.5 * df[j] * (yj + dot[rep]) ** 2
+                keep = S2 <= bf
+            if not keep.all():
+                rep, yj, q2 = rep[keep], yj[keep], q2[keep]
+                if not leaf:
+                    S2 = S2[keep]
+            if len(rep) == 0:
+                continue
+            T2 = [t[rep] + w[j] * yj for t, w in zip(T, wy)]
+            if split > 1:
+                code = T[-1][rep] + (yj - hy[j]) // scale % split * split ** j
+                T2.append(relabel[code] if leaf else code)
+            if leaf:
+                yield q2 >> 1, T2
+            else:
+                stack.append((tuple(y[rep] for y in Y) + (yj,), S2, q2, tuple(T2)))
 
 
 def _column_gcd(a):
@@ -548,62 +605,195 @@ def _column_gcd(a):
     return V, Vinv, a[-1]
 
 
-def _fibered_cells(form: QuadraticForm, bound: int, row):
-    """The (e, t) histogram over all z with Q(z) <= bound and t = row . z,
-    walked fiber by fiber along t; None when that walk would not be shorter.
+# Costs in leaves of a direct walk (about 75 ns each), for choosing
+# between a direct and a fibered walk of a slice.  Measured on a 2-core
+# Xeon (Python 3.11, numpy 2.4) over direct walks of E8 and its kernels:
+# a walk spends about 85 us per coordinate level on set-up, planning one
+# fiber direction takes 13 us, folding 1.5 us per fiber and 0.6 us per
+# fold pair, and a kernel's first LLL and elimination about 3 us per cube
+# of its rank (1.1 ms for the rank-7 kernels of E8).
+_WALK_SETUP = 1100  # per level of each walk
+_PLAN_SETUP = 170  # per direction planned
+_FOLD_FIBER = 20
+_FOLD_PAIR = 8
+_KERNEL_SETUP = 40  # per cube of the rank, once per kernel form
 
-    In the reduced basis, V from _column_gcd splits y = V (x, s) with
-    t = g s and x the coordinates of the row's kernel.  Completing the
-    square on the Gram matrix [[K, b], [b', c0]] of that split gives
-    Q(z) = Q_K(x + s c) + s^2 g^2/(2G) with K c = b and G = row A^-1 row',
-    so with D the common denominator of c, u = D x + s D c runs over the
-    coset s D c + D Z^(f-1) and Q(z) = Q_K(u)/D^2 + t^2/(2G): a fiber
-    depends on s mod D only, and s and -s give mirrored cosets.  Every
-    residue 0 <= r <= D/2 is walked once, on the kernel form at scale D,
-    to the bound of its smallest fiber |s| = r, and folded into each fiber
-    s = +-r mod D in exact integers.  That is the direct walk's histogram
-    exactly, met in fewer vectors when the D residues are fewer than the
-    2 s_max + 1 fibers; otherwise, and for a zero row, this returns None.
+
+class _Fibration:
+    """The split of a form's reduced basis along a nonzero weight row a (in
+    reduced coordinates); one per row, kept on the form as dual() is.
+
+    V from _column_gcd splits y = V (x, s) with a . y = g s and x the
+    coordinates of a's kernel.  Completing the square on the Gram matrix
+    [[K, b], [b', c0]] of that split gives
+    Q(y) = Q_K(x + s c) + s^2 g^2/(2G) with K c = b and G = a gram^-1 a',
+    so with D the common denominator of c, u = D x + s D c gives
+    Q(y) = Q_K(u)/D^2 + s^2 sn/sd, sn/sd = g^2/(2G).  c, G and det K are
+    read off the reduced inverse; the kernel form K is built on first use.
     """
+
+    __slots__ = ("V", "Vinv", "g", "D", "Dc", "sn", "sd", "kdet", "_gram", "_kernel")
+
+    def __init__(self, form: QuadraticForm, a):
+        self._gram, _, _, _, adj = form._reduced()
+        self.V, self.Vinv, self.g = _column_gcd(a)
+        # the split Gram matrix has inverse V^-1 gram^-1 V^-T, and a V = g e_f,
+        # so its last column is V^-1 gram^-1 a' / g, here times det A: c is
+        # minus its head over its tail
+        p = [sum(x * y for x, y in zip(row, a)) for row in adj]
+        q = [sum(x * y for x, y in zip(row, p)) for row in self.Vinv]
+        c = [Fraction(-x, q[-1]) for x in q[:-1]]
+        self.D = lcm(1, *(x.denominator for x in c))
+        self.Dc = tuple(int(self.D * x) for x in c)
+        half = Fraction(self.g * form.det, 2 * q[-1])  # g^2/(2G), since det A G = a . p = g q_f
+        self.sn, self.sd = half.numerator, half.denominator
+        # det K = det A * (last entry of the split inverse) = q_f / g, an integer
+        self.kdet = q[-1] // self.g
+        self._kernel = None
+
+    @property
+    def kernel(self) -> QuadraticForm:
+        if self._kernel is None:
+            V, f = self.V, len(self.V)
+            gv = [[sum(x * V[k][j] for k, x in enumerate(r)) for j in range(f - 1)] for r in self._gram]
+            K = [[sum(V[k][i] * gv[k][j] for k in range(f)) for j in range(f - 1)] for i in range(f - 1)]
+            self._kernel = QuadraticForm._kernel(K, self.kdet)
+        return self._kernel
+
+    def kbound(self, bound: int, s: int) -> int:
+        """The kernel bound of fiber s: the largest Q_K(u) with Q(y) <= bound."""
+        return self.D * self.D * (bound * self.sd - s * s * self.sn) // self.sd
+
+
+def _fibration(form: QuadraticForm, a) -> _Fibration:
+    """The form's kept _Fibration along a, built on first use."""
+    fib = form._fibers.get(a)
+    if fib is None:
+        fib = form._fibers[a] = _Fibration(form, a)
+    return fib
+
+
+def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, direct: float):
+    """(cost, fibration, hy, fibers, classes, mirror): the plan for walking
+    the slice y = hy + scale*Z^f of the reduced basis fiber by fiber along
+    the row a, or None when no residue class of fibers repeats (then the
+    direct walk meets no more vectors) or the classes' set-up alone costs
+    the direct walk's cost or the budget.
+
+    With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
+    s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
+    over the kernel coset D x0 + s D c + scale*D*Z^(f-1), which depends on
+    s mod scale*D only: D classes.  When 2 hy = 0 mod scale the classes of
+    s and -s are mirror images (u -> -u) and share one walk.  classes maps
+    each class key to its smallest |s|, whose kernel bound the walk takes.
+    The cost is the estimated leaves of those walks, each with its set-up
+    and the planning of its f-1 directions, the kernel's reduction when it
+    has none yet, and the fold: _FOLD_FIBER per fiber and _FOLD_PAIR per
+    fold pair (a kernel norm on one fiber), of which there are at most
+    bound/scale + 1 per fiber, one per norm (Q(h0 + scale*u) = Q(h0) mod
+    scale), and about est, the slice's estimated points, in all.
+    """
+    fib = _fibration(form, a)
+    D, r = fib.D, form.rank - 1
+    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy)) % scale
+    s_max = math.isqrt(bound * fib.sd // fib.sn)
+    fibers = range(s0 - (s_max + s0) // scale * scale, s_max + 1, scale)
+    # at least (D + 1)/2 classes are walked, at least their set-up each
+    least = (D + 1) // 2
+    if least >= len(fibers) or least * (_WALK_SETUP + _PLAN_SETUP) * r >= min(direct, ENUMERATION_BUDGET):
+        return None
+    mod = scale * D
+    mirror = all(2 * x % scale == 0 for x in hy)
+    classes: dict = {}
+    # the smallest |s| of every class lies within D fibers of s0
+    at = fibers.index(s0)
+    for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
+        classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
+    cost = _FOLD_FIBER * len(fibers) + _FOLD_PAIR * min(len(fibers) * (bound // scale + 1), est)
+    cost += (_WALK_SETUP + _PLAN_SETUP) * r * len(classes)
+    if fib._kernel is None or fib._kernel._lll is None:
+        cost += _KERNEL_SETUP * r ** 3
+    for s in classes.values():
+        cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
+    return cost, fib, hy, fibers, classes, mirror
+
+
+def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
+    """Every fibered plan of the slice h0 + scale*Z^f: along its one weight
+    row, or along each coordinate y_j of the reduced basis when it has
+    none.  Two rows, a zero row and rank 1 have none."""
     f = form.rank
-    gram, _, U, uinv, _ = form._reduced()
-    V, Vinv, g = _column_gcd([sum(row[i] * U[i][j] for i in range(f)) for j in range(f)])
-    if g == 0:
-        return None
-    # the split Gram matrix has inverse (U V)^-1 A^-1 (U V)^-T, and row U V = g e_f,
-    # so its last column is (U V)^-1 A^-1 row' / g: c is minus its head over its tail
-    p = [sum(x * r for x, r in zip(inv, row)) for inv in form.inverse_gram]
-    up = [sum(x * y for x, y in zip(urow, p)) for urow in uinv]
-    q = [sum(x * y for x, y in zip(vrow, up)) for vrow in Vinv]
-    c = [-x / q[-1] for x in q[:-1]]
-    D = lcm(1, *(x.denominator for x in c))
-    half = Fraction(g, 2 * q[-1])  # g^2/(2G), since G = row . p = g q_f
-    sn, sd = half.numerator, half.denominator
-    s_max = math.isqrt(bound * sd // sn)
-    if D >= 2 * s_max + 1:
-        return None
-    gv = [[sum(x * V[k][j] for k, x in enumerate(r)) for j in range(f - 1)] for r in gram]
-    K = [[sum(V[k][i] * gv[k][j] for k in range(f)) for j in range(f - 1)] for i in range(f - 1)]
-    # det K = det A * (last entry of the split inverse) = det A * q_f / g, an integer
-    kernel = QuadraticForm._kernel(K, int(form.det * q[-1] / g))
-    Dc = [int(D * x) for x in c]
-    # residue r = s mod D is walked at its smallest fiber |s| = r <= s_max;
-    # r = 0 walks first, at the largest bound, so a refusal comes before any walk
-    walks = [(r, D * D * (bound * sd - r * r * sn) // sd) for r in range(D // 2 + 1)]
-    fibers = []
-    for r, kbound in walks:
-        norms: dict = {}
-        for m, ts in _leaf_chunks(kernel, kbound, D, [r * x % D for x in Dc], ()):
-            _accumulate_cells(norms, m, ts)
-        fibers.append(norms)
-    cells = {}
-    for s in range(-s_max, s_max + 1):
-        for (m,), count in fibers[min(s % D, -s % D)].items():
-            e, rem = divmod(m * sd + s * s * sn * D * D, D * D * sd)
+    if len(weights) > 1 or f < 2 or (weights and not any(weights[0])):
+        return []
+    _, _, U, uinv, _ = form._reduced()
+    hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
+    if weights:
+        rows = [tuple(sum(weights[0][i] * U[i][j] for i in range(f)) for j in range(f))]
+    else:
+        rows = [(0,) * j + (1,) + (0,) * (f - 1 - j) for j in range(f)]
+    plans = (_fiber_plan(form, a, bound, scale, hy, est, direct) for a in rows)
+    return [p for p in plans if p is not None]
+
+
+def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
+    """The slice's histogram by the fibered plan: one kernel walk per
+    class, through _slice_cells, folded into every fiber of the class in
+    exact integers after cutting it at that fiber's own bound."""
+    _, fib, hy, fibers, classes, mirror = plan
+    D, sn, sd = fib.D, fib.sn, fib.sd
+    mod = scale * D
+    x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
+    kept = {}
+    for key, s in classes.items():
+        h = [(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)]
+        norms = sorted((m, n) for (m,), n in _slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, ()).items())
+        kept[key] = ([m for m, _ in norms], [n for _, n in norms])
+    cells: dict = {}
+    for s in fibers:
+        ms, ns = kept[min(s % mod, -s % mod) if mirror else s % mod]
+        base = s * s * sn * D * D
+        for m, n in zip(ms[:bisect_right(ms, fib.kbound(bound, s))], ns):
+            e, rem = divmod(m * sd + base, D * D * sd)
             if rem:
                 raise ArithmeticError(f"Q_K = {m} on fiber s = {s} gives a non-integral norm")
-            if e <= bound:
-                cells[(e, g * s)] = count
+            key = (e, fib.g * s) if weights else (e,)
+            cells[key] = cells.get(key, 0) + n
+    return cells
+
+
+def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
+    """The histogram of z = h0 + scale*u with Q(z) <= bound, keys (e, t...)
+    with t = weight . z: the one entry of every lattice slice.
+
+    A slice with at most one weight row may be walked fiber by fiber along
+    that row, or, with none, along a coordinate of the reduced basis
+    (_fiber_plans): Q splits as s^2 g^2/(2G) plus the norm of a kernel
+    coset that depends on the fiber s only through a residue, the theta
+    decomposition of Jacobi forms (Eichler-Zagier, 1985, Thm 5.1).  Each
+    kernel coset is a plain slice of the kernel form and comes back
+    through this entry, so kernels are fibered in turn wherever that is
+    cheaper, down to a direct walk.  Folded exactly, the fibers give the
+    direct walk's histogram, and every leaf, fold pair and cell of a plan
+    is a distinct vector of the slice.  The plan of lowest estimated cost
+    wins unless the direct walk, at its estimated points plus _WALK_SETUP
+    per level, costs no more.  A kernel's plan never costs more than the
+    direct walk the enclosing slice counted for it, so the chosen plan's
+    cost bounds the whole recursion, and it is refused before any walk when it passes
+    ENUMERATION_BUDGET (EnumerationBudgetError); a direct walk keeps the
+    refusals of _leaf_chunks.
+    """
+    est = _ellipsoid_points(form.rank, form.det, bound, scale)
+    direct = est + _WALK_SETUP * form.rank
+    best = min(_fiber_plans(form, bound, scale, h0, weights, est, direct), key=lambda p: p[0], default=None)
+    if best is not None and best[0] < direct:
+        if best[0] > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"estimated cost {best[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
+            )
+        return _fibered_cells(form, bound, scale, weights, best)
+    cells: dict = {}
+    for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
+        _accumulate_cells(cells, e, ts)
     return cells
 
 
@@ -616,13 +806,15 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     weights; a kept histogram of the slice with at least this bound serves
     the call when it has the same weights or none are asked for.
 
-    The whole lattice (scale 1) under one weight row is walked fiber by
-    fiber along t (_fibered_cells: one walk of the row's kernel per
-    residue of t, the theta decomposition of a Jacobi-like series) when
-    that meets fewer vectors, and gives exactly the direct walk's
-    histogram; every other slice is one direct walk, unless one walk of a
-    coarser coset kept it with its whole class family (_keep_class_slices).
-    Every walk refuses before allocating: EnumerationBudgetError above
+    Every slice goes through _slice_cells: with at most one weight row it
+    is walked fiber by fiber along the row, or along the cheapest
+    coordinate when there is none, recursively through the kernels,
+    wherever the estimated cost says so, and directly otherwise; two rows
+    (a complex insertion vector) take the direct walk.  A slice that one
+    walk of a coarser coset kept with its whole class family
+    (_keep_class_slices) is served without a walk.  Either way the
+    histogram is the direct walk's exactly.  Every slice and every walk is
+    refused before allocating: EnumerationBudgetError above
     ENUMERATION_BUDGET estimated points, OverflowError when an int64
     partial could overflow.
     """
@@ -633,17 +825,15 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     width = 1 + len(weights)
     kept = form._cells.setdefault((scale, h0), {})
     for w2, (b2, cells2) in kept.items():
+        if b2 == bound and w2 == weights:
+            return dict(cells2)
         if b2 >= bound and (w2 == weights or not weights):
             out: dict = {}
             for k2, c2 in cells2.items():
                 if k2[0] <= bound:
                     out[k2[:width]] = out.get(k2[:width], 0) + c2
             return out
-    cells = _fibered_cells(form, bound, weights[0]) if scale == 1 and len(weights) == 1 else None
-    if cells is None:
-        cells = {}
-        for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
-            _accumulate_cells(cells, e, ts)
+    cells = _slice_cells(form, bound, scale, h0, weights)
     kept[weights] = (bound, cells)
     return dict(cells)
 

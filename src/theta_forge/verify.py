@@ -332,8 +332,8 @@ def check_rescale(
     _keep_class_slices(scaled, bound, scale=N, h0=h.rep, weights=weights, split=c)
     rhs = 0j
     for w in product(range(c), repeat=form.rank):
-        g = tuple(h.rep[i] + N * w[i] for i in range(form.rank))
-        gcls = CongruenceClass(scaled, g)
+        # h + N w lies in [0, cN)^f and cA (h + N w) = c A h = 0 mod cN
+        gcls = CongruenceClass._known(scaled, tuple(x + N * wi for x, wi in zip(h.rep, w)))
         rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), cz, ctol)
     return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)
 

@@ -368,6 +368,35 @@ def ldl_exact(gram):
     return L, d
 
 
+def eliminate_fraction(gram):
+    """(A^-1, (L, d)) by one Gauss-Jordan pass over Q in Fractions, columns
+    in natural order with no pivot search: the pivots are the d of
+    A = L D L', and by symmetry the normalized pivot row j holds column j
+    of L.  Raises on the first pivot <= 0.  The reference for the
+    fraction-free elimination of the package."""
+    f = len(gram)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(f)]
+        for i, row in enumerate(gram)
+    ]
+    d, cols = [], []
+    for j in range(f):
+        pv = aug[j][j]
+        if pv <= 0:
+            raise InvalidFormError(
+                "not-positive-definite",
+                f"pivot {j} of the LDL factorization is {pv}",
+            )
+        d.append(pv)
+        aug[j] = [x / pv for x in aug[j]]
+        cols.append(aug[j][:f])
+        for r in range(f):
+            fac = aug[r][j]
+            if r != j and fac:
+                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[j])]
+    return tuple(tuple(row[f:]) for row in aug), (tuple(zip(*cols)), d)
+
+
 def inverse_exact(gram):
     """A^-1 over Q by Gauss-Jordan with a search for a nonzero pivot."""
     f = len(gram)

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_forge import lattice
-from theta_forge.arith import GaussianRational
+from theta_forge.arith import GaussianRational, divisor_sigma
+from theta_forge.jacobi_like import verify_root_identity
 from theta_forge.lattice import (
     CATALOG,
     CongruenceClass,
@@ -34,6 +37,7 @@ from oracles import (
     box_enumerate,
     congruence_classes_scan,
     congruent_gram,
+    eliminate_fraction,
     float_walk_histogram,
     gauss_sum_bruteforce,
     insertion_norm_loop,
@@ -137,9 +141,10 @@ class TestValidation:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_elimination_matches_oracles(self, data):
-        # one Gauss-Jordan pass gives the LDL factors and the inverse, or
-        # refuses a matrix that is not positive-definite as the LDL does
-        f = data.draw(st.integers(1, 5))
+        # one fraction-free Gauss-Jordan pass gives the LDL factors and the
+        # inverse, the same as the pass over Q it replaced, or refuses a
+        # matrix that is not positive-definite as the LDL does
+        f = data.draw(st.integers(1, 8))
         shift = data.draw(st.sampled_from((0, 6, 20)))
         upper = {(i, j): data.draw(st.integers(-6, 6)) for i in range(f) for j in range(i, f)}
         gram = [[upper[min(i, j), max(i, j)] + shift * (i == j) for j in range(f)] for i in range(f)]
@@ -152,6 +157,8 @@ class TestValidation:
             return
         inv, (L, d) = _eliminate(gram)
         assert (inv, [list(row) for row in L], d) == (inverse_exact(gram), *ldl)
+        assert (inv, (L, d)) == eliminate_fraction(gram)
+        assert all(type(x) is Fraction for row in inv + L for x in row) and all(type(x) is Fraction for x in d)
 
 
 class TestCatalog:
@@ -497,6 +504,34 @@ class TestWalkKernel:
         got = insertion_histogram(QuadraticForm(gram), bound, scale=scale, h0=h0, weights=weights)
         assert got == float_walk_histogram(gram, bound, scale, h0, weights)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_split_before_expanding(self, data):
+        # with a frontier chunk of a few candidates every block is halved
+        # before it expands, down to single rows whose candidates expand
+        # window by window: the same histogram, and no block of more
+        f = data.draw(st.sampled_from((2, 4)))
+        gram = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        bound = data.draw(st.integers(0, 12 if f == 2 else 4))
+        scale = data.draw(st.integers(1, 2))
+        h0 = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=f, max_size=f)))
+        weights = tuple(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=f, max_size=f).map(tuple), max_size=2)))
+        chunk = data.draw(st.integers(1, 6))
+        with patch.object(lattice, "_FRONTIER_CHUNK", chunk):
+            blocks = list(lattice._leaf_chunks(QuadraticForm(gram), bound, scale, h0, weights))
+        assert all(len(e) <= chunk for e, _ in blocks)
+        cells = {}
+        for e, ts in blocks:
+            lattice._accumulate_cells(cells, e, ts)
+        assert cells == float_walk_histogram(gram, bound, scale, h0, weights)
+
+    def test_one_row_expands_window_by_window(self):
+        # diag(2, 2 10^12) to bound 10^10: one frontier row with 200,001
+        # candidates for x, expanded in windows of _FRONTIER_CHUNK
+        form = QuadraticForm([[2, 0], [0, 2 * 10 ** 12]])
+        blocks = [len(e) for e, _ in lattice._leaf_chunks(form, 10 ** 10, 1, (0, 0), ())]
+        assert sum(blocks) == 200_001 and max(blocks) <= lattice._FRONTIER_CHUNK < 200_001
+
     def test_walk_refuses_int64_overflow(self):
         # 2Q reaches 2 * 10^19 > 2^63 on this form; refused before any array
         big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
@@ -510,49 +545,89 @@ class TestWalkKernel:
         assert peak < 1 << 20
 
 
-def _direct_cells(form, bound, weights):
+def _direct_cells(form, bound, weights, scale=1, h0=None):
     """The histogram of one direct walk, bypassing the fibered dispatch."""
     cells = {}
-    for e, ts in lattice._leaf_chunks(form, bound, 1, (0,) * form.rank, weights):
+    for e, ts in lattice._leaf_chunks(form, bound, scale, h0 or (0,) * form.rank, weights):
         lattice._accumulate_cells(cells, e, ts)
     return cells
 
 
+def _plans(form, bound, weights, scale=1, h0=None):
+    """Every fibered plan of the slice, whatever the direct walk would cost."""
+    est = lattice._ellipsoid_points(form.rank, form.det, bound, scale)
+    return lattice._fiber_plans(form, bound, scale, h0 or (0,) * form.rank, weights, est, math.inf)
+
+
+def _count_leaves(monkeypatch):
+    """Spy on every walk: (rank, scale, leaves met) once it is done."""
+    walks = []
+    leaf_chunks = lattice._leaf_chunks
+
+    def counting(form, bound, scale, h0, weights, split=1):
+        met = 0
+        for e, ts in leaf_chunks(form, bound, scale, h0, weights, split):
+            met += len(e)
+            yield e, ts
+        walks.append((form.rank, scale, met))
+
+    monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+    return walks
+
+
+# cost constants that make every plan cheaper than its direct walk whenever
+# its kernel walks' estimates are, so the recursion goes as deep as it can
+_EAGER = {name: 0 for name in ("_WALK_SETUP", "_PLAN_SETUP", "_FOLD_FIBER", "_FOLD_PAIR", "_KERNEL_SETUP")}
+
+
 class TestFiberedWalk:
     def test_catalog_e8_matches_direct(self, monkeypatch):
-        # the benchmark's case: E8 at bound 20 along its first root is two
-        # rank-7 kernel walks at scale 2, for the residues of t mod 2
+        # the benchmark's case: E8 at bound 20 along its first root is
+        # fibered through kernels of rank 7, 6 and 5, and meets a small
+        # part of the direct walk's 11.5M vectors
         rows = unit_insertion_vector(_CATALOG_FORMS["E8"]).integral_weights(_CATALOG_FORMS["E8"])[1]
         direct = _direct_cells(catalog_form("E8"), 20, rows)
-        walks = []
-        leaf_chunks = lattice._leaf_chunks
-
-        def counting(form, bound, scale, h0, weights):
-            met = 0
-            for e, ts in leaf_chunks(form, bound, scale, h0, weights):
-                met += len(e)
-                yield e, ts
-            walks.append((form.rank, scale, met))
-
-        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        walks = _count_leaves(monkeypatch)
         assert insertion_histogram(catalog_form("E8"), 20, weights=rows) == direct
         assert sum(direct.values()) == 11_513_521
-        assert walks == [(7, 2, 1_480_685), (7, 2, 1_421_592)]
+        assert len(walks) > 2 and all(rank < 8 for rank, _, _ in walks)
+        assert sum(met for _, _, met in walks) < 300_000
+
+    def test_e8_theta_through_q40(self, monkeypatch):
+        # 1 + 240 sigma_3(n) exactly: 1.66e8 vectors, past the budget for a
+        # direct walk, met in well under a million leaves
+        walks = _count_leaves(monkeypatch)
+        cells = insertion_histogram(catalog_form("E8"), 40)
+        assert cells == {(n,): 240 * divisor_sigma(3, n) if n else 1 for n in range(41)}
+        assert sum(met for _, _, met in walks) < 1_000_000
+
+    def test_root_identity_at_q41(self, monkeypatch):
+        # fibering E8 once along the root meets 31.7M leaves here
+        walks = _count_leaves(monkeypatch)
+        passed, _ = verify_root_identity(catalog_form("E8"), 41)
+        assert passed
+        assert sum(met for _, _, met in walks) < 1_000_000
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_float_walk(self, data):
-        # random even forms of rank 2, 4 and 8 in skewed bases, the whole
-        # lattice under one weight row: random, or the Gram product of a
-        # short vector of the unskewed basis as an insertion vector gives
-        # it, then scaled by 0 to 3 for zero and non-primitive rows
+        # random even forms of rank 2, 4 and 8 in skewed bases, on random
+        # cosets h0 + scale Z^f, scale 1 to 5, with no row or one row:
+        # random, or the Gram product of a short vector of the unskewed
+        # basis as an insertion vector gives it, then scaled by 0 to 3 for
+        # zero and non-primitive rows.  The dispatch and every plan, forced,
+        # give the direct walk's histogram; with the cost constants at zero
+        # the kernels are fibered as deep as their estimates allow.
         f = data.draw(st.sampled_from((2, 4, 8)))
         base = data.draw(st.sampled_from(_EVEN_BASES[f]))
         u, uinv = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100) if f == 8 else (0, 100, 10 ** 4))))
         gram = congruent_gram(base, u)
-        top = {2: 30, 4: 8, 8: 4}[f]
+        scale = data.draw(st.integers(1, 5))
+        top = {2: 30, 4: 8, 8: 4}[f] * scale * scale
         bound = top - data.draw(st.integers(0, top))  # fibers repeat more at large bounds
-        if data.draw(st.sampled_from(("short", "short", "random"))) == "short":
+        h0 = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=f, max_size=f)))
+        kind = data.draw(st.sampled_from(("none", "short", "short", "random")))
+        if kind == "short":
             i, j = data.draw(st.tuples(st.integers(0, f - 1), st.integers(0, f - 1)))
             sign = data.draw(st.sampled_from((0, 1, -1)))
             short = [int(k == i) + sign * (k == j) for k in range(f)]
@@ -560,8 +635,13 @@ class TestFiberedWalk:
         else:
             row = data.draw(st.lists(st.integers(-3, 3), min_size=f, max_size=f))
         row = tuple(data.draw(st.sampled_from((1, 1, 1, 2, 3, 0))) * x for x in row)
-        got = insertion_histogram(QuadraticForm(gram), bound, weights=(row,))
-        assert got == float_walk_histogram(gram, bound, 1, None, (row,))
+        weights = () if kind == "none" else (row,)
+        expect = float_walk_histogram(gram, bound, scale, h0, weights)
+        with patch.multiple(lattice, **_EAGER) if data.draw(st.booleans()) else nullcontext():
+            form = QuadraticForm(gram)
+            assert insertion_histogram(form, bound, scale=scale, h0=h0, weights=weights) == expect
+            for plan in _plans(form, bound, weights, scale, h0):
+                assert lattice._fibered_cells(form, bound, scale, weights, plan) == expect
 
     @pytest.mark.parametrize(
         "gram, bound, row, fibered",
@@ -575,13 +655,39 @@ class TestFiberedWalk:
         ],
     )
     def test_dispatch(self, gram, bound, row, fibered):
+        # whether fibering along the row can repeat a kernel walk at all;
+        # each plan, forced, and the dispatch give the direct walk's cells
         form = QuadraticForm(gram)
-        cells = lattice._fibered_cells(form, bound, row)
-        assert (cells is not None) == fibered
+        plans = _plans(form, bound, (row,))
+        assert bool(plans) == fibered
         direct = _direct_cells(form, bound, (row,))
         assert insertion_histogram(form, bound, weights=(row,)) == direct
-        if fibered:
-            assert cells == direct
+        for plan in plans:
+            assert lattice._fibered_cells(form, bound, 1, (row,), plan) == direct
+
+    @pytest.mark.parametrize(
+        "name, bound, rowed, fibered",
+        [
+            ("E8", 3, True, False),  # a kernel's first LLL and elimination cost more than it saves
+            ("E8", 8, True, True),
+            ("E8", 5, False, True),  # no row: along a coordinate of the reduced basis
+            ("A2", 6, False, False),  # each kernel walk costs more set-up than the whole walk
+        ],
+    )
+    def test_dispatch_by_cost(self, monkeypatch, name, bound, rowed, fibered):
+        # the dispatch goes by estimated cost, set-up included, on fresh forms
+        form = catalog_form(name)
+        weights = unit_insertion_vector(form).integral_weights(form)[1] if rowed else ()
+        plans = []
+        fibered_cells = lattice._fibered_cells
+
+        def spy(*args):
+            plans.append(args[-1])
+            return fibered_cells(*args)
+
+        monkeypatch.setattr(lattice, "_fibered_cells", spy)
+        assert insertion_histogram(form, bound, weights=weights) == _direct_cells(catalog_form(name), bound, weights)
+        assert bool(plans) == fibered
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8))
@@ -594,24 +700,25 @@ class TestFiberedWalk:
         assert [[sum(V[i][k] * Vinv[k][j] for k in range(f)) for j in range(f)] for i in range(f)] == identity
 
     @pytest.mark.parametrize("name", ["A2", "D4", "E8"])
-    def test_kernel_determinant(self, monkeypatch, name):
-        # the kernel's determinant comes from the split inverse, not an
-        # elimination of its own; it must be the exact one
-        made = []
-        kernel = QuadraticForm._kernel
-
-        def spy(gram, det):
-            made.append((gram, det))
-            return kernel(gram, det)
-
-        monkeypatch.setattr(QuadraticForm, "_kernel", spy)
+    def test_kernel_determinant(self, name):
+        # a kernel's determinant is read off the reduced inverse, not from
+        # an elimination of its own; it must be the exact one, along a root
+        # row, twice it and every coordinate of the reduced basis, and one
+        # level down along each kernel's first coordinate
         skew = QuadraticForm(skewed_basis(CATALOG[name], 100)[0])
+        _, _, U, _, _ = skew._reduced()
+        f = skew.rank
         root_row = skew._gram_times(first_root(skew))
-        for row in (root_row, tuple(2 * x for x in root_row)):
-            assert lattice._fibered_cells(skew, 6, row) is not None
-        assert len(made) == 2
-        for gram, det in made:
-            assert det == math.prod(_eliminate(gram)[1][1])
+        rows = [tuple(sum(k * r[i] * U[i][j] for i in range(f)) for j in range(f)) for r in (root_row,) for k in (1, 2)]
+        rows += [tuple(int(i == j) for i in range(f)) for j in range(f)]
+        for a in rows:
+            fib = lattice._fibration(skew, a)
+            kernel = fib.kernel
+            assert kernel.det == math.prod(_eliminate(kernel.gram)[1][1])
+            if kernel.rank > 1:
+                sub = lattice._fibration(kernel, (1,) + (0,) * (kernel.rank - 1)).kernel
+                assert sub.det == math.prod(_eliminate(sub.gram)[1][1])
+        assert lattice._fibration(skew, rows[0]) is lattice._fibration(skew, rows[0])  # kept on the form
 
     def test_kernel_form_of_odd_rank(self):
         # the private path walks an odd-rank kernel; the public one refuses it
@@ -640,10 +747,12 @@ class TestFiberedWalk:
         return ranks
 
     def test_kernel_walk_refuses_over_budget(self, monkeypatch):
+        # E8 at 10^7, plain and along a root: the cheapest plan is refused
+        # on its estimate before any walk starts
         e8 = catalog_form("E8")
         rows = unit_insertion_vector(e8).integral_weights(e8)[1]
-        ranks = self._refusing_ranks(monkeypatch, e8, 10 ** 7, rows, EnumerationBudgetError)
-        assert ranks == [7]  # refused by the first kernel walk, before any walk
+        for weights in ((), rows):
+            assert self._refusing_ranks(monkeypatch, catalog_form("E8"), 10 ** 7, weights, EnumerationBudgetError) == []
 
     def test_kernel_walk_refuses_int64_overflow(self, monkeypatch):
         big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
@@ -721,6 +830,24 @@ class TestClassSlices:
         h = form.congruence_classes()[-1].rep
         vector = (1,) + (0,) * (form.rank - 2) + (1j,)
         assert _check_class_slices(form, c, h, vector, 2) > 0
+
+    def test_family_walk_memory(self):
+        # the laws-e8 family walk (2 E8 along a root, k = 2, c = 2, to bound
+        # 20: the 794,161 vectors of E8 with Q <= 10) peaks near 30 MB with
+        # blocks bounded by their candidates, and at 66 MB with leaf blocks
+        # bounded only by the rows they grew from
+        e8 = _CATALOG_FORMS["E8"]
+        scaled = QuadraticForm([[2 * x for x in row] for row in e8.gram])
+        weights = unit_insertion_vector(e8).integral_weights(scaled)[1]
+        scaled._reduced()
+        tracemalloc.start()
+        try:
+            lattice._keep_class_slices(scaled, 20, scale=1, h0=(0,) * 8, weights=weights, split=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+        assert sum(sum(cells.values()) for (_, cells) in (k[weights] for k in scaled._cells.values())) == 794_161
 
     def test_code_column_refuses_int64_overflow(self):
         # 3^40 slice codes could pass 2^62: refused before the walk

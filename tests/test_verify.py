@@ -259,11 +259,12 @@ class TestTranslationRescale:
             ("2A2", None, 0, 3),
             ("D4", None, 2, 2),
             ("D4", (1, 0, 1j, 0), 4, 3),
-            ("E8", None, 0, 2),  # k = 0: E8's plain left side is one walk, not fibered
+            ("E8", None, 0, 2),
         ],
     )
     def test_two_walks_per_rescale_check(self, monkeypatch, name, vector, k, c):
-        # one walk for the left side and one for the whole class family;
+        # the left side's walks (one, or the kernel walks of a fibered
+        # left side) and then exactly one walk for the whole class family;
         # every class theta is then read from the family's histograms
         form = catalog_form(name)
         if vector is None:
@@ -284,7 +285,8 @@ class TestTranslationRescale:
         res = check_rescale(form, h, v, k, c, 0.15 + 1.1j, 1e-8)
         assert res.passed, res.residual
         N = form.level
-        assert walks == [(form.rank, N, 1), (form.rank, N, c)]
+        assert walks[-1] == (form.rank, N, c)
+        assert all(split == 1 for _, _, split in walks[:-1]) and walks[:-1]
 
     def test_rescale_refuses_oversized_family_before_allocating(self):
         # 10^8 classes of 10 E8: refused up front, where the per-class sum
