@@ -20,15 +20,16 @@ kernel walk per residue class, folded into each fiber of the class,
 gives exactly the direct walk's histogram.  Every kernel coset comes
 back through the same entry and is fibered in turn while the estimated
 cost says so.  A family of class slices g + scale*c*Z^f,
-g = h0 + scale*w for w in [0, c)^f, is walked once as the coarse coset
-h0 + scale*Z^f: the walk codes every vector by its slice, and each
-slice's histogram is kept under the key its own call looks up (the
-rescale law's c^f class thetas of cA).  Every walk,
-histogram, family, fiber or vector query, enters one walker that
-refuses it before allocating: EnumerationBudgetError above
-ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
-slice code could leave int64; a fibered plan is refused before any walk
-when its estimated cost passes ENUMERATION_BUDGET.
+g = h0 + scale*w for w in [0, c)^f, is one slice of the coarse coset
+h0 + scale*Z^f through the same entry: every vector is coded by its
+fine slice, the kernel walks carry a code of their own, affine in the
+caller's on each fiber, and each slice's histogram is kept under the key
+its own call looks up (the rescale law's c^f class thetas of cA).
+Every walk, histogram, family, fiber or vector query, enters one walker
+that refuses it before allocating: EnumerationBudgetError above
+ENUMERATION_BUDGET estimated points, OverflowError when a partial, a
+fold or a slice code could leave int64; a fibered plan is refused before
+any walk when its estimated cost passes ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, chain, product
 from math import lcm, pi
 
 import numpy as np
@@ -456,6 +458,13 @@ def _ellipsoid_points(rank: int, det, bound: int, scale: int) -> float:
     return vol / (math.sqrt(det) * scale ** rank)
 
 
+def _code_origin(U, hy, h0, scale: int, split: int):
+    """k0 = (U hy - h0)/scale mod split: the caller's u = (z - h0)/scale of
+    the walk's y = hy + scale*m is u = k0 + U m, so a vector's fine slice
+    is w = k0 + U m mod split."""
+    return [(sum(a * y for a, y in zip(row, hy)) - x) // scale % split for row, x in zip(U, h0)]
+
+
 def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
     """Yield (e, T) blocks over the vectors z = h0 + scale*u with Q(z) = e <= bound.
 
@@ -479,12 +488,16 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     h0 + scale*w + scale*split*Z^f of each vector by the code
     sum_i w_i split^i, w in [0, split)^f.  The walk packs the residues mod
     split of its own coordinates m = (y - hy)/scale level by level; as
-    u = k0 + U m with k0 = (U hy - h0)/scale, one table over the split^f
-    codes turns them into the caller's w = k0 + U m mod split at the leaf.
+    u = k0 + U m (_code_origin), one table over the split^f codes turns
+    them into the caller's w = k0 + U m mod split at the leaf.
 
     Every walk is guarded before it reduces or allocates:
     EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
-    OverflowError when a partial or the code could pass 2^62.
+    OverflowError when a partial could pass 2^62 (the code's own guard is
+    _slice_cells').  Each coordinate of a vector with Q <= bound has
+    |y_j| <= R_j = isqrt(2 bound gram^-1_jj), so every candidate range is
+    clipped to that exact radius and the guards bound the partials over
+    the box of those radii.
     """
     f = form.rank
     est = _ellipsoid_points(f, form.det, bound, scale)
@@ -492,23 +505,20 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
         raise EnumerationBudgetError(
             f"estimated {est:.2e} lattice points exceeds budget {ENUMERATION_BUDGET:.2e}"
         )
-    if split ** f > 2 ** 62:
-        raise OverflowError(f"{split}^{f} slice codes could pass 2^62 in int64")
     A, (Lf, df), U, uinv, adj = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
     wy = [[sum(w[i] * U[i][j] for i in range(f)) for j in range(f)] for w in weights]
-    # a candidate y_j lies in the projection of the inflated ellipsoid,
-    # |y_j| <= sqrt(2 bf gram^-1_jj): 4(bound + 1) covers the margin and
-    # the + 1 the rounding of each candidate range
-    radii = [math.isqrt(-(-4 * (bound + 1) * adj[j][j] // form.det)) + 1 for j in range(f)]
+    radii = [math.isqrt(max(0, 2 * bound * adj[j][j] // form.det)) for j in range(f)]
     partial = sum(abs(a) * ri * rk for row, ri in zip(A, radii) for a, rk in zip(row, radii))
     sums = [sum(abs(x) * r for x, r in zip(w, radii)) for w in wy]
     if max([4 * partial] + sums) > 2 ** 62:
         raise OverflowError(
             f"lattice walk to bound {bound} could pass 2^62 in int64 partials"
         )
+    # the steps k of y_j = hy_j + scale k within the radius
+    steps = [(-((r + h) // scale), (r - h) // scale) for r, h in zip(radii, hy)]
     if split > 1:
-        k0 = [(sum(a * y for a, y in zip(row, hy)) - x) // scale % split for row, x in zip(U, h0)]
+        k0 = _code_origin(U, hy, h0, scale, split)
         powers = split ** np.arange(f, dtype=np.int64)
         digits = np.arange(split ** f, dtype=np.int64)[:, None] // powers % split
         Us = np.array([[x % split for x in row] for row in U], dtype=np.int64)
@@ -533,8 +543,8 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
             if A[i][j]:
                 lin += 2 * A[i][j] * y
         rad = np.sqrt(np.maximum(0.0, 2.0 * (bf - S) / df[j]))
-        lo = np.ceil((-dot - rad - hy[j]) / scale - 1e-9).astype(np.int64)
-        hi = np.floor((-dot + rad - hy[j]) / scale + 1e-9).astype(np.int64)
+        lo = np.maximum(np.ceil((-dot - rad - hy[j]) / scale - 1e-9).astype(np.int64), steps[j][0])
+        hi = np.minimum(np.floor((-dot + rad - hy[j]) / scale + 1e-9).astype(np.int64), steps[j][1])
         counts = np.maximum(0, hi - lo + 1)
         total = int(counts.sum())
         if total == 0:
@@ -609,13 +619,17 @@ def _column_gcd(a):
 # between a direct and a fibered walk of a slice.  Measured on a 2-core
 # Xeon (Python 3.11, numpy 2.4) over direct walks of E8 and its kernels:
 # a walk spends about 85 us per coordinate level on set-up, planning one
-# fiber direction takes 13 us, folding 1.5 us per fiber and 0.6 us per
-# fold pair, and a kernel's first LLL and elimination about 3 us per cube
-# of its rank (1.1 ms for the rank-7 kernels of E8).
+# fiber direction takes 13 us, and a kernel's first LLL and elimination
+# about 3 us per cube of its rank (1.1 ms for the rank-7 kernels of E8).
+# The numpy fold costs 1.5 us per fiber and 0.07-0.15 us per fold pair
+# before the histogram's own cells are built (which a direct walk builds
+# too): one or two leaves, or one leaf of a class family's walk, whose
+# code column makes each of its leaves cost 160-180 ns.  Its fixed
+# 50-150 us of numpy calls is left to the classes' walk set-up.
 _WALK_SETUP = 1100  # per level of each walk
 _PLAN_SETUP = 170  # per direction planned
 _FOLD_FIBER = 20
-_FOLD_PAIR = 8
+_FOLD_PAIR = 1
 _KERNEL_SETUP = 40  # per cube of the rank, once per kernel form
 
 
@@ -632,7 +646,7 @@ class _Fibration:
     read off the reduced inverse; the kernel form K is built on first use.
     """
 
-    __slots__ = ("V", "Vinv", "g", "D", "Dc", "sn", "sd", "kdet", "_gram", "_kernel")
+    __slots__ = ("V", "Vinv", "g", "D", "Dc", "sn", "sd", "kdet", "_gram", "_kernel", "_codes")
 
     def __init__(self, form: QuadraticForm, a):
         self._gram, _, _, _, adj = form._reduced()
@@ -650,6 +664,8 @@ class _Fibration:
         # det K = det A * (last entry of the split inverse) = q_f / g, an integer
         self.kdet = q[-1] // self.g
         self._kernel = None
+        # split -> the code columns of _fiber_tables, built on first use
+        self._codes = {}
 
     @property
     def kernel(self) -> QuadraticForm:
@@ -673,12 +689,14 @@ def _fibration(form: QuadraticForm, a) -> _Fibration:
     return fib
 
 
-def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, direct: float):
-    """(cost, fibration, hy, fibers, classes, mirror): the plan for walking
-    the slice y = hy + scale*Z^f of the reduced basis fiber by fiber along
-    the row a, or None when no residue class of fibers repeats (then the
-    direct walk meets no more vectors) or the classes' set-up alone costs
-    the direct walk's cost or the budget.
+def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, direct: float, step: int, code):
+    """(cost, fibration, hy, fibers, classes, mirror, code): the plan for
+    walking the slice y = hy + scale*Z^f of the reduced basis fiber by
+    fiber along the row a, or None when no residue class of fibers repeats
+    (then the direct walk meets no more vectors) or the classes' set-up
+    alone costs the direct walk's cost or the budget.  code = (split, k0)
+    (_code_origin) names the fine slices the caller bins by, (1, None) for
+    none.
 
     With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
     s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
@@ -689,9 +707,11 @@ def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, 
     The cost is the estimated leaves of those walks, each with its set-up
     and the planning of its f-1 directions, the kernel's reduction when it
     has none yet, and the fold: _FOLD_FIBER per fiber and _FOLD_PAIR per
-    fold pair (a kernel norm on one fiber), of which there are at most
-    bound/scale + 1 per fiber, one per norm (Q(h0 + scale*u) = Q(h0) mod
-    scale), and about est, the slice's estimated points, in all.
+    fold pair (a kernel norm and code on one fiber), of which there are at
+    most split^(f-1) per norm of the fiber, the norms e in
+    [s^2 sn/sd, bound] that are Q(h0) mod step (_norm_step), and about
+    est, the slice's estimated points, in all; with split > 1, _FOLD_PAIR
+    per entry of each fiber's table of split^(f-1) codes as well.
     """
     fib = _fibration(form, a)
     D, r = fib.D, form.rank - 1
@@ -709,61 +729,157 @@ def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, 
     at = fibers.index(s0)
     for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
         classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
-    cost = _FOLD_FIBER * len(fibers) + _FOLD_PAIR * min(len(fibers) * (bound // scale + 1), est)
+    codes = code[0] ** r
+    # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
+    # sum of the squares of the progression
+    F, s1 = len(fibers), fibers[0]
+    squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
+    norms = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * step)
+    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms * codes, est)
+    if code[0] > 1:
+        cost += _FOLD_PAIR * F * codes
     cost += (_WALK_SETUP + _PLAN_SETUP) * r * len(classes)
     if fib._kernel is None or fib._kernel._lll is None:
         cost += _KERNEL_SETUP * r ** 3
     for s in classes.values():
         cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
-    return cost, fib, hy, fibers, classes, mirror
+    return cost, fib, hy, fibers, classes, mirror, code
 
 
-def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
-    """Every fibered plan of the slice h0 + scale*Z^f: along its one weight
-    row, or along each coordinate y_j of the reduced basis when it has
-    none.  Two rows, a zero row and rank 1 have none."""
+def _norm_step(gram, scale: int, hy) -> int:
+    """The step of the norms of the slice z = hy + scale*Z^f: every Q(z) is
+    Q(hy) mod it.
+
+    Q(hy + scale*u) = Q(hy) + scale <hy, u> + scale^2 Q(u), where <hy, u>
+    runs over multiples of gcd(gram hy) and Q(u) over multiples of the
+    norm of the lattice, n = gcd(gram_ii/2, gram_ij); so the step is
+    gcd(scale gcd(gram hy), scale^2 n), a multiple of scale.
+    """
+    # gcd(gram_ii, gram_ii/2) = gram_ii/2, so the whole matrix may enter
+    n = math.gcd(*chain.from_iterable(gram), *(row[i] // 2 for i, row in enumerate(gram)))
+    lin = math.gcd(*(sum(a * y for a, y in zip(row, hy)) for row in gram)) if any(hy) else 0
+    return math.gcd(scale * lin, scale * scale * n)
+
+
+def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float, split: int = 1):
+    """Every fibered plan of the slice h0 + scale*Z^f, binned by its fine
+    slices mod scale*split: along its one weight row, or along each
+    coordinate y_j of the reduced basis when it has none.  Two rows, a
+    zero row and rank 1 have none."""
     f = form.rank
     if len(weights) > 1 or f < 2 or (weights and not any(weights[0])):
         return []
-    _, _, U, uinv, _ = form._reduced()
+    gram, _, U, uinv, _ = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
+    step = _norm_step(gram, scale, hy)
+    code = (split, _code_origin(U, hy, h0, scale, split) if split > 1 else None)
     if weights:
         rows = [tuple(sum(weights[0][i] * U[i][j] for i in range(f)) for j in range(f))]
     else:
         rows = [(0,) * j + (1,) + (0,) * (f - 1 - j) for j in range(f)]
-    plans = (_fiber_plan(form, a, bound, scale, hy, est, direct) for a in rows)
+    plans = (_fiber_plan(form, a, bound, scale, hy, est, direct, step, code) for a in rows)
     return [p for p in plans if p is not None]
+
+
+def _fiber_tables(form: QuadraticForm, fib: _Fibration, hy, scale: int, code, fibers, deltas, signs):
+    """The code tables of the fibers: row i maps a kernel code kappa of its
+    class walk to the caller's fine-slice code of the matching vector of
+    fiber fibers[i].
+
+    In the reduced basis y = hy + scale*m and the caller's code is
+    w = k0 + U m mod split.  With x = x0 + scale*p and s = s0 + scale*q
+    ((x0, s0) = V^-1 hy, s0 not reduced), m = V (p, q).  A vector
+    u = h + scale*D*k of the class walk (h its coset, kappa = k mod split)
+    is sign*u on a fiber of the class, so p = sign*k + delta with
+    delta = (sign*h - D x0 - s D c)/(scale*D) exact (deltas, mod split).
+    Hence w = k0 + W (delta, q) + sign*W_K kappa with W = U V and W_K its
+    first f-1 columns, all mod split.
+    """
+    split, k0 = code
+    f, r = form.rank, form.rank - 1
+    if split not in fib._codes:
+        U, V = form._reduced()[2], fib.V
+        W = np.array([[sum(U[i][k] * V[k][j] for k in range(f)) % split for j in range(f)] for i in range(f)], dtype=np.int64)
+        digits = np.arange(split ** r, dtype=np.int64)[:, None] // split ** np.arange(r, dtype=np.int64) % split
+        fib._codes[split] = (W, digits @ W[:, :r].T, split ** np.arange(f, dtype=np.int64))
+    W, WK, powers = fib._codes[split]
+    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy))
+    q = np.array([(s - s0) // scale % split for s in fibers], dtype=np.int64)
+    bases = (np.array(k0, dtype=np.int64) + deltas @ W[:, :r].T + q[:, None] * W[:, r]) % split
+    return ((bases[:, None, :] + signs[:, None, None] * WK) % split) @ powers
 
 
 def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
     """The slice's histogram by the fibered plan: one kernel walk per
-    class, through _slice_cells, folded into every fiber of the class in
-    exact integers after cutting it at that fiber's own bound."""
-    _, fib, hy, fibers, classes, mirror = plan
-    D, sn, sd = fib.D, fib.sn, fib.sd
-    mod = scale * D
+    class, through _slice_cells with the plan's split, folded into every
+    fiber of the class in exact integers.
+
+    The fold runs in numpy over every (fiber, kernel cell) pair at once:
+    each fiber cuts its class's cells (m, kappa, n), sorted by m, at its
+    own kernel bound, e = (m sd + s^2 sn D^2)/(D^2 sd) must divide exactly
+    (ArithmeticError otherwise), kappa goes through the fiber's code table
+    (_fiber_tables), and one _accumulate_cells counts each pair n times.
+    Before the fold, OverflowError when e D^2 sd, t = g s or a fiber's
+    offset sign*h - D x0 - s D c could pass 2^62 in int64.
+    """
+    _, fib, hy, fibers, classes, mirror, code = plan
+    D, sn, sd, split = fib.D, fib.sn, fib.sd, code[0]
+    mod, width = scale * D, 1 + (split > 1)
     x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
-    kept = {}
-    for key, s in classes.items():
+    cosets, flat, counts, sizes = [], [], [], []
+    for s in classes.values():
         h = [(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)]
-        norms = sorted((m, n) for (m,), n in _slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, ()).items())
-        kept[key] = ([m for m, _ in norms], [n for _, n in norms])
+        cells = _slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, (), split)
+        cosets.append(h)
+        flat.extend(chain.from_iterable(cells))
+        counts.extend(cells.values())
+        sizes.append(len(cells))
+    s_top = max(map(abs, fibers))
+    offset = D * max(map(abs, x0)) + s_top * max(map(abs, fib.Dc)) + mod
+    if max(D * D * bound * sd, fib.g * s_top, offset if split > 1 else 0) > 2 ** 62:
+        raise OverflowError(f"fold of the fibers to bound {bound} could pass 2^62 in int64")
+    # every class's cells in one block, each class's sorted by m; each
+    # fiber takes the prefix of its class's cells within its kernel bound
+    K = np.array(flat, dtype=np.int64).reshape(-1, width)
+    order = np.lexsort((K[:, 0], np.repeat(np.arange(len(sizes)), sizes)))
+    K, n = K[order], np.array(counts, dtype=np.int64)[order]
+    index = {key: i for i, key in enumerate(classes)}
+    which = [index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers]
+    firsts = list(accumulate(sizes, initial=0))
+    ms = K[:, 0].tolist()
+    starts = [firsts[i] for i in which]
+    cuts = [bisect_right(ms, fib.kbound(bound, s), a, firsts[i + 1]) - a for s, i, a in zip(fibers, which, starts)]
+    total = sum(cuts)
     cells: dict = {}
-    for s in fibers:
-        ms, ns = kept[min(s % mod, -s % mod) if mirror else s % mod]
-        base = s * s * sn * D * D
-        for m, n in zip(ms[:bisect_right(ms, fib.kbound(bound, s))], ns):
-            e, rem = divmod(m * sd + base, D * D * sd)
-            if rem:
-                raise ArithmeticError(f"Q_K = {m} on fiber s = {s} gives a non-integral norm")
-            key = (e, fib.g * s) if weights else (e,)
-            cells[key] = cells.get(key, 0) + n
+    if total == 0:
+        return cells
+    S = np.array(fibers, dtype=np.int64)
+    rep = np.repeat(np.arange(len(S)), cuts)
+    idx = np.arange(total) + np.repeat(np.array(starts) - np.cumsum(cuts) + cuts, cuts)
+    e, rem = np.divmod(K[idx, 0] * sd + (S * S * (sn * D * D))[rep], D * D * sd)
+    if rem.any():
+        bad = int(np.flatnonzero(rem)[0])
+        raise ArithmeticError(f"Q_K = {K[idx[bad], 0]} on fiber s = {S[rep[bad]]} gives a non-integral norm")
+    ts = [fib.g * S[rep]] if weights else []
+    if split > 1:
+        # each fiber is its class's coset or, mirrored, its negative
+        signs = np.where((S - np.array(list(classes.values()), dtype=np.int64)[which]) % mod, -1, 1)
+        num = signs[:, None] * np.array(cosets, dtype=np.int64)[which] - D * np.array(x0, dtype=np.int64)
+        num -= S[:, None] * np.array(fib.Dc, dtype=np.int64)
+        if (num % mod).any():
+            raise ArithmeticError("a fiber's kernel coset is not its class's")
+        tables = _fiber_tables(form, fib, hy, scale, code, fibers, num // mod % split, signs)
+        ts.append(tables[rep, K[idx, 1]])
+    _accumulate_cells(cells, e, ts, n[idx])
     return cells
 
 
-def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
+def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
     """The histogram of z = h0 + scale*u with Q(z) <= bound, keys (e, t...)
-    with t = weight . z: the one entry of every lattice slice.
+    with t = weight . z, and with split > 1 a last key entry naming the
+    fine slice h0 + scale*w + scale*split*Z^f of each vector by the code
+    sum_i w_i split^i: the one entry of every lattice slice and class
+    family.
 
     A slice with at most one weight row may be walked fiber by fiber along
     that row, or, with none, along a coordinate of the reduced basis
@@ -771,20 +887,25 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     coset that depends on the fiber s only through a residue, the theta
     decomposition of Jacobi forms (Eichler-Zagier, 1985, Thm 5.1).  Each
     kernel coset is a plain slice of the kernel form and comes back
-    through this entry, so kernels are fibered in turn wherever that is
-    cheaper, down to a direct walk.  Folded exactly, the fibers give the
-    direct walk's histogram, and every leaf, fold pair and cell of a plan
-    is a distinct vector of the slice.  The plan of lowest estimated cost
-    wins unless the direct walk, at its estimated points plus _WALK_SETUP
-    per level, costs no more.  A kernel's plan never costs more than the
-    direct walk the enclosing slice counted for it, so the chosen plan's
-    cost bounds the whole recursion, and it is refused before any walk when it passes
+    through this entry, with the same split, so kernels are fibered in
+    turn wherever that is cheaper, down to a direct walk; a kernel
+    vector's code is affine in the fiber's, so one table per fiber carries
+    it (_fiber_tables).  Folded exactly, the fibers give the direct walk's
+    histogram, and every leaf, fold pair and cell of a plan is a distinct
+    vector of the slice.  The plan of lowest estimated cost wins unless
+    the direct walk, at its estimated points plus _WALK_SETUP per level,
+    costs no more.  A kernel's plan never costs more than the direct walk
+    the enclosing slice counted for it, so the chosen plan's cost bounds
+    the whole recursion, and it is refused before any walk when it passes
     ENUMERATION_BUDGET (EnumerationBudgetError); a direct walk keeps the
-    refusals of _leaf_chunks.
+    refusals of _leaf_chunks.  OverflowError before the form is reduced
+    or planned when the split^f codes could pass 2^62.
     """
+    if split ** form.rank > 2 ** 62:
+        raise OverflowError(f"{split}^{form.rank} slice codes could pass 2^62 in int64")
     est = _ellipsoid_points(form.rank, form.det, bound, scale)
     direct = est + _WALK_SETUP * form.rank
-    best = min(_fiber_plans(form, bound, scale, h0, weights, est, direct), key=lambda p: p[0], default=None)
+    best = min(_fiber_plans(form, bound, scale, h0, weights, est, direct, split), key=lambda p: p[0], default=None)
     if best is not None and best[0] < direct:
         if best[0] > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
@@ -792,7 +913,7 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
             )
         return _fibered_cells(form, bound, scale, weights, best)
     cells: dict = {}
-    for e, ts in _leaf_chunks(form, bound, scale, h0, weights):
+    for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split):
         _accumulate_cells(cells, e, ts)
     return cells
 
@@ -812,10 +933,10 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     wherever the estimated cost says so, and directly otherwise; two rows
     (a complex insertion vector) take the direct walk.  A slice that one
     walk of a coarser coset kept with its whole class family
-    (_keep_class_slices) is served without a walk.  Either way the
-    histogram is the direct walk's exactly.  Every slice and every walk is
-    refused before allocating: EnumerationBudgetError above
-    ENUMERATION_BUDGET estimated points, OverflowError when an int64
+    (_keep_class_slices, fibered the same way) is served without a walk.
+    Either way the histogram is the direct walk's exactly.  Every slice
+    and every walk is refused before allocating: EnumerationBudgetError
+    above ENUMERATION_BUDGET estimated points, OverflowError when an int64
     partial could overflow.
     """
     if h0 is None:
@@ -839,64 +960,86 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
 
 
 def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weights, split: int):
-    """Keep the histograms of all split^f fine slices of one coset, from one walk of it.
+    """Keep the histograms of all split^f fine slices of one coset, from one pass over it.
 
     The coset h0 + scale*Z^f is the union of the slices
-    g + scale*split*Z^f, g = h0 + scale*w for w in [0, split)^f.  One walk
-    of the coset codes every vector by its slice (_leaf_chunks with
-    split), and each slice's histogram is kept on the form under the key
+    g + scale*split*Z^f, g = h0 + scale*w for w in [0, split)^f.  One
+    _slice_cells call with split codes every vector of the coset by its
+    slice, fibered like any slice with at most one weight row, and each
+    slice's histogram is kept on the form under the key
     insertion_histogram(form, bound, scale=scale*split, h0=g mod
     scale*split, weights=weights) looks up, empty slices too, so every
-    such call is then served without a walk.  The refusals are the walk's.
+    such call is then served without a walk.  The refusals are
+    _slice_cells'.
     """
     h0 = tuple(int(x) for x in h0)
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
-    binned: dict = {}
-    for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split):
-        _accumulate_cells(binned, e, ts)
-    slices = [{} for _ in range(split ** form.rank)]
-    for key, count in binned.items():
-        slices[key[-1]][key[:-1]] = count
+    binned = _slice_cells(form, bound, scale, h0, weights, split)
+    if split == 1:
+        slices = [binned]
+    else:
+        slices = [{} for _ in range(split ** form.rank)]
+        for key, count in binned.items():
+            slices[key[-1]][key[:-1]] = count
     fine = scale * split
-    for code, cells in enumerate(slices):
-        g = tuple((x + scale * (code // split ** i % split)) % fine for i, x in enumerate(h0))
-        form._cells.setdefault((fine, g), {})[weights] = (bound, cells)
+    # the slices' representatives in code order, w_0 running fastest
+    shifts = [[(x + scale * w) % fine for w in range(split)] for x in reversed(h0)]
+    for cells, g in zip(slices, product(*shifts)):
+        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, cells)
 
 
-def _accumulate_cells(cells: dict, e, ts):
-    """Fold one leaf block into the histogram.
+def _accumulate_cells(cells: dict, e, ts, counts=None):
+    """Fold one block of rows into the histogram, each row counted once
+    or, given counts (int64), that many times.
 
     The key columns (e, t...) of each row are packed into one composite
-    int64 code and counted: by bincount when the code space is at most a
-    few times the block, by sorting (np.unique) when it is sparse, and by
-    whole rows only when the space could pass 2^62.  The counted codes are
-    unpacked column by column, in ascending code order either way.
+    int64 code and tallied: over the whole code space when it is at most
+    a few times the block, over the distinct codes (np.unique) when it is
+    sparse, and by whole rows only when the space could pass 2^62.  The
+    tallied codes are unpacked column by column, in ascending code order
+    either way.
     """
     cols = [e, *ts]
     lows = [int(c.min()) for c in cols]
     spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
     space = math.prod(spans)
     if space > 2 ** 62:
-        stacked = np.column_stack(cols)
-        uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-        for row, c in zip(uniq.tolist(), counts.tolist()):
+        uniq, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+        for row, c in zip(uniq.tolist(), _tally(inv.ravel(), len(uniq), counts).tolist()):
             cells[tuple(row)] = cells.get(tuple(row), 0) + c
         return
     codes = np.zeros_like(cols[0])
     for col, lo, span in zip(cols, lows, spans):
         codes = codes * span + (col - lo)
-    if space > max(1 << 16, 8 * len(codes)):
-        uniq, counts = np.unique(codes, return_counts=True)
+    if space <= max(1 << 16, 8 * len(codes)):
+        tally = _tally(codes, space, counts)
+        uniq = np.nonzero(tally)[0]
+        tally = tally[uniq]
+    elif counts is None:
+        uniq, tally = np.unique(codes, return_counts=True)
     else:
-        counts = np.bincount(codes)
-        uniq = np.nonzero(counts)[0]
-        counts = counts[uniq]
+        uniq, inv = np.unique(codes, return_inverse=True)
+        tally = _tally(inv, len(uniq), counts)
     parts = []
     for lo, span in zip(reversed(lows), reversed(spans)):
         parts.append((uniq % span + lo).tolist())
         uniq = uniq // span
-    for key, c in zip(zip(*reversed(parts)), counts.tolist()):
+    tallied = zip(zip(*reversed(parts)), tally.tolist())
+    if not cells:
+        cells.update(tallied)
+        return
+    for key, c in tallied:
         cells[key] = cells.get(key, 0) + c
+
+
+def _tally(index, size: int, counts):
+    """Per-index totals over range(size): the rows of index counted once
+    each, or counts times, exactly in int64."""
+    if counts is None:
+        return np.bincount(index, minlength=size)
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, index, counts)
+    return out
 
 
 def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):

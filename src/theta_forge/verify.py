@@ -312,10 +312,12 @@ def check_rescale(
     cA has level cN (r (cA)^-1 = (r/c) A^-1 is integral with even diagonal
     exactly when r/c is a multiple of N, as A (r/c) A^-1 = (r/c) I is then
     integral), so every class h + N w, w in [0, c)^f, is one fine slice of
-    the coset h + N Z^f.  One walk of cA over that coset, to the bound
-    each class call certifies, keeps every class histogram on the scaled
-    form before the sum reads them.  More than ENUMERATION_BUDGET classes
-    are refused with ValueError before anything is allocated.
+    the coset h + N Z^f.  One pass of cA over that coset, to the bound
+    each class call certifies, coding every vector by its class and
+    fibered through the kernels like any slice with at most one weight
+    row, keeps every class histogram on the scaled form before the sum
+    reads them.  More than ENUMERATION_BUDGET classes are refused with
+    ValueError before anything is allocated.
     """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")

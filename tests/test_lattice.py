@@ -532,6 +532,13 @@ class TestWalkKernel:
         blocks = [len(e) for e, _ in lattice._leaf_chunks(form, 10 ** 10, 1, (0, 0), ())]
         assert sum(blocks) == 200_001 and max(blocks) <= lattice._FRONTIER_CHUNK < 200_001
 
+    def test_exact_radii_admit_huge_entries(self):
+        # each coordinate is clipped to its exact radius isqrt(2 bound
+        # gram^-1_jj), 0 here, so the partials of a walk to bound 4 stay
+        # far inside int64 and only the zero vector qualifies
+        huge = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
+        assert insertion_histogram(huge, 4) == {(0,): 1}
+
     def test_walk_refuses_int64_overflow(self):
         # 2Q reaches 2 * 10^19 > 2^63 on this form; refused before any array
         big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
@@ -769,10 +776,12 @@ def _rescale_weights(scaled, vector):
     return InsertionVector(w).integral_weights(scaled)[1]
 
 
-def _check_class_slices(form, c, h, vector, radius):
+def _check_class_slices(form, c, h, vector, radius, plans=False):
     """Keep the class family of c*form over h + N Z^f to the bound radius*(cN)^2,
     as check_rescale does, and compare every one of the c^f fine slices
-    with its own direct walk on a twin form.  Returns the family's total."""
+    with its own direct walk.  With plans, every fibered plan of the family,
+    forced, must also give the direct family walk's coded histogram.
+    Returns the family's total."""
     f, N = form.rank, form.level
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
     assert scaled.level == c * N  # so each class of cA is one fine slice
@@ -780,14 +789,20 @@ def _check_class_slices(form, c, h, vector, radius):
     bound = radius * (c * N) ** 2
     lattice._keep_class_slices(scaled, bound, scale=N, h0=h, weights=weights, split=c)
     assert len(scaled._cells) == c ** f  # every slice, the empty ones too
-    twin = QuadraticForm(scaled.gram)
     met = 0
     for w in product(range(c), repeat=f):
         g = tuple(x + N * wi for x, wi in zip(h, w))
         kept_bound, cells = scaled._cells[(c * N, g)][weights]
         assert kept_bound == bound
-        assert cells == insertion_histogram(twin, bound, scale=c * N, h0=g, weights=weights), w
+        assert cells == _direct_cells(scaled, bound, weights, c * N, g), w
         met += sum(cells.values())
+    if plans:
+        coded = {}
+        for e, ts in lattice._leaf_chunks(scaled, bound, N, h, weights, c):
+            lattice._accumulate_cells(coded, e, ts)
+        est = lattice._ellipsoid_points(f, scaled.det, bound, N)
+        for plan in lattice._fiber_plans(scaled, bound, N, h, weights, est, math.inf, c):
+            assert lattice._fibered_cells(scaled, bound, N, weights, plan) == coded
     return met
 
 
@@ -802,7 +817,10 @@ class TestClassSlices:
         # random even forms of rank 2, 4 and 8 in skewed bases, every class
         # h, c = 2 or 3 (2 on rank 8, whose 3^8 direct walks are too slow
         # here), with no weights, the one row of a real vector or the two
-        # rows of a complex one
+        # rows of a complex one.  The family, fibered wherever its cost
+        # says so and, in half the draws, with the cost constants at zero
+        # so that it is fibered as deep as its estimates allow, and every
+        # fibered plan of it, forced, give the direct walks' histograms.
         f = data.draw(st.sampled_from((2, 4, 8)))
         base = data.draw(st.sampled_from(_EVEN_BASES[f]))
         u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100, 10 ** 4))))
@@ -819,7 +837,8 @@ class TestClassSlices:
                 )
             )
         radius = data.draw(st.integers(1, {2: 4, 4: 2, 8: 1}[f]))
-        _check_class_slices(form, c, h, vector, radius)
+        with patch.multiple(lattice, **_EAGER) if data.draw(st.booleans()) else nullcontext():
+            _check_class_slices(form, c, h, vector, radius, plans=True)
 
     # E8 at c = 3 would take 3^8 direct walks; c = 2 covers E8
     @pytest.mark.parametrize(
@@ -848,6 +867,36 @@ class TestClassSlices:
             tracemalloc.stop()
         assert peak < 40 << 20
         assert sum(sum(cells.values()) for (_, cells) in (k[weights] for k in scaled._cells.values())) == 794_161
+
+    @pytest.mark.parametrize(
+        "gram, h, radius",
+        [
+            (CATALOG["D4"], (0, 0, 1, 1), 1),  # a half-period class: s0 = scale/2
+            (((2, 1), (1, 4)), (0, 0), 4),  # D = 4
+            (((2, 1), (1, 8)), (0, 0), 4),  # D = 8
+        ],
+    )
+    def test_mirrored_fibers(self, gram, h, radius):
+        # families with fibers that are the negatives of their class's
+        # kernel coset, at c = 3, where the mirror turns each kernel code
+        # kappa into -kappa (at c = 2 the two agree); every plan, forced
+        for eager in (False, True):
+            with patch.multiple(lattice, **_EAGER) if eager else nullcontext():
+                assert _check_class_slices(QuadraticForm(gram), 3, h, None, radius, plans=True) > 0
+
+    @pytest.mark.parametrize("c, bound, direct, most", [(2, 20, 794_161, 150_000), (3, 45, 3_721_681, 300_000)])
+    def test_fibered_family_leaves(self, monkeypatch, c, bound, direct, most):
+        # the rescale families of c E8 along a root (k = 2), as laws-e8 and
+        # the E8 campaign walk them: fibered through the kernels, they meet
+        # a small part of the direct walk's leaves and keep every vector
+        e8 = _CATALOG_FORMS["E8"]
+        scaled = QuadraticForm([[c * x for x in row] for row in e8.gram])
+        weights = unit_insertion_vector(e8).integral_weights(scaled)[1]
+        walks = _count_leaves(monkeypatch)
+        lattice._keep_class_slices(scaled, bound, scale=1, h0=(0,) * 8, weights=weights, split=c)
+        assert sum(sum(cells.values()) for (_, cells) in (k[weights] for k in scaled._cells.values())) == direct
+        assert len(walks) > 1 and all(rank < 8 for rank, _, _ in walks)
+        assert sum(met for _, _, met in walks) < most
 
     def test_code_column_refuses_int64_overflow(self):
         # 3^40 slice codes could pass 2^62: refused before the walk

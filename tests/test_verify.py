@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forge import lattice, modforms
+from theta_forge import lattice, modforms, verify
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
@@ -245,7 +245,7 @@ class TestTranslationRescale:
         for h in A2.congruence_classes():
             assert check_translation(A2, h, V_A2, 2, 0.37 + 1.2j, 1e-9).residual < 1e-12
 
-    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("c", [1, 2, 3])  # at c = 1 the one class is the coset itself
     def test_rescale(self, c):
         h = CongruenceClass(A2, (1, 2))
         res = check_rescale(A2, h, V_A2, 2, c, 0.15 + 1.4j, 1e-8)
@@ -264,8 +264,10 @@ class TestTranslationRescale:
     )
     def test_two_walks_per_rescale_check(self, monkeypatch, name, vector, k, c):
         # the left side's walks (one, or the kernel walks of a fibered
-        # left side) and then exactly one walk for the whole class family;
+        # left side) and then the class family's, every one of them
+        # coding its vectors by class (split = c), fibered or direct;
         # every class theta is then read from the family's histograms
+        # without a walk
         form = catalog_form(name)
         if vector is None:
             v = unit_insertion_vector(form)
@@ -280,13 +282,23 @@ class TestTranslationRescale:
             walks.append((walked.rank, scale, split))
             return leaf_chunks(walked, bound, scale, h0, weights, split)
 
+        family = []
+        keep_class_slices = verify._keep_class_slices
+
+        def keeping(*args, **kwargs):
+            family.append(len(walks))
+            keep_class_slices(*args, **kwargs)
+            family.append(len(walks))
+
         monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        monkeypatch.setattr(verify, "_keep_class_slices", keeping)
         h = form.congruence_classes()[-1]
         res = check_rescale(form, h, v, k, c, 0.15 + 1.1j, 1e-8)
         assert res.passed, res.residual
-        N = form.level
-        assert walks[-1] == (form.rank, N, c)
-        assert all(split == 1 for _, _, split in walks[:-1]) and walks[:-1]
+        start, end = family
+        assert walks[:start] and all(split == 1 for _, _, split in walks[:start])
+        assert walks[start:] and all(split == c for _, _, split in walks[start:])
+        assert end == len(walks)
 
     def test_rescale_refuses_oversized_family_before_allocating(self):
         # 10^8 classes of 10 E8: refused up front, where the per-class sum
