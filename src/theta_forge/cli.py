@@ -49,7 +49,7 @@ def _resolve_form(name: str) -> QuadraticForm:
         if os.path.isfile(path):
             try:
                 return load_form(path)
-            except (InvalidFormError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            except (InvalidFormError, ValueError, json.JSONDecodeError) as exc:
                 raise UsageError(f"bad lattice file {path}: {exc}") from exc
     raise UsageError(
         f"unknown lattice {name!r}; built-in: {', '.join(sorted(CATALOG))}"

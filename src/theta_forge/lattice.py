@@ -11,9 +11,9 @@ row also carries exact int64 partials of 2Q and of its weight sums, so
 the leaf test, the exponents and the weights are integer arithmetic and
 the histograms feeding the series expansions carry no rounding.  Every
 histogram of a slice with at most one weight row t = w.z enters one
-fibered entry (_slice_cells): along the row, or along the cheapest
-coordinate of the reduced basis when there is none, Q splits as a
-multiple of the fiber's square plus the norm of a kernel-form coset
+fibered entry (_slice_cells): along the row, or along the coordinate
+of the reduced basis that the reduced adjugate names when there is
+none, Q splits as a multiple of the fiber's square plus the norm of a kernel-form coset
 that depends on the fiber only through a residue (the theta
 decomposition of Jacobi forms, Eichler-Zagier, 1985, Thm 5.1), so one
 kernel walk per residue class, folded into each fiber of the class,
@@ -618,16 +618,15 @@ def _column_gcd(a):
 # Costs in leaves of a direct walk (about 75 ns each), for choosing
 # between a direct and a fibered walk of a slice.  Measured on a 2-core
 # Xeon (Python 3.11, numpy 2.4) over direct walks of E8 and its kernels:
-# a walk spends about 85 us per coordinate level on set-up, planning one
-# fiber direction takes 13 us, and a kernel's first LLL and elimination
-# about 3 us per cube of its rank (1.1 ms for the rank-7 kernels of E8).
+# a walk spends about 85 us per coordinate level on set-up, and a kernel's
+# first LLL and elimination about 3 us per cube of its rank (1.1 ms for
+# the rank-7 kernels of E8).
 # The numpy fold costs 1.5 us per fiber and 0.07-0.15 us per fold pair
 # before the histogram's own cells are built (which a direct walk builds
 # too): one or two leaves, or one leaf of a class family's walk, whose
 # code column makes each of its leaves cost 160-180 ns.  Its fixed
 # 50-150 us of numpy calls is left to the classes' walk set-up.
 _WALK_SETUP = 1100  # per level of each walk
-_PLAN_SETUP = 170  # per direction planned
 _FOLD_FIBER = 20
 _FOLD_PAIR = 1
 _KERNEL_SETUP = 40  # per cube of the rank, once per kernel form
@@ -689,63 +688,6 @@ def _fibration(form: QuadraticForm, a) -> _Fibration:
     return fib
 
 
-def _fiber_plan(form: QuadraticForm, a, bound: int, scale: int, hy, est: float, direct: float, step: int, code):
-    """(cost, fibration, hy, fibers, classes, mirror, code): the plan for
-    walking the slice y = hy + scale*Z^f of the reduced basis fiber by
-    fiber along the row a, or None when no residue class of fibers repeats
-    (then the direct walk meets no more vectors) or the classes' set-up
-    alone costs the direct walk's cost or the budget.  code = (split, k0)
-    (_code_origin) names the fine slices the caller bins by, (1, None) for
-    none.
-
-    With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
-    s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
-    over the kernel coset D x0 + s D c + scale*D*Z^(f-1), which depends on
-    s mod scale*D only: D classes.  When 2 hy = 0 mod scale the classes of
-    s and -s are mirror images (u -> -u) and share one walk.  classes maps
-    each class key to its smallest |s|, whose kernel bound the walk takes.
-    The cost is the estimated leaves of those walks, each with its set-up
-    and the planning of its f-1 directions, the kernel's reduction when it
-    has none yet, and the fold: _FOLD_FIBER per fiber and _FOLD_PAIR per
-    fold pair (a kernel norm and code on one fiber), of which there are at
-    most split^(f-1) per norm of the fiber, the norms e in
-    [s^2 sn/sd, bound] that are Q(h0) mod step (_norm_step), and about
-    est, the slice's estimated points, in all; with split > 1, _FOLD_PAIR
-    per entry of each fiber's table of split^(f-1) codes as well.
-    """
-    fib = _fibration(form, a)
-    D, r = fib.D, form.rank - 1
-    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy)) % scale
-    s_max = math.isqrt(bound * fib.sd // fib.sn)
-    fibers = range(s0 - (s_max + s0) // scale * scale, s_max + 1, scale)
-    # at least (D + 1)/2 classes are walked, at least their set-up each
-    least = (D + 1) // 2
-    if least >= len(fibers) or least * (_WALK_SETUP + _PLAN_SETUP) * r >= min(direct, ENUMERATION_BUDGET):
-        return None
-    mod = scale * D
-    mirror = all(2 * x % scale == 0 for x in hy)
-    classes: dict = {}
-    # the smallest |s| of every class lies within D fibers of s0
-    at = fibers.index(s0)
-    for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
-        classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
-    codes = code[0] ** r
-    # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
-    # sum of the squares of the progression
-    F, s1 = len(fibers), fibers[0]
-    squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
-    norms = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * step)
-    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms * codes, est)
-    if code[0] > 1:
-        cost += _FOLD_PAIR * F * codes
-    cost += (_WALK_SETUP + _PLAN_SETUP) * r * len(classes)
-    if fib._kernel is None or fib._kernel._lll is None:
-        cost += _KERNEL_SETUP * r ** 3
-    for s in classes.values():
-        cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
-    return cost, fib, hy, fibers, classes, mirror, code
-
-
 def _norm_step(gram, scale: int, hy) -> int:
     """The step of the norms of the slice z = hy + scale*Z^f: every Q(z) is
     Q(hy) mod it.
@@ -761,24 +703,75 @@ def _norm_step(gram, scale: int, hy) -> int:
     return math.gcd(scale * lin, scale * scale * n)
 
 
-def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float, split: int = 1):
-    """Every fibered plan of the slice h0 + scale*Z^f, binned by its fine
-    slices mod scale*split: along its one weight row, or along each
-    coordinate y_j of the reduced basis when it has none.  Two rows, a
-    zero row and rank 1 have none."""
-    f = form.rank
+def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float, split: int = 1):
+    """(cost, fibration, hy, fibers, classes, mirror, code): the plan for
+    walking the slice h0 + scale*Z^f (y = hy + scale*Z^f in the reduced
+    basis) fiber by fiber along its one weight row a or, with none, along
+    the coordinate y_j with the smallest D_j/(R_j + 1), the lowest j on a
+    tie: its D_j = adj_jj/gcd(row j of adj) kernel classes serve the most
+    fibers |s| <= R_j = isqrt(2 bound adj_jj // det).  None for two rows,
+    a zero row or rank 1, when no residue class of fibers repeats (then
+    the direct walk meets no more vectors), or when the classes' set-up
+    alone costs the direct walk's cost or the budget.  code = (split, k0)
+    (_code_origin) names the fine slices the caller bins by.
+
+    With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
+    s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
+    over the kernel coset D x0 + s D c + scale*D*Z^(f-1), which depends on
+    s mod scale*D only: D classes.  When 2 hy = 0 mod scale the classes of
+    s and -s are mirror images (u -> -u) and share one walk.  classes maps
+    each class key to its smallest |s|, whose kernel bound the walk takes.
+    The cost is the estimated leaves of those walks, each with its set-up,
+    the kernel's reduction when it has none yet, and the fold: _FOLD_FIBER
+    per fiber and _FOLD_PAIR per fold pair (a kernel norm and code on one
+    fiber), of which there are at most split^(f-1) per norm of the fiber,
+    the norms e in [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, and
+    about est, the slice's estimated points, in all; with split > 1,
+    _FOLD_PAIR per entry of each fiber's table of split^(f-1) codes as
+    well.
+    """
+    f, r = form.rank, form.rank - 1
     if len(weights) > 1 or f < 2 or (weights and not any(weights[0])):
-        return []
-    gram, _, U, uinv, _ = form._reduced()
+        return None
+    gram, _, U, uinv, adj = form._reduced()
     hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
-    step = _norm_step(gram, scale, hy)
-    code = (split, _code_origin(U, hy, h0, scale, split) if split > 1 else None)
     if weights:
-        rows = [tuple(sum(weights[0][i] * U[i][j] for i in range(f)) for j in range(f))]
+        a = tuple(sum(w * u for w, u in zip(weights[0], col)) for col in zip(*U))
     else:
-        rows = [(0,) * j + (1,) + (0,) * (f - 1 - j) for j in range(f)]
-    plans = (_fiber_plan(form, a, bound, scale, hy, est, direct, step, code) for a in rows)
-    return [p for p in plans if p is not None]
+        j = min(range(f), key=lambda j: Fraction(adj[j][j] // math.gcd(*adj[j]), math.isqrt(2 * bound * adj[j][j] // form.det) + 1))
+        a = (0,) * j + (1,) + (0,) * (r - j)
+    fib = _fibration(form, a)
+    D = fib.D
+    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy)) % scale
+    s_max = math.isqrt(bound * fib.sd // fib.sn)
+    fibers = range(s0 - (s_max + s0) // scale * scale, s_max + 1, scale)
+    # at least (D + 1)/2 classes are walked, at least their set-up each
+    least = (D + 1) // 2
+    if least >= len(fibers) or least * _WALK_SETUP * r >= min(direct, ENUMERATION_BUDGET):
+        return None
+    mod = scale * D
+    mirror = all(2 * x % scale == 0 for x in hy)
+    classes: dict = {}
+    # the smallest |s| of every class lies within D fibers of s0
+    at = fibers.index(s0)
+    for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
+        classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
+    code = (split, _code_origin(U, hy, h0, scale, split) if split > 1 else None)
+    codes = split ** r
+    # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
+    # sum of the squares of the progression
+    F, s1 = len(fibers), fibers[0]
+    squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
+    norms = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * _norm_step(gram, scale, hy))
+    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms * codes, est)
+    if split > 1:
+        cost += _FOLD_PAIR * F * codes
+    cost += _WALK_SETUP * r * len(classes)
+    if fib._kernel is None or fib._kernel._lll is None:
+        cost += _KERNEL_SETUP * r ** 3
+    for s in classes.values():
+        cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
+    return cost, fib, hy, fibers, classes, mirror, code
 
 
 def _fiber_tables(form: QuadraticForm, fib: _Fibration, hy, scale: int, code, fibers, deltas, signs):
@@ -882,36 +875,36 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     family.
 
     A slice with at most one weight row may be walked fiber by fiber along
-    that row, or, with none, along a coordinate of the reduced basis
-    (_fiber_plans): Q splits as s^2 g^2/(2G) plus the norm of a kernel
-    coset that depends on the fiber s only through a residue, the theta
-    decomposition of Jacobi forms (Eichler-Zagier, 1985, Thm 5.1).  Each
-    kernel coset is a plain slice of the kernel form and comes back
-    through this entry, with the same split, so kernels are fibered in
-    turn wherever that is cheaper, down to a direct walk; a kernel
-    vector's code is affine in the fiber's, so one table per fiber carries
-    it (_fiber_tables).  Folded exactly, the fibers give the direct walk's
-    histogram, and every leaf, fold pair and cell of a plan is a distinct
-    vector of the slice.  The plan of lowest estimated cost wins unless
-    the direct walk, at its estimated points plus _WALK_SETUP per level,
-    costs no more.  A kernel's plan never costs more than the direct walk
-    the enclosing slice counted for it, so the chosen plan's cost bounds
-    the whole recursion, and it is refused before any walk when it passes
-    ENUMERATION_BUDGET (EnumerationBudgetError); a direct walk keeps the
-    refusals of _leaf_chunks.  OverflowError before the form is reduced
-    or planned when the split^f codes could pass 2^62.
+    that row, or, with none, along the coordinate of the reduced basis the
+    reduced adjugate names (_fiber_plan): Q splits as s^2 g^2/(2G) plus
+    the norm of a kernel coset that depends on the fiber s only through a
+    residue, the theta decomposition of Jacobi forms (Eichler-Zagier,
+    1985, Thm 5.1).  Each kernel coset is a plain slice of the kernel form
+    and comes back through this entry, with the same split, so kernels are
+    fibered in turn wherever that is cheaper, down to a direct walk; a
+    kernel vector's code is affine in the fiber's, so one table per fiber
+    carries it (_fiber_tables).  Folded exactly, the fibers give the
+    direct walk's histogram, and every leaf, fold pair and cell of a plan
+    is a distinct vector of the slice.  The slice's one plan is taken
+    unless the direct walk, at its estimated points plus _WALK_SETUP per
+    level, costs no more.  A kernel's plan never costs more than the
+    direct walk the enclosing slice counted for it, so the chosen plan's
+    cost bounds the whole recursion, and it is refused before any walk
+    when it passes ENUMERATION_BUDGET (EnumerationBudgetError); a direct
+    walk keeps the refusals of _leaf_chunks.  OverflowError before the
+    form is reduced or planned when the split^f codes could pass 2^62.
     """
     if split ** form.rank > 2 ** 62:
         raise OverflowError(f"{split}^{form.rank} slice codes could pass 2^62 in int64")
     est = _ellipsoid_points(form.rank, form.det, bound, scale)
     direct = est + _WALK_SETUP * form.rank
-    best = min(_fiber_plans(form, bound, scale, h0, weights, est, direct, split), key=lambda p: p[0], default=None)
-    if best is not None and best[0] < direct:
-        if best[0] > ENUMERATION_BUDGET:
+    plan = _fiber_plan(form, bound, scale, h0, weights, est, direct, split)
+    if plan is not None and plan[0] < direct:
+        if plan[0] > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
-                f"estimated cost {best[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
+                f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
-        return _fibered_cells(form, bound, scale, weights, best)
+        return _fibered_cells(form, bound, scale, weights, plan)
     cells: dict = {}
     for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split):
         _accumulate_cells(cells, e, ts)
@@ -928,8 +921,8 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     the call when it has the same weights or none are asked for.
 
     Every slice goes through _slice_cells: with at most one weight row it
-    is walked fiber by fiber along the row, or along the cheapest
-    coordinate when there is none, recursively through the kernels,
+    is walked fiber by fiber along the row, or along one coordinate of the
+    reduced basis when there is none, recursively through the kernels,
     wherever the estimated cost says so, and directly otherwise; two rows
     (a complex insertion vector) take the direct walk.  A slice that one
     walk of a coarser coset kept with its whole class family
@@ -1183,7 +1176,10 @@ def catalog_form(name: str) -> QuadraticForm:
 
 
 def load_form(path) -> QuadraticForm:
-    """Read {"gram": [[...], ...]} from a JSON file."""
+    """Read {"gram": [[...], ...]} from a JSON file; InvalidFormError for any other shape."""
     with open(path) as fh:
         data = json.load(fh)
-    return QuadraticForm(data["gram"])
+    gram = data.get("gram") if isinstance(data, dict) else None
+    if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+        raise InvalidFormError("not-a-gram-file", 'expected a JSON object {"gram": [[...], ...]}')
+    return QuadraticForm(gram)

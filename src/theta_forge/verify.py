@@ -525,12 +525,14 @@ def run_campaign(
     Deterministic for a fixed seed.  Matrices whose orbit cannot reach
     the working height and Gauss sums too large to evaluate are recorded
     in the notes instead of producing reports.  `v` defaults to
-    unit_insertion_vector(form).  An unknown law, tol <= 0, k < 0 or
-    x_prec < 1 raises ValueError before any check runs.
+    unit_insertion_vector(form).  An unknown law, count < 1, tol <= 0,
+    k < 0 or x_prec < 1 raises ValueError before any check runs.
     """
     unknown = [law for law in laws if law not in _LAWS]
     if unknown:
         raise ValueError(f"unknown laws: {', '.join(unknown)}; known: {', '.join(LAW_IDS)}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if k < 0:

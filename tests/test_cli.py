@@ -114,6 +114,16 @@ class TestExpandTheta:
         assert out == ""
         assert err.startswith("error: ") and "2^62" in err
 
+    @pytest.mark.parametrize("text", ["[[2, 1], [1, 2]]", '{"gram": 5}', '{"gram": [2, 1]}'])
+    def test_malformed_gram_file(self, capsys, tmp_path, text):
+        # a usage error, not the exit 1 of a failed verification
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "expand-theta", "--lattice", str(path), "--prec", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad lattice file {path}: ")
+
     def test_unknown_lattice(self, capsys):
         code, _, err = run(capsys, "expand-theta", "--lattice", "Z9")
         assert code == 2
@@ -260,6 +270,12 @@ class TestVerifyLaws:
         code, _, err = run(capsys, "verify-laws", "--laws", "teleportation")
         assert code == 2
         assert "teleportation" in err
+
+    def test_nonpositive_count(self, capsys):
+        code, out, err = run(capsys, "verify-laws", "--lattice", "A2", "--count", "-3", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "count must be" in err
 
     def test_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "verify-laws", "--laws", "inversion", "--tol", "0")

@@ -561,9 +561,11 @@ def _direct_cells(form, bound, weights, scale=1, h0=None):
 
 
 def _plans(form, bound, weights, scale=1, h0=None):
-    """Every fibered plan of the slice, whatever the direct walk would cost."""
+    """The slice's fibered plan, whatever the direct walk would cost, as a
+    list: [] when it has none."""
     est = lattice._ellipsoid_points(form.rank, form.det, bound, scale)
-    return lattice._fiber_plans(form, bound, scale, h0 or (0,) * form.rank, weights, est, math.inf)
+    plan = lattice._fiber_plan(form, bound, scale, h0 or (0,) * form.rank, weights, est, math.inf)
+    return [] if plan is None else [plan]
 
 
 def _count_leaves(monkeypatch):
@@ -584,7 +586,7 @@ def _count_leaves(monkeypatch):
 
 # cost constants that make every plan cheaper than its direct walk whenever
 # its kernel walks' estimates are, so the recursion goes as deep as it can
-_EAGER = {name: 0 for name in ("_WALK_SETUP", "_PLAN_SETUP", "_FOLD_FIBER", "_FOLD_PAIR", "_KERNEL_SETUP")}
+_EAGER = {name: 0 for name in ("_WALK_SETUP", "_FOLD_FIBER", "_FOLD_PAIR", "_KERNEL_SETUP")}
 
 
 class TestFiberedWalk:
@@ -622,7 +624,7 @@ class TestFiberedWalk:
         # cosets h0 + scale Z^f, scale 1 to 5, with no row or one row:
         # random, or the Gram product of a short vector of the unskewed
         # basis as an insertion vector gives it, then scaled by 0 to 3 for
-        # zero and non-primitive rows.  The dispatch and every plan, forced,
+        # zero and non-primitive rows.  The dispatch and the plan, forced,
         # give the direct walk's histogram; with the cost constants at zero
         # the kernels are fibered as deep as their estimates allow.
         f = data.draw(st.sampled_from((2, 4, 8)))
@@ -663,7 +665,7 @@ class TestFiberedWalk:
     )
     def test_dispatch(self, gram, bound, row, fibered):
         # whether fibering along the row can repeat a kernel walk at all;
-        # each plan, forced, and the dispatch give the direct walk's cells
+        # the plan, forced, and the dispatch give the direct walk's cells
         form = QuadraticForm(gram)
         plans = _plans(form, bound, (row,))
         assert bool(plans) == fibered
@@ -761,6 +763,28 @@ class TestFiberedWalk:
         for weights in ((), rows):
             assert self._refusing_ranks(monkeypatch, catalog_form("E8"), 10 ** 7, weights, EnumerationBudgetError) == []
 
+    def test_fold_refuses_over_budget(self, monkeypatch):
+        # A2 at 10^8: the plan's two rank-1 kernel walks are tiny, and only
+        # the fold's cost, per fiber and per pair, keeps it above the direct
+        # walk, which is refused before it allocates; priced by its kernel
+        # walks alone, the plan would fold 3.6e8 pairs in over 1 GB
+        assert self._refusing_ranks(monkeypatch, catalog_form("A2"), 10 ** 8, (), EnumerationBudgetError) == [2]
+
+    def test_one_fibration_per_form(self):
+        # a plain slice is planned along the one coordinate the reduced
+        # adjugate names, so every form of the recursion builds one split:
+        # E8 and each kernel below it, plain and along a root
+        e8 = catalog_form("E8")
+        rows = unit_insertion_vector(e8).integral_weights(e8)[1]
+        for weights in ((), rows):
+            forms, kept = [catalog_form("E8")], []
+            insertion_histogram(forms[0], 20, weights=weights)
+            while forms:
+                form = forms.pop()
+                kept.append(len(form._fibers))
+                forms += [fib._kernel for fib in form._fibers.values() if fib._kernel is not None]
+            assert len(kept) > 2 and set(kept) == {1}
+
     def test_kernel_walk_refuses_int64_overflow(self, monkeypatch):
         big = QuadraticForm([[2 * 10 ** 18, 0], [0, 2 * 10 ** 18]])
         ranks = self._refusing_ranks(monkeypatch, big, 10 ** 19, ((1, 0),), OverflowError)
@@ -779,7 +803,7 @@ def _rescale_weights(scaled, vector):
 def _check_class_slices(form, c, h, vector, radius, plans=False):
     """Keep the class family of c*form over h + N Z^f to the bound radius*(cN)^2,
     as check_rescale does, and compare every one of the c^f fine slices
-    with its own direct walk.  With plans, every fibered plan of the family,
+    with its own direct walk.  With plans, the family's fibered plan,
     forced, must also give the direct family walk's coded histogram.
     Returns the family's total."""
     f, N = form.rank, form.level
@@ -801,7 +825,8 @@ def _check_class_slices(form, c, h, vector, radius, plans=False):
         for e, ts in lattice._leaf_chunks(scaled, bound, N, h, weights, c):
             lattice._accumulate_cells(coded, e, ts)
         est = lattice._ellipsoid_points(f, scaled.det, bound, N)
-        for plan in lattice._fiber_plans(scaled, bound, N, h, weights, est, math.inf, c):
+        plan = lattice._fiber_plan(scaled, bound, N, h, weights, est, math.inf, c)
+        if plan is not None:
             assert lattice._fibered_cells(scaled, bound, N, weights, plan) == coded
     return met
 
@@ -819,8 +844,8 @@ class TestClassSlices:
         # here), with no weights, the one row of a real vector or the two
         # rows of a complex one.  The family, fibered wherever its cost
         # says so and, in half the draws, with the cost constants at zero
-        # so that it is fibered as deep as its estimates allow, and every
-        # fibered plan of it, forced, give the direct walks' histograms.
+        # so that it is fibered as deep as its estimates allow, and its
+        # fibered plan, forced, give the direct walks' histograms.
         f = data.draw(st.sampled_from((2, 4, 8)))
         base = data.draw(st.sampled_from(_EVEN_BASES[f]))
         u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100, 10 ** 4))))
@@ -879,7 +904,7 @@ class TestClassSlices:
     def test_mirrored_fibers(self, gram, h, radius):
         # families with fibers that are the negatives of their class's
         # kernel coset, at c = 3, where the mirror turns each kernel code
-        # kappa into -kappa (at c = 2 the two agree); every plan, forced
+        # kappa into -kappa (at c = 2 the two agree); the plan, forced
         for eager in (False, True):
             with patch.multiple(lattice, **_EAGER) if eager else nullcontext():
                 assert _check_class_slices(QuadraticForm(gram), 3, h, None, radius, plans=True) > 0

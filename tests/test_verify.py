@@ -432,6 +432,12 @@ class TestCampaign:
         with pytest.raises(ValueError):
             run_campaign(A2, ("no-such-law",), 2, seed=0, tol=1e-8)
 
+    # a campaign of no checks has nothing to pass
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be"):
+            run_campaign(A2, LAW_IDS, count, seed=0)
+
     # laws that draw no matrix used to retry forever on a non-positive tol
     @pytest.mark.parametrize("law", ["inversion", "translation", "rescale", "poisson"])
     @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
