@@ -1,19 +1,20 @@
 """Even positive-definite forms and exact lattice-point bookkeeping.
 
-Building a form runs one exact elimination of its Gram matrix (LDL
-pivots and inverse, hence determinant and level).  The enumeration
-engine walks integer vectors z = h0 + scale*u with Q(z) <= bound
-(Fincke-Pohst), one coordinate at a time, in a basis the form reduces
-once, on its first walk, by exact integer LLL, so a badly conditioned
-Gram matrix of a good lattice costs what the good basis costs.  Pruning
-compares a float LDL partial against an inflated bound; every frontier
-row also carries exact int64 partials of 2Q and of its weight sums, so
-the leaf test, the exponents and the weights are integer arithmetic and
-the histograms feeding the series expansions carry no rounding.  Every
-histogram of a slice with at most one weight row t = w.z enters one
-fibered entry (_slice_cells): along the row, or along the coordinate
-of the reduced basis that the reduced adjugate names when there is
-none, Q splits as a multiple of the fiber's square plus the norm of a kernel-form coset
+Building a form runs one fraction-free elimination of its Gram matrix
+(_bareiss: the adjugate and the leading principal minors, hence the
+determinant, the inverse and the level).  The enumeration engine walks
+integer vectors z = h0 + scale*u with Q(z) <= bound (Fincke-Pohst), one
+coordinate at a time, in a basis the form reduces once, on its first
+walk, by exact integer LLL, so a badly conditioned Gram matrix of a good
+lattice costs what the good basis costs.  Pruning compares a float LDL
+partial against an inflated bound; every frontier row also carries
+exact int64 partials of 2Q and of its weight sums, so the leaf test, the
+exponents and the weights are integer arithmetic and the histograms
+feeding the series expansions carry no rounding.  Every histogram of a
+slice with at most one weight row t = w.z enters one fibered entry
+(_slice_cells): along the row, or along the coordinate of the reduced
+basis that the reduced adjugate names when there is none, Q splits as a
+multiple of the fiber's square plus the norm of a kernel-form coset
 that depends on the fiber only through a residue (the theta
 decomposition of Jacobi forms, Eichler-Zagier, 1985, Thm 5.1), so one
 kernel walk per residue class, folded into each fiber of the class,
@@ -25,6 +26,10 @@ h0 + scale*Z^f through the same entry: every vector is coded by its
 fine slice, the kernel walks carry a code of their own, affine in the
 caller's on each fiber, and each slice's histogram is kept under the key
 its own call looks up (the rescale law's c^f class thetas of cA).
+A slice comes back as one pair (keys, counts) of int64 arrays, its
+distinct keys (e, t...) ascending, from the walk's blocks through every
+fold to the family's split; the dict {(e, t...): count} is built once,
+where insertion_histogram or _keep_class_slices keeps it on the form.
 Every walk, histogram, family, fiber or vector query, enters one walker
 that refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial, a
@@ -36,9 +41,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from math import lcm, pi
 
 import numpy as np
@@ -91,19 +95,6 @@ def _bareiss(gram):
                 aug[r] = [(pv * x - fac * y) // prev for x, y in zip(aug[r], pivot_row)]
         prev = pv
     return [row[f:] for row in aug], minors, lower
-
-
-def _eliminate(gram):
-    """(A^-1, (L, d)) of a symmetric integer A, exact, from _bareiss: the
-    pivots of A = L D L' are d_j = minors[j] / minors[j-1]."""
-    adj, minors, lower = _bareiss(gram)
-    f, det = len(gram), minors[-1]
-    L = tuple(
-        tuple(Fraction(lower[j][i], minors[j]) if i > j else Fraction(int(i == j)) for j in range(f))
-        for i in range(f)
-    )
-    d = [Fraction(m, p) for m, p in zip(minors, [1] + minors[:-1])]
-    return tuple(tuple(Fraction(x, det) for x in row) for row in adj), (L, d)
 
 
 def _lll_basis(gram):
@@ -205,8 +196,9 @@ class QuadraticForm:
             raise InvalidFormError("odd-rank", f"rank {f} is odd; only even rank is supported")
         self.gram = tuple(rows)
         self.rank = f
-        self.inverse_gram, (_, d) = _eliminate(rows)
-        self.det = int(math.prod(d))
+        adj, minors, _ = _bareiss(rows)
+        self.det = minors[-1]
+        self.inverse_gram = tuple(tuple(Fraction(x, self.det) for x in row) for row in adj)
         n0 = 1
         for row in self.inverse_gram:
             for x in row:
@@ -803,52 +795,41 @@ def _fiber_tables(form: QuadraticForm, fib: _Fibration, hy, scale: int, code, fi
 
 
 def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
-    """The slice's histogram by the fibered plan: one kernel walk per
+    """The slice's (keys, counts) by the fibered plan: one kernel walk per
     class, through _slice_cells with the plan's split, folded into every
     fiber of the class in exact integers.
 
     The fold runs in numpy over every (fiber, kernel cell) pair at once:
-    each fiber cuts its class's cells (m, kappa, n), sorted by m, at its
-    own kernel bound, e = (m sd + s^2 sn D^2)/(D^2 sd) must divide exactly
-    (ArithmeticError otherwise), kappa goes through the fiber's code table
-    (_fiber_tables), and one _accumulate_cells counts each pair n times.
-    Before the fold, OverflowError when e D^2 sd, t = g s or a fiber's
-    offset sign*h - D x0 - s D c could pass 2^62 in int64.
+    the classes' keys (m, kappa), each class's ascending and so sorted by
+    m, are concatenated, each fiber cuts its class's at its own kernel
+    bound (np.searchsorted), e = (m sd + s^2 sn D^2)/(D^2 sd) must divide
+    exactly (ArithmeticError otherwise), kappa goes through the fiber's
+    code table (_fiber_tables), and one _tally_cells counts each pair as
+    often as its kernel cell.  Before the fold, OverflowError when
+    e D^2 sd, t = g s or a fiber's offset sign*h - D x0 - s D c could pass
+    2^62 in int64.
     """
     _, fib, hy, fibers, classes, mirror, code = plan
     D, sn, sd, split = fib.D, fib.sn, fib.sd, code[0]
-    mod, width = scale * D, 1 + (split > 1)
+    mod = scale * D
     x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
-    cosets, flat, counts, sizes = [], [], [], []
-    for s in classes.values():
-        h = [(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)]
-        cells = _slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, (), split)
-        cosets.append(h)
-        flat.extend(chain.from_iterable(cells))
-        counts.extend(cells.values())
-        sizes.append(len(cells))
+    cosets = [[(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)] for s in classes.values()]
+    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, (), split) for s, h in zip(classes.values(), cosets)]
     s_top = max(map(abs, fibers))
     offset = D * max(map(abs, x0)) + s_top * max(map(abs, fib.Dc)) + mod
     if max(D * D * bound * sd, fib.g * s_top, offset if split > 1 else 0) > 2 ** 62:
         raise OverflowError(f"fold of the fibers to bound {bound} could pass 2^62 in int64")
-    # every class's cells in one block, each class's sorted by m; each
-    # fiber takes the prefix of its class's cells within its kernel bound
-    K = np.array(flat, dtype=np.int64).reshape(-1, width)
-    order = np.lexsort((K[:, 0], np.repeat(np.arange(len(sizes)), sizes)))
-    K, n = K[order], np.array(counts, dtype=np.int64)[order]
     index = {key: i for i, key in enumerate(classes)}
-    which = [index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers]
-    firsts = list(accumulate(sizes, initial=0))
-    ms = K[:, 0].tolist()
-    starts = [firsts[i] for i in which]
-    cuts = [bisect_right(ms, fib.kbound(bound, s), a, firsts[i + 1]) - a for s, i, a in zip(fibers, which, starts)]
-    total = sum(cuts)
-    cells: dict = {}
-    if total == 0:
-        return cells
+    which = np.array([index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers], dtype=np.intp)
+    kbounds = np.array([fib.kbound(bound, s) for s in fibers], dtype=np.int64)
+    cuts = np.zeros(len(fibers), dtype=np.int64)
+    for i, (keys, _) in enumerate(walks):
+        cuts[which == i] = np.searchsorted(keys[:, 0], kbounds[which == i], side="right")
+    starts = np.cumsum([0] + [len(n) for _, n in walks])[which]
+    K = np.concatenate([keys for keys, _ in walks])
     S = np.array(fibers, dtype=np.int64)
     rep = np.repeat(np.arange(len(S)), cuts)
-    idx = np.arange(total) + np.repeat(np.array(starts) - np.cumsum(cuts) + cuts, cuts)
+    idx = np.arange(int(cuts.sum())) + np.repeat(starts - np.cumsum(cuts) + cuts, cuts)
     e, rem = np.divmod(K[idx, 0] * sd + (S * S * (sn * D * D))[rep], D * D * sd)
     if rem.any():
         bad = int(np.flatnonzero(rem)[0])
@@ -863,16 +844,18 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
             raise ArithmeticError("a fiber's kernel coset is not its class's")
         tables = _fiber_tables(form, fib, hy, scale, code, fibers, num // mod % split, signs)
         ts.append(tables[rep, K[idx, 1]])
-    _accumulate_cells(cells, e, ts, n[idx])
-    return cells
+    return _tally_cells([e, *ts], np.concatenate([n for _, n in walks])[idx])
 
 
 def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
-    """The histogram of z = h0 + scale*u with Q(z) <= bound, keys (e, t...)
-    with t = weight . z, and with split > 1 a last key entry naming the
-    fine slice h0 + scale*w + scale*split*Z^f of each vector by the code
-    sum_i w_i split^i: the one entry of every lattice slice and class
-    family.
+    """The histogram of z = h0 + scale*u with Q(z) <= bound as a pair
+    (keys, counts) of int64 arrays: keys (n, width) in ascending order
+    with no repeated rows, (e, t...) with t = weight . z and, with
+    split > 1, a last entry naming the fine slice
+    h0 + scale*w + scale*split*Z^f of each vector by the code
+    sum_i w_i split^i, and counts the vectors of each.  The one entry of
+    every lattice slice and class family; it builds no dict, which is
+    left to the callers that keep the histogram.
 
     A slice with at most one weight row may be walked fiber by fiber along
     that row, or, with none, along the coordinate of the reduced basis the
@@ -891,8 +874,10 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     direct walk the enclosing slice counted for it, so the chosen plan's
     cost bounds the whole recursion, and it is refused before any walk
     when it passes ENUMERATION_BUDGET (EnumerationBudgetError); a direct
-    walk keeps the refusals of _leaf_chunks.  OverflowError before the
-    form is reduced or planned when the split^f codes could pass 2^62.
+    walk keeps the refusals of _leaf_chunks and tallies each of its
+    blocks, then merges them with one more tally weighted by their counts.
+    OverflowError before the form is reduced or planned when the split^f
+    codes could pass 2^62.
     """
     if split ** form.rank > 2 ** 62:
         raise OverflowError(f"{split}^{form.rank} slice codes could pass 2^62 in int64")
@@ -905,10 +890,13 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
                 f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
         return _fibered_cells(form, bound, scale, weights, plan)
-    cells: dict = {}
-    for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split):
-        _accumulate_cells(cells, e, ts)
-    return cells
+    blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split)]
+    if len(blocks) == 1:
+        return blocks[0]
+    keys = np.concatenate([np.zeros((0, 1 + len(weights) + (split > 1)), dtype=np.int64)] + [k for k, _ in blocks])
+    counts = np.concatenate([np.zeros(0, dtype=np.int64)] + [n for _, n in blocks])
+    del blocks
+    return _tally_cells(list(keys.T), counts)
 
 
 def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):
@@ -947,7 +935,15 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
                 if k2[0] <= bound:
                     out[k2[:width]] = out.get(k2[:width], 0) + c2
             return out
-    cells = _slice_cells(form, bound, scale, h0, weights)
+    keys, counts = _slice_cells(form, bound, scale, h0, weights)
+    # built _FRONTIER_CHUNK rows at a time, so one piece's Python lists
+    # are all that is held beside the dict, and the arrays are dropped
+    # before the caller's copy is made
+    cells: dict = {}
+    for at in range(0, len(counts), _FRONTIER_CHUNK):
+        piece = slice(at, at + _FRONTIER_CHUNK)
+        cells.update(zip(zip(*(col.tolist() for col in keys[piece].T)), counts[piece].tolist()))
+    del keys, counts
     kept[weights] = (bound, cells)
     return dict(cells)
 
@@ -962,45 +958,50 @@ def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weigh
     slice's histogram is kept on the form under the key
     insertion_histogram(form, bound, scale=scale*split, h0=g mod
     scale*split, weights=weights) looks up, empty slices too, so every
-    such call is then served without a walk.  The refusals are
-    _slice_cells'.
+    such call is then served without a walk.  The coded keys are split by
+    their last column with one stable sort, which keeps each slice's rows
+    ascending, and each slice's dict is built once, as it is kept.  The
+    refusals are _slice_cells'.
     """
     h0 = tuple(int(x) for x in h0)
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
-    binned = _slice_cells(form, bound, scale, h0, weights, split)
-    if split == 1:
-        slices = [binned]
-    else:
-        slices = [{} for _ in range(split ** form.rank)]
-        for key, count in binned.items():
-            slices[key[-1]][key[:-1]] = count
+    keys, counts = _slice_cells(form, bound, scale, h0, weights, split)
+    cuts = [0, len(counts)]
+    if split > 1:
+        order = np.argsort(keys[:, -1], kind="stable")
+        keys, counts = keys[order], counts[order]
+        cuts = np.searchsorted(keys[:, -1], np.arange(split ** form.rank + 1)).tolist()
+        keys = keys[:, :-1]
     fine = scale * split
     # the slices' representatives in code order, w_0 running fastest
     shifts = [[(x + scale * w) % fine for w in range(split)] for x in reversed(h0)]
-    for cells, g in zip(slices, product(*shifts)):
-        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, cells)
+    # the family's key tuples built in one pass, then cut slice by slice
+    rows, counts = list(zip(*(col.tolist() for col in keys.T))), counts.tolist()
+    for a, b, g in zip(cuts, cuts[1:], product(*shifts)):
+        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, dict(zip(rows[a:b], counts[a:b])))
 
 
-def _accumulate_cells(cells: dict, e, ts, counts=None):
-    """Fold one block of rows into the histogram, each row counted once
-    or, given counts (int64), that many times.
+def _tally_cells(cols, counts=None):
+    """(keys, counts) of one block of rows given as key columns (e, t...):
+    its distinct rows as an (n, width) int64 array in ascending order, and
+    each row's total, every row counted once or, given counts (int64),
+    that many times.
 
-    The key columns (e, t...) of each row are packed into one composite
-    int64 code and tallied: over the whole code space when it is at most
-    a few times the block, over the distinct codes (np.unique) when it is
-    sparse, and by whole rows only when the space could pass 2^62.  The
-    tallied codes are unpacked column by column, in ascending code order
-    either way.
+    The key columns of each row are packed into one composite int64 code
+    and tallied: over the whole code space when it is at most a few times
+    the block, over the distinct codes (np.unique) when it is sparse, and
+    by whole rows only when the space could pass 2^62.  Codes ascend with
+    their rows, so the tallied codes, unpacked column by column, are the
+    rows in ascending order either way.
     """
-    cols = [e, *ts]
+    if len(cols[0]) == 0:
+        return np.zeros((0, len(cols)), dtype=np.int64), np.zeros(0, dtype=np.int64)
     lows = [int(c.min()) for c in cols]
     spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
     space = math.prod(spans)
     if space > 2 ** 62:
-        uniq, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
-        for row, c in zip(uniq.tolist(), _tally(inv.ravel(), len(uniq), counts).tolist()):
-            cells[tuple(row)] = cells.get(tuple(row), 0) + c
-        return
+        keys, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+        return keys, _tally(inv.ravel(), len(keys), counts)
     codes = np.zeros_like(cols[0])
     for col, lo, span in zip(cols, lows, spans):
         codes = codes * span + (col - lo)
@@ -1013,16 +1014,11 @@ def _accumulate_cells(cells: dict, e, ts, counts=None):
     else:
         uniq, inv = np.unique(codes, return_inverse=True)
         tally = _tally(inv, len(uniq), counts)
-    parts = []
-    for lo, span in zip(reversed(lows), reversed(spans)):
-        parts.append((uniq % span + lo).tolist())
-        uniq = uniq // span
-    tallied = zip(zip(*reversed(parts)), tally.tolist())
-    if not cells:
-        cells.update(tallied)
-        return
-    for key, c in tallied:
-        cells[key] = cells.get(key, 0) + c
+    keys = np.empty((len(uniq), len(cols)), dtype=np.int64)
+    for i in reversed(range(len(cols))):
+        keys[:, i] = uniq % spans[i] + lows[i]
+        uniq = uniq // spans[i]
+    return keys, tally
 
 
 def _tally(index, size: int, counts):

@@ -29,7 +29,7 @@ from theta_forge.lattice import (
     load_form,
     minimal_vector,
     unit_insertion_vector,
-    _eliminate,
+    _bareiss,
 )
 from theta_forge.modforms import ThetaSpec, theta_expand
 
@@ -152,13 +152,16 @@ class TestValidation:
             ldl = ldl_exact(gram)
         except InvalidFormError as e:
             with pytest.raises(InvalidFormError) as got:
-                _eliminate(gram)
+                _bareiss(gram)
             assert (got.value.code, str(got.value)) == (e.code, str(e))
             return
-        inv, (L, d) = _eliminate(gram)
+        adj, minors, lower = _bareiss(gram)
+        assert all(type(x) is int for row in adj + lower for x in row) and all(type(x) is int for x in minors)
+        inv = tuple(tuple(Fraction(x, minors[-1]) for x in row) for row in adj)
+        L = tuple(tuple(Fraction(lower[j][i], minors[j]) if i > j else Fraction(int(i == j)) for j in range(f)) for i in range(f))
+        d = [Fraction(m, p) for m, p in zip(minors, [1] + minors[:-1])]
         assert (inv, [list(row) for row in L], d) == (inverse_exact(gram), *ldl)
         assert (inv, (L, d)) == eliminate_fraction(gram)
-        assert all(type(x) is Fraction for row in inv + L for x in row) and all(type(x) is Fraction for x in d)
 
 
 class TestCatalog:
@@ -469,11 +472,15 @@ class TestHistogram:
     @pytest.mark.parametrize("e_far, t_far", [(3, 2), (10 ** 6, 7), (2 ** 40, 2 ** 30)])
     def test_fold_counts_every_key_space(self, e_far, t_far):
         # a dense packed code space is counted by bincount, a sparse one by
-        # sorting the codes, and one past 2^62 by whole rows: same cells
+        # sorting the codes, and one past 2^62 by whole rows: the same
+        # cells, ascending with no repeats, counted once per row and then
+        # merged by their counts with a block that holds one more (0, 0, 1)
         e = np.array([0, e_far, 0, e_far, e_far], dtype=np.int64)
         ts = [np.array([0, t_far, 0, -5, t_far], dtype=np.int64), np.array([1, -1, 1, 0, -1], dtype=np.int64)]
-        cells = {(0, 0, 1): 1}
-        lattice._accumulate_cells(cells, e, ts)
+        keys, counts = lattice._tally_cells([e, *ts])
+        assert _as_dict(keys, counts) == {(0, 0, 1): 2, (e_far, t_far, -1): 2, (e_far, -5, 0): 1}
+        merged = np.concatenate([[[0, 0, 1]], keys])
+        cells = _as_dict(*lattice._tally_cells(list(merged.T), np.concatenate([[1], counts])))
         assert cells == {(0, 0, 1): 3, (e_far, t_far, -1): 2, (e_far, -5, 0): 1}
         assert all(type(x) is int for key in cells for x in key)
 
@@ -482,6 +489,30 @@ class TestHistogram:
         big = insertion_histogram(d4, 9)
         small = insertion_histogram(d4, 4)
         assert small == {k: v for k, v in big.items() if k[0] <= 4}
+
+    def test_callers_cannot_change_kept_histograms(self, monkeypatch):
+        # a caller that changes a histogram it was handed changes no later
+        # call: the walk's own result, an exact kept hit, a smaller bound
+        # summed out of a kept one, and a class slice a family walk kept
+        # (served without a walk)
+        d4 = catalog_form("D4")
+        scaled = QuadraticForm([[2 * x for x in row] for row in d4.gram])
+        lattice._keep_class_slices(scaled, 16, scale=2, h0=(0,) * 4, weights=(), split=2)
+        expect = [_direct_cells(d4, 6, ()), _direct_cells(d4, 4, ()), _direct_cells(scaled, 16, (), 4, (0,) * 4)]
+        insertion_histogram(d4, 6)[(0,)] += 1
+        walks = _count_leaves(monkeypatch)
+        calls = [
+            lambda: insertion_histogram(d4, 6),
+            lambda: insertion_histogram(d4, 4),
+            lambda: insertion_histogram(scaled, 16, scale=4, h0=(0,) * 4),
+        ]
+        for call, cells in zip(calls, expect):
+            got = call()
+            assert got == cells
+            got[(0,)] += 1
+            got[(-1,)] = 1
+        assert [call() for call in calls] == expect
+        assert walks == []
 
 
 class TestWalkKernel:
@@ -519,10 +550,10 @@ class TestWalkKernel:
         chunk = data.draw(st.integers(1, 6))
         with patch.object(lattice, "_FRONTIER_CHUNK", chunk):
             blocks = list(lattice._leaf_chunks(QuadraticForm(gram), bound, scale, h0, weights))
+            # the direct walk, its blocks merged by one more tally
+            with patch.object(lattice, "_fiber_plan", lambda *args: None):
+                cells = _as_dict(*lattice._slice_cells(QuadraticForm(gram), bound, scale, h0, weights))
         assert all(len(e) <= chunk for e, _ in blocks)
-        cells = {}
-        for e, ts in blocks:
-            lattice._accumulate_cells(cells, e, ts)
         assert cells == float_walk_histogram(gram, bound, scale, h0, weights)
 
     def test_one_row_expands_window_by_window(self):
@@ -552,11 +583,22 @@ class TestWalkKernel:
         assert peak < 1 << 20
 
 
-def _direct_cells(form, bound, weights, scale=1, h0=None):
-    """The histogram of one direct walk, bypassing the fibered dispatch."""
+def _as_dict(keys, counts):
+    """A histogram (keys, counts) as {key: count}, once its int64 rows are
+    checked to ascend with no repeats."""
+    assert keys.dtype == counts.dtype == np.int64 and len(keys) == len(counts)
+    rows = list(map(tuple, keys.tolist()))
+    assert rows == sorted(set(rows))
+    return dict(zip(rows, counts.tolist()))
+
+
+def _direct_cells(form, bound, weights, scale=1, h0=None, split=1):
+    """The histogram of one direct walk, bypassing the fibered dispatch, its
+    blocks merged in a dict."""
     cells = {}
-    for e, ts in lattice._leaf_chunks(form, bound, scale, h0 or (0,) * form.rank, weights):
-        lattice._accumulate_cells(cells, e, ts)
+    for e, ts in lattice._leaf_chunks(form, bound, scale, h0 or (0,) * form.rank, weights, split):
+        for key, n in _as_dict(*lattice._tally_cells([e, *ts])).items():
+            cells[key] = cells.get(key, 0) + n
     return cells
 
 
@@ -650,7 +692,7 @@ class TestFiberedWalk:
             form = QuadraticForm(gram)
             assert insertion_histogram(form, bound, scale=scale, h0=h0, weights=weights) == expect
             for plan in _plans(form, bound, weights, scale, h0):
-                assert lattice._fibered_cells(form, bound, scale, weights, plan) == expect
+                assert _as_dict(*lattice._fibered_cells(form, bound, scale, weights, plan)) == expect
 
     @pytest.mark.parametrize(
         "gram, bound, row, fibered",
@@ -672,7 +714,7 @@ class TestFiberedWalk:
         direct = _direct_cells(form, bound, (row,))
         assert insertion_histogram(form, bound, weights=(row,)) == direct
         for plan in plans:
-            assert lattice._fibered_cells(form, bound, 1, (row,), plan) == direct
+            assert _as_dict(*lattice._fibered_cells(form, bound, 1, (row,), plan)) == direct
 
     @pytest.mark.parametrize(
         "name, bound, rowed, fibered",
@@ -723,10 +765,10 @@ class TestFiberedWalk:
         for a in rows:
             fib = lattice._fibration(skew, a)
             kernel = fib.kernel
-            assert kernel.det == math.prod(_eliminate(kernel.gram)[1][1])
+            assert kernel.det == _bareiss(kernel.gram)[1][-1]
             if kernel.rank > 1:
                 sub = lattice._fibration(kernel, (1,) + (0,) * (kernel.rank - 1)).kernel
-                assert sub.det == math.prod(_eliminate(sub.gram)[1][1])
+                assert sub.det == _bareiss(sub.gram)[1][-1]
         assert lattice._fibration(skew, rows[0]) is lattice._fibration(skew, rows[0])  # kept on the form
 
     def test_kernel_form_of_odd_rank(self):
@@ -821,13 +863,11 @@ def _check_class_slices(form, c, h, vector, radius, plans=False):
         assert cells == _direct_cells(scaled, bound, weights, c * N, g), w
         met += sum(cells.values())
     if plans:
-        coded = {}
-        for e, ts in lattice._leaf_chunks(scaled, bound, N, h, weights, c):
-            lattice._accumulate_cells(coded, e, ts)
+        coded = _direct_cells(scaled, bound, weights, N, h, c)
         est = lattice._ellipsoid_points(f, scaled.det, bound, N)
         plan = lattice._fiber_plan(scaled, bound, N, h, weights, est, math.inf, c)
         if plan is not None:
-            assert lattice._fibered_cells(scaled, bound, N, weights, plan) == coded
+            assert _as_dict(*lattice._fibered_cells(scaled, bound, N, weights, plan)) == coded
     return met
 
 
