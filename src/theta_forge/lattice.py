@@ -28,8 +28,9 @@ caller's on each fiber, and each slice's histogram is kept under the key
 its own call looks up (the rescale law's c^f class thetas of cA).
 A slice comes back as one pair (keys, counts) of int64 arrays, its
 distinct keys (e, t...) ascending, from the walk's blocks through every
-fold to the family's split; the dict {(e, t...): count} is built once,
-where insertion_histogram or _keep_class_slices keeps it on the form.
+fold to the family's split, and the form keeps those arrays, read-only,
+as a Histogram: insertion_histogram hands out views of them and every
+theta sum reads them, so no dict {(e, t...): count} is built.
 Every walk, histogram, family, fiber or vector query, enters one walker
 that refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial, a
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm, pi
@@ -206,7 +208,7 @@ class QuadraticForm:
         if any((n0 * self.inverse_gram[i][i]) % 2 for i in range(f)):
             n0 *= 2
         self.level = n0
-        # insertion histograms built for this form: (scale, h0) -> {weights: (bound, cells)}
+        # insertion histograms built for this form: (scale, h0) -> {weights: (bound, Histogram)}
         self._cells = {}
         self._dual = None
         # the walk's reduced basis, built on the first walk (see _reduced)
@@ -854,8 +856,8 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     split > 1, a last entry naming the fine slice
     h0 + scale*w + scale*split*Z^f of each vector by the code
     sum_i w_i split^i, and counts the vectors of each.  The one entry of
-    every lattice slice and class family; it builds no dict, which is
-    left to the callers that keep the histogram.
+    every lattice slice and class family; it builds no dict, and the
+    callers that keep the histogram keep these arrays (Histogram).
 
     A slice with at most one weight row may be walked fiber by fiber along
     that row, or, with none, along the coordinate of the reduced basis the
@@ -899,14 +901,52 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     return _tally_cells(list(keys.T), counts)
 
 
-def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()):
+class Histogram(Mapping):
+    """A read-only histogram {(e, t...): count} over two int64 arrays:
+    rows (n, width), ascending with no repeated rows, and their counts,
+    both flagged non-writeable.  A lookup bisects the rows column by
+    column."""
+
+    __slots__ = ("rows", "counts")
+
+    def __init__(self, rows, counts):
+        rows.flags.writeable = counts.flags.writeable = False
+        self.rows, self.counts = rows, counts
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+    def __getitem__(self, key):
+        lo, hi = 0, len(self.counts) if len(key) == self.rows.shape[1] else 0
+        for col, x in zip(self.rows.T, key):
+            lo, hi = lo + int(col[lo:hi].searchsorted(x)), lo + int(col[lo:hi].searchsorted(x, "right"))
+        if lo == hi:
+            raise KeyError(key)
+        return int(self.counts[lo])
+
+    def items(self):
+        return list(zip(self, self.counts.tolist()))
+
+    def values(self):
+        return self.counts.tolist()
+
+
+def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=None, weights=()) -> Histogram:
     """Histogram of lattice vectors z = h0 + scale*u with Q(z) <= bound.
 
     Keys are (e, t_1, ..., t_m) with e = Q(z) and t_i = weight_i . z, all
-    exact integers; values count the vectors landing in the cell.  The form
-    keeps every histogram it builds, per slice (scale, h0) and then per
-    weights; a kept histogram of the slice with at least this bound serves
-    the call when it has the same weights or none are asked for.
+    exact integers; values count the vectors landing in the cell.  The
+    result is a read-only Histogram over the arrays the walk returned,
+    which the form keeps per slice (scale, h0) and then per weights, and
+    no dict is built: a kept histogram of the slice with at least this
+    bound serves the call, cut at the bound on its ascending e column,
+    when it has the same weights, or, when none are asked for, with its
+    weights summed out by one _tally_cells.  ValueError on entry for
+    bound < 0, scale < 1, or an h0 or a weight row whose length is not
+    the rank.
 
     Every slice goes through _slice_cells: with at most one weight row it
     is walked fiber by fiber along the row, or along one coordinate of the
@@ -920,32 +960,21 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     above ENUMERATION_BUDGET estimated points, OverflowError when an int64
     partial could overflow.
     """
-    if h0 is None:
-        h0 = (0,) * form.rank
-    h0 = tuple(int(x) for x in h0)
+    if bound < 0 or scale < 1:
+        raise ValueError(f"bound {bound} must be >= 0 and scale {scale} >= 1")
+    h0 = (0,) * form.rank if h0 is None else tuple(int(x) for x in h0)
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
-    width = 1 + len(weights)
+    if len(h0) != form.rank or any(len(wrow) != form.rank for wrow in weights):
+        raise ValueError(f"h0 and every weight row must have length {form.rank}, the rank")
     kept = form._cells.setdefault((scale, h0), {})
-    for w2, (b2, cells2) in kept.items():
-        if b2 == bound and w2 == weights:
-            return dict(cells2)
+    for w2, (b2, hist) in kept.items():
         if b2 >= bound and (w2 == weights or not weights):
-            out: dict = {}
-            for k2, c2 in cells2.items():
-                if k2[0] <= bound:
-                    out[k2[:width]] = out.get(k2[:width], 0) + c2
-            return out
-    keys, counts = _slice_cells(form, bound, scale, h0, weights)
-    # built _FRONTIER_CHUNK rows at a time, so one piece's Python lists
-    # are all that is held beside the dict, and the arrays are dropped
-    # before the caller's copy is made
-    cells: dict = {}
-    for at in range(0, len(counts), _FRONTIER_CHUNK):
-        piece = slice(at, at + _FRONTIER_CHUNK)
-        cells.update(zip(zip(*(col.tolist() for col in keys[piece].T)), counts[piece].tolist()))
-    del keys, counts
-    kept[weights] = (bound, cells)
-    return dict(cells)
+            cut = int(hist.rows[:, 0].searchsorted(bound, side="right"))
+            rows, counts = hist.rows[:cut], hist.counts[:cut]
+            return Histogram(rows, counts) if w2 == weights else Histogram(*_tally_cells([rows[:, 0]], counts))
+    hist = Histogram(*_slice_cells(form, bound, scale, h0, weights))
+    kept[weights] = (bound, hist)
+    return hist
 
 
 def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weights, split: int):
@@ -960,7 +989,8 @@ def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weigh
     scale*split, weights=weights) looks up, empty slices too, so every
     such call is then served without a walk.  The coded keys are split by
     their last column with one stable sort, which keeps each slice's rows
-    ascending, and each slice's dict is built once, as it is kept.  The
+    ascending, and each slice is kept as a read-only Histogram over its
+    views of the family's sorted arrays, so no dict is built.  The
     refusals are _slice_cells'.
     """
     h0 = tuple(int(x) for x in h0)
@@ -975,10 +1005,8 @@ def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weigh
     fine = scale * split
     # the slices' representatives in code order, w_0 running fastest
     shifts = [[(x + scale * w) % fine for w in range(split)] for x in reversed(h0)]
-    # the family's key tuples built in one pass, then cut slice by slice
-    rows, counts = list(zip(*(col.tolist() for col in keys.T))), counts.tolist()
     for a, b, g in zip(cuts, cuts[1:], product(*shifts)):
-        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, dict(zip(rows[a:b], counts[a:b])))
+        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, Histogram(keys[a:b], counts[a:b]))
 
 
 def _tally_cells(cols, counts=None):

@@ -3,8 +3,9 @@
 Exact expansions run through the lattice histogram engine and stay in
 Q(i).  Every numeric theta (plain, class, Poisson offset and dual) is one
 coset sum: the histogram of a coset x + Z^f, cut at a certified radius
-and summed against exp(2 pi i tau e/M).  Both views of every series
-share one enumeration.
+and summed against exp(2 pi i tau e/M) in one numpy sum over the
+histogram's read-only arrays.  Both views of every series share one
+enumeration.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from fractions import Fraction
 from math import lcm, pi
 from typing import Optional
 
+import numpy as np
+
 from .arith import GaussianRational, bernoulli, divisor_sigma
-from .lattice import CongruenceClass, InsertionVector, QuadraticForm, insertion_histogram
+from .lattice import CongruenceClass, InsertionVector, QuadraticForm, _tally_cells, insertion_histogram
 from .qseries import FracQSeries
 
 
@@ -178,29 +181,25 @@ def _certified_bound(rank: int, tau: complex, tol: float, k: int, M: int) -> int
 def _coset_sum(
     form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, t_mod=None, **coset
 ) -> complex:
-    """Sum count * insert(key) * exp(2 pi i tau e/M), smallest terms first.
+    """Sum count * insert(rows) * exp(2 pi i tau e/M) over the rows (e, t...).
 
-    The cells are the insertion histogram of the slice named by coset
-    (scale, h0, weights), cut at the certified bound for tol and k, with
-    every t reduced mod t_mod when that is given.  They are summed in the
-    order of the full key (-e, t...), so the value does not depend on the
-    order the walk met the vectors in, nor on the basis.
+    The rows and counts are the read-only arrays of the insertion
+    histogram of the slice named by coset (scale, h0, weights), cut at the
+    certified bound for tol and k; with t_mod, every t is reduced mod
+    t_mod and the rows are tallied again (_tally_cells).  insert maps the
+    rows array to one factor per row.  The terms are summed in one numpy
+    sum over the rows in ascending order, which the histogram fixes, so
+    the value does not depend on the order the walk met the vectors in,
+    nor on the basis.
     """
-    cells = insertion_histogram(form, _certified_bound(form.rank, tau, tol, k, M), **coset)
+    hist = insertion_histogram(form, _certified_bound(form.rank, tau, tol, k, M), **coset)
+    rows, counts = hist.rows, hist.counts
     if t_mod is not None:
-        folded: dict = {}
-        for (e, *ts), count in cells.items():
-            key = (e, *(t % t_mod for t in ts))
-            folded[key] = folded.get(key, 0) + count
-        cells = folded
-    tau_over = 2j * pi * tau / M
-    total = 0j
-    for key in sorted(cells, key=lambda kk: (-kk[0],) + kk[1:]):
-        term = cells[key] * cmath.exp(tau_over * key[0])
-        if insert is not None:
-            term *= insert(key)
-        total += term
-    return total
+        rows, counts = _tally_cells([rows[:, 0], *(rows[:, 1:] % t_mod).T], counts)
+    terms = counts * np.exp(2j * pi * tau / M * rows[:, 0])
+    if insert is not None:
+        terms *= insert(rows)
+    return complex(terms.sum())
 
 
 def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
@@ -220,8 +219,8 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     if spec.h is not None:
         pref /= float(spec.form.level) ** k
 
-    def insert(key):
-        base = complex(key[1], key[2] if len(key) > 2 else 0)
+    def insert(rows):
+        base = rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] > 2 else 0)
         return pref * base ** k
 
     return _coset_sum(spec.form, z, tol, k, M, insert, **coset)
@@ -256,8 +255,8 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     rho, h0 = _offset_geometry(form, x)
     phase = 2j * pi / rho
 
-    def insert(key):
-        return cmath.exp(phase * key[1])
+    def insert(rows):
+        return np.exp(phase * rows[:, 1])
 
     # m'A^-1 m / 2 = Q_adj(m) / D, and the offset enters only as the phase
     # of t = rho m'x mod rho: the walk is keyed by the short row of centred

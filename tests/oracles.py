@@ -152,6 +152,26 @@ def one_dim_theta(y, tol=1e-15):
         n += 1
 
 
+def coset_sum_loop(cells, tau, M, insert=None, t_mod=None):
+    """sum of count * insert(key) * exp(2 pi i tau e/M) over a histogram
+    {(e, t...): count}, every t reduced mod t_mod when given, term by term
+    in the order of the key (-e, t...), smallest terms first: the per-cell
+    loop the numpy coset sum replaced."""
+    if t_mod is not None:
+        folded = {}
+        for (e, *ts), count in cells.items():
+            key = (e, *(t % t_mod for t in ts))
+            folded[key] = folded.get(key, 0) + count
+        cells = folded
+    total = 0j
+    for key in sorted(cells, key=lambda kk: (-kk[0],) + kk[1:]):
+        term = cells[key] * cexp(2j * pi * tau / M * key[0])
+        if insert is not None:
+            term *= insert(key)
+        total += term
+    return total
+
+
 def gauss_sum_bruteforce(form, a, d, c, h, q):
     """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
 

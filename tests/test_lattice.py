@@ -491,17 +491,20 @@ class TestHistogram:
         assert small == {k: v for k, v in big.items() if k[0] <= 4}
 
     def test_callers_cannot_change_kept_histograms(self, monkeypatch):
-        # a caller that changes a histogram it was handed changes no later
-        # call: the walk's own result, an exact kept hit, a smaller bound
-        # summed out of a kept one, and a class slice a family walk kept
-        # (served without a walk)
+        # every histogram handed out is a read-only view of the kept arrays:
+        # the walk's own result, an exact kept hit, a smaller bound cut out
+        # of a kept one, and a class slice a family walk kept refuse item
+        # assignment and writes to their arrays, and later calls still
+        # match the direct walk, served without a walk
         d4 = catalog_form("D4")
         scaled = QuadraticForm([[2 * x for x in row] for row in d4.gram])
         lattice._keep_class_slices(scaled, 16, scale=2, h0=(0,) * 4, weights=(), split=2)
-        expect = [_direct_cells(d4, 6, ()), _direct_cells(d4, 4, ()), _direct_cells(scaled, 16, (), 4, (0,) * 4)]
-        insertion_histogram(d4, 6)[(0,)] += 1
+        full, cut = _direct_cells(d4, 6, ()), _direct_cells(d4, 4, ())
+        expect = [full, full, cut, _direct_cells(scaled, 16, (), 4, (0,) * 4)]
+        walked = insertion_histogram(d4, 6)
         walks = _count_leaves(monkeypatch)
         calls = [
+            lambda: walked,
             lambda: insertion_histogram(d4, 6),
             lambda: insertion_histogram(d4, 4),
             lambda: insertion_histogram(scaled, 16, scale=4, h0=(0,) * 4),
@@ -509,10 +512,60 @@ class TestHistogram:
         for call, cells in zip(calls, expect):
             got = call()
             assert got == cells
-            got[(0,)] += 1
-            got[(-1,)] = 1
+            with pytest.raises(TypeError):
+                got[(0,)] += 1
+            with pytest.raises(TypeError):
+                got[(-1,)] = 1
+            for array in (got.rows, got.counts):
+                with pytest.raises(ValueError):
+                    array[0] += 1
         assert [call() for call in calls] == expect
         assert walks == []
+
+    def test_histogram_reads_its_arrays(self):
+        # an exact hit, a cut bound, a summed-out projection and a class
+        # slice each read as the dict of their own arrays
+        d4 = catalog_form("D4")
+        v = unit_insertion_vector(d4)
+        _, rows = v.integral_weights(d4)
+        scaled = QuadraticForm([[2 * x for x in row] for row in d4.gram])
+        lattice._keep_class_slices(scaled, 16, scale=2, h0=(0,) * 4, weights=rows, split=2)
+        insertion_histogram(d4, 6, weights=rows)
+        for hist in (
+            insertion_histogram(d4, 6, weights=rows),
+            insertion_histogram(d4, 4, weights=rows),
+            insertion_histogram(d4, 5),
+            insertion_histogram(scaled, 16, scale=4, h0=(2, 0, 0, 2), weights=rows),
+        ):
+            cells = _as_dict(hist.rows, hist.counts)
+            assert cells and hist == cells and cells == hist and len(hist) == len(cells)
+            assert list(hist) == list(cells) and hist.items() == list(cells.items())
+            assert hist.values() == list(cells.values())
+            assert all(hist.get(key) == n and key in hist for key, n in cells.items())
+            assert hist.get((-1,) * hist.rows.shape[1]) is None and hist.get((0,) * 9, 5) == 5
+            assert (10 ** 6,) + (0,) * (hist.rows.shape[1] - 1) not in hist
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"bound": -1},
+            {"scale": -2},
+            {"scale": 0},
+            {"h0": (1,)},
+            {"h0": (1, 0, 5)},
+            {"weights": ((1, 0, 7),)},
+            {"weights": ((1,),)},
+        ],
+        ids=["bound", "scale-negative", "scale-zero", "h0-short", "h0-long", "weights-long", "weights-short"],
+    )
+    def test_rejects_bad_input(self, bad):
+        # each is refused on entry, before a walk or a kept entry
+        a2 = catalog_form("A2")
+        call = {"bound": 4, **bad}
+        bound = call.pop("bound")
+        with pytest.raises(ValueError):
+            insertion_histogram(a2, bound, **call)
+        assert a2._cells == {}
 
 
 class TestWalkKernel:

@@ -1,16 +1,17 @@
 import cmath
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
+from theta_forge import lattice, modforms
 from theta_forge.arith import GaussianRational
 from theta_forge.lattice import (
     CongruenceClass,
     InsertionVector,
     QuadraticForm,
     catalog_form,
+    insertion_histogram,
     unit_insertion_vector,
 )
 from theta_forge.modforms import (
@@ -26,6 +27,7 @@ from theta_forge.modforms import (
 )
 
 from oracles import (
+    coset_sum_loop,
     insertion_theta_loop,
     mat_vec,
     one_dim_theta,
@@ -250,19 +252,63 @@ class TestThetaNumeric:
             shifted = (y[0] + 2,) + y[1:-1] + (y[-1] - 1,)
             assert theta_dual_numeric(form, shifted, tau, 1e-10) == dual
 
-    def test_sum_ignores_walk_order(self):
-        # the same cells met in another order give the same floats
+    def test_sum_ignores_walk_order(self, monkeypatch):
+        # the same cells met in another order give the same floats: a twin
+        # whose histograms come from direct walks, not the fibered ones
         e8 = catalog_form("E8")
         v = unit_insertion_vector(e8)
         tau = 0.13 + 0.8j
         values = [theta_numeric(ThetaSpec(e8, v, k), tau, 1e-10) for k in (2, 4)]
         twin = catalog_form("E8")
-        for key, kept in e8._cells.items():
-            for weights, (bound, cells) in kept.items():
-                items = list(cells.items())
-                random.Random(0).shuffle(items)
-                twin._cells.setdefault(key, {})[weights] = (bound, dict(items))
+        monkeypatch.setattr(lattice, "_fiber_plan", lambda *args: None)
         assert [theta_numeric(ThetaSpec(twin, v, k), tau, 1e-10) for k in (2, 4)] == values
+        assert twin._cells.keys() == e8._cells.keys()
+
+    @pytest.mark.parametrize(
+        "name, k, w, h",
+        [
+            ("E8", 0, None, None),
+            ("E8", 2, None, None),
+            ("E8", 4, None, None),
+            ("A1A1", 4, (1, GaussianRational(0, 1)), None),
+            ("D4", 2, None, "last"),
+            ("2A2", 1, (0, 1), (1, 2)),
+        ],
+    )
+    def test_matches_loop_oracle(self, name, k, w, h):
+        # the numpy coset sum against the per-cell loop over the dict of the
+        # same histogram at the same certified bound; v = (1, i) on A1A1
+        # keys two weight rows (its k = 2 sum is 0, so k = 4 there)
+        tau, tol = 0.13 + 0.8j, 1e-10
+        form = catalog_form(name)
+        v = unit_insertion_vector(form) if w is None else InsertionVector(w, 1)
+        h = form.congruence_classes()[-1] if h == "last" else h and CongruenceClass(form, h)
+        spec = ThetaSpec(form, v, k, h)
+        den, coset = modforms._spec_slice(spec)
+        M = modforms._exp_denom(spec)
+        cells = dict(insertion_histogram(form, modforms._certified_bound(form.rank, tau, tol, k, M), **coset))
+        pref = float(v.s) ** (k / 2) / den ** k / (float(form.level) ** k if h else 1)
+        insert = (lambda key: pref * complex(key[1], key[2] if len(key) > 2 else 0) ** k) if k else None
+        want = coset_sum_loop(cells, tau, M, insert)
+        assert len(cells) > 1 and abs(theta_numeric(spec, tau, tol) - want) <= 1e-12 * abs(want)
+
+    def test_offset_and_dual_match_loop_oracle(self):
+        # the same for the offset sum and the dual sum, whose t the oracle
+        # folds mod rho in a dict
+        tau, tol = 0.13 + 0.8j, 1e-10
+        form = catalog_form("D4")
+        x = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-3, 7))
+        rho, h0 = 42, (21, 14, 12, -18)
+        bound = modforms._certified_bound(form.rank, tau, tol, 0, rho * rho)
+        offset = dict(insertion_histogram(form, bound, scale=rho, h0=h0))
+        want = coset_sum_loop(offset, tau, rho * rho)
+        assert abs(theta_offset_numeric(form, x, tau, tol) - want) <= 1e-12 * abs(want)
+        row = (-21, 14, 12, -18)  # the centred residues of rho x
+        bound = modforms._certified_bound(form.rank, tau, tol, 0, form.det)
+        dual = dict(insertion_histogram(form.dual(), bound, weights=(row,)))
+        want = coset_sum_loop(dual, tau, form.det, lambda key: cmath.exp(2j * math.pi * key[1] / rho), rho)
+        assert len(offset) > 1 and len(dual) > len({(e, t % rho) for e, t in dual}) > 1
+        assert abs(theta_dual_numeric(form, x, tau, tol) - want) <= 1e-12 * abs(want)
 
     def test_odd_k_asymmetric_class_numeric_ok(self):
         # the numeric path has no exactness constraint, so odd powers on
