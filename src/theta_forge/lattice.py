@@ -20,22 +20,16 @@ decomposition of Jacobi forms, Eichler-Zagier, 1985, Thm 5.1), so one
 kernel walk per residue class, folded into each fiber of the class,
 gives exactly the direct walk's histogram.  Every kernel coset comes
 back through the same entry and is fibered in turn while the estimated
-cost says so.  A family of class slices g + scale*c*Z^f,
-g = h0 + scale*w for w in [0, c)^f, is one slice of the coarse coset
-h0 + scale*Z^f through the same entry: every vector is coded by its
-fine slice, the kernel walks carry a code of their own, affine in the
-caller's on each fiber, and each slice's histogram is kept under the key
-its own call looks up (the rescale law's c^f class thetas of cA).
-A slice comes back as one pair (keys, counts) of int64 arrays, its
-distinct keys (e, t...) ascending, from the walk's blocks through every
-fold to the family's split, and the form keeps those arrays, read-only,
-as a Histogram: insertion_histogram hands out views of them and every
-theta sum reads them, so no dict {(e, t...): count} is built.
-Every walk, histogram, family, fiber or vector query, enters one walker
-that refuses it before allocating: EnumerationBudgetError above
-ENUMERATION_BUDGET estimated points, OverflowError when a partial, a
-fold or a slice code could leave int64; a fibered plan is refused before
-any walk when its estimated cost passes ENUMERATION_BUDGET.
+cost says so.  A slice comes back as one pair (keys, counts) of int64
+arrays, its distinct keys (e, t...) ascending, from the walk's blocks
+through every fold, and the form keeps those arrays, read-only, as a
+Histogram: insertion_histogram hands out views of them and every theta
+sum reads them, so no dict {(e, t...): count} is built.
+Every walk, histogram, fiber or vector query, enters one walker that
+refuses it before allocating: EnumerationBudgetError above
+ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
+fold could leave int64; a fibered plan is refused before any walk when
+its estimated cost passes ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import lcm, pi
 
 import numpy as np
@@ -344,14 +338,6 @@ class CongruenceClass:
     def zero(cls, form: QuadraticForm) -> "CongruenceClass":
         return cls(form, (0,) * form.rank)
 
-    @classmethod
-    def _known(cls, form: QuadraticForm, rep) -> "CongruenceClass":
-        """A class whose rep is in [0, N)^rank with A rep = 0 mod N by
-        construction, built without re-checking either."""
-        h = cls.__new__(cls)
-        h.form, h.rep = form, rep
-        return h
-
     def __eq__(self, other):
         if not isinstance(other, CongruenceClass):
             return NotImplemented
@@ -418,7 +404,7 @@ class InsertionVector:
 
         One row when w'A is real, two (real then imaginary part) otherwise.
         The rows of the last form asked for are kept, so the class sums of
-        one form (c^f of them in a rescale check) compute them once.
+        one form (det of them in an inversion check) compute them once.
         """
         if self._rows is None or self._rows[0] is not form:
             ar, ai = form._gram_times(self._re), form._gram_times(self._im)
@@ -452,14 +438,7 @@ def _ellipsoid_points(rank: int, det, bound: int, scale: int) -> float:
     return vol / (math.sqrt(det) * scale ** rank)
 
 
-def _code_origin(U, hy, h0, scale: int, split: int):
-    """k0 = (U hy - h0)/scale mod split: the caller's u = (z - h0)/scale of
-    the walk's y = hy + scale*m is u = k0 + U m, so a vector's fine slice
-    is w = k0 + U m mod split."""
-    return [(sum(a * y for a, y in zip(row, hy)) - x) // scale % split for row, x in zip(U, h0)]
-
-
-def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
+def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights):
     """Yield (e, T) blocks over the vectors z = h0 + scale*u with Q(z) = e <= bound.
 
     e is an int64 array and T a list of int64 columns, weight . z for each
@@ -478,20 +457,12 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     and a single row with more candidates expands them window by window,
     so no block, leaf or frontier, holds more than _FRONTIER_CHUNK rows.
 
-    With split > 1 a last column of T names the fine slice
-    h0 + scale*w + scale*split*Z^f of each vector by the code
-    sum_i w_i split^i, w in [0, split)^f.  The walk packs the residues mod
-    split of its own coordinates m = (y - hy)/scale level by level; as
-    u = k0 + U m (_code_origin), one table over the split^f codes turns
-    them into the caller's w = k0 + U m mod split at the leaf.
-
     Every walk is guarded before it reduces or allocates:
     EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
-    OverflowError when a partial could pass 2^62 (the code's own guard is
-    _slice_cells').  Each coordinate of a vector with Q <= bound has
-    |y_j| <= R_j = isqrt(2 bound gram^-1_jj), so every candidate range is
-    clipped to that exact radius and the guards bound the partials over
-    the box of those radii.
+    OverflowError when a partial could pass 2^62.  Each coordinate of a
+    vector with Q <= bound has |y_j| <= R_j = isqrt(2 bound gram^-1_jj),
+    so every candidate range is clipped to that exact radius and the
+    guards bound the partials over the box of those radii.
     """
     f = form.rank
     est = _ellipsoid_points(f, form.det, bound, scale)
@@ -511,20 +482,14 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
         )
     # the steps k of y_j = hy_j + scale k within the radius
     steps = [(-((r + h) // scale), (r - h) // scale) for r, h in zip(radii, hy)]
-    if split > 1:
-        k0 = _code_origin(U, hy, h0, scale, split)
-        powers = split ** np.arange(f, dtype=np.int64)
-        digits = np.arange(split ** f, dtype=np.int64)[:, None] // powers % split
-        Us = np.array([[x % split for x in row] for row in U], dtype=np.int64)
-        relabel = (digits @ Us.T + k0) % split @ powers
     margin = 1e-6 * (1.0 + bound)
     bf = bound + margin
 
     # a frontier block: the columns y_(f-1), ..., y_(j+1) of its fixed
     # coordinates, the float LDL partials, the exact partials of 2Q, and one
-    # column per weight row (and the code)
+    # column per weight row
     zero = np.zeros(1, dtype=np.int64)
-    stack = [((), np.zeros(1), zero, (zero,) * (len(wy) + (split > 1)))]
+    stack = [((), np.zeros(1), zero, (zero,) * len(wy))]
     while stack:
         Y, S, Q2, T = stack.pop()
         depth = len(Y)
@@ -571,9 +536,6 @@ def _leaf_chunks(form: QuadraticForm, bound: int, scale: int, h0, weights, split
             if len(rep) == 0:
                 continue
             T2 = [t[rep] + w[j] * yj for t, w in zip(T, wy)]
-            if split > 1:
-                code = T[-1][rep] + (yj - hy[j]) // scale % split * split ** j
-                T2.append(relabel[code] if leaf else code)
             if leaf:
                 yield q2 >> 1, T2
             else:
@@ -617,9 +579,8 @@ def _column_gcd(a):
 # the rank-7 kernels of E8).
 # The numpy fold costs 1.5 us per fiber and 0.07-0.15 us per fold pair
 # before the histogram's own cells are built (which a direct walk builds
-# too): one or two leaves, or one leaf of a class family's walk, whose
-# code column makes each of its leaves cost 160-180 ns.  Its fixed
-# 50-150 us of numpy calls is left to the classes' walk set-up.
+# too): one or two leaves.  Its fixed 50-150 us of numpy calls is left to
+# the classes' walk set-up.
 _WALK_SETUP = 1100  # per level of each walk
 _FOLD_FIBER = 20
 _FOLD_PAIR = 1
@@ -639,7 +600,7 @@ class _Fibration:
     read off the reduced inverse; the kernel form K is built on first use.
     """
 
-    __slots__ = ("V", "Vinv", "g", "D", "Dc", "sn", "sd", "kdet", "_gram", "_kernel", "_codes")
+    __slots__ = ("V", "Vinv", "g", "D", "Dc", "sn", "sd", "kdet", "_gram", "_kernel")
 
     def __init__(self, form: QuadraticForm, a):
         self._gram, _, _, _, adj = form._reduced()
@@ -657,8 +618,6 @@ class _Fibration:
         # det K = det A * (last entry of the split inverse) = q_f / g, an integer
         self.kdet = q[-1] // self.g
         self._kernel = None
-        # split -> the code columns of _fiber_tables, built on first use
-        self._codes = {}
 
     @property
     def kernel(self) -> QuadraticForm:
@@ -697,8 +656,8 @@ def _norm_step(gram, scale: int, hy) -> int:
     return math.gcd(scale * lin, scale * scale * n)
 
 
-def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float, split: int = 1):
-    """(cost, fibration, hy, fibers, classes, mirror, code): the plan for
+def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
+    """(cost, fibration, hy, fibers, classes, mirror): the plan for
     walking the slice h0 + scale*Z^f (y = hy + scale*Z^f in the reduced
     basis) fiber by fiber along its one weight row a or, with none, along
     the coordinate y_j with the smallest D_j/(R_j + 1), the lowest j on a
@@ -706,8 +665,7 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     fibers |s| <= R_j = isqrt(2 bound adj_jj // det).  None for two rows,
     a zero row or rank 1, when no residue class of fibers repeats (then
     the direct walk meets no more vectors), or when the classes' set-up
-    alone costs the direct walk's cost or the budget.  code = (split, k0)
-    (_code_origin) names the fine slices the caller bins by.
+    alone costs the direct walk's cost or the budget.
 
     With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
     s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
@@ -717,12 +675,10 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     each class key to its smallest |s|, whose kernel bound the walk takes.
     The cost is the estimated leaves of those walks, each with its set-up,
     the kernel's reduction when it has none yet, and the fold: _FOLD_FIBER
-    per fiber and _FOLD_PAIR per fold pair (a kernel norm and code on one
-    fiber), of which there are at most split^(f-1) per norm of the fiber,
-    the norms e in [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, and
-    about est, the slice's estimated points, in all; with split > 1,
-    _FOLD_PAIR per entry of each fiber's table of split^(f-1) codes as
-    well.
+    per fiber and _FOLD_PAIR per fold pair (a kernel norm on one fiber),
+    of which there is at most one per norm of the fiber, the norms e in
+    [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, and about est, the
+    slice's estimated points, in all.
     """
     f, r = form.rank, form.rank - 1
     if len(weights) > 1 or f < 2 or (weights and not any(weights[0])):
@@ -750,76 +706,41 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     at = fibers.index(s0)
     for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
         classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
-    code = (split, _code_origin(U, hy, h0, scale, split) if split > 1 else None)
-    codes = split ** r
     # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
     # sum of the squares of the progression
     F, s1 = len(fibers), fibers[0]
     squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
     norms = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * _norm_step(gram, scale, hy))
-    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms * codes, est)
-    if split > 1:
-        cost += _FOLD_PAIR * F * codes
+    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms, est)
     cost += _WALK_SETUP * r * len(classes)
     if fib._kernel is None or fib._kernel._lll is None:
         cost += _KERNEL_SETUP * r ** 3
     for s in classes.values():
         cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
-    return cost, fib, hy, fibers, classes, mirror, code
-
-
-def _fiber_tables(form: QuadraticForm, fib: _Fibration, hy, scale: int, code, fibers, deltas, signs):
-    """The code tables of the fibers: row i maps a kernel code kappa of its
-    class walk to the caller's fine-slice code of the matching vector of
-    fiber fibers[i].
-
-    In the reduced basis y = hy + scale*m and the caller's code is
-    w = k0 + U m mod split.  With x = x0 + scale*p and s = s0 + scale*q
-    ((x0, s0) = V^-1 hy, s0 not reduced), m = V (p, q).  A vector
-    u = h + scale*D*k of the class walk (h its coset, kappa = k mod split)
-    is sign*u on a fiber of the class, so p = sign*k + delta with
-    delta = (sign*h - D x0 - s D c)/(scale*D) exact (deltas, mod split).
-    Hence w = k0 + W (delta, q) + sign*W_K kappa with W = U V and W_K its
-    first f-1 columns, all mod split.
-    """
-    split, k0 = code
-    f, r = form.rank, form.rank - 1
-    if split not in fib._codes:
-        U, V = form._reduced()[2], fib.V
-        W = np.array([[sum(U[i][k] * V[k][j] for k in range(f)) % split for j in range(f)] for i in range(f)], dtype=np.int64)
-        digits = np.arange(split ** r, dtype=np.int64)[:, None] // split ** np.arange(r, dtype=np.int64) % split
-        fib._codes[split] = (W, digits @ W[:, :r].T, split ** np.arange(f, dtype=np.int64))
-    W, WK, powers = fib._codes[split]
-    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy))
-    q = np.array([(s - s0) // scale % split for s in fibers], dtype=np.int64)
-    bases = (np.array(k0, dtype=np.int64) + deltas @ W[:, :r].T + q[:, None] * W[:, r]) % split
-    return ((bases[:, None, :] + signs[:, None, None] * WK) % split) @ powers
+    return cost, fib, hy, fibers, classes, mirror
 
 
 def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
     """The slice's (keys, counts) by the fibered plan: one kernel walk per
-    class, through _slice_cells with the plan's split, folded into every
-    fiber of the class in exact integers.
+    class, through _slice_cells, folded into every fiber of the class in
+    exact integers.
 
     The fold runs in numpy over every (fiber, kernel cell) pair at once:
-    the classes' keys (m, kappa), each class's ascending and so sorted by
-    m, are concatenated, each fiber cuts its class's at its own kernel
-    bound (np.searchsorted), e = (m sd + s^2 sn D^2)/(D^2 sd) must divide
-    exactly (ArithmeticError otherwise), kappa goes through the fiber's
-    code table (_fiber_tables), and one _tally_cells counts each pair as
-    often as its kernel cell.  Before the fold, OverflowError when
-    e D^2 sd, t = g s or a fiber's offset sign*h - D x0 - s D c could pass
-    2^62 in int64.
+    the classes' kernel norms m, each class's ascending, are concatenated,
+    each fiber cuts its class's at its own kernel bound (np.searchsorted),
+    e = (m sd + s^2 sn D^2)/(D^2 sd) must divide exactly (ArithmeticError
+    otherwise), and one _tally_cells counts each pair as often as its
+    kernel cell.  Before the fold, OverflowError when e D^2 sd or t = g s
+    could pass 2^62 in int64.
     """
-    _, fib, hy, fibers, classes, mirror, code = plan
-    D, sn, sd, split = fib.D, fib.sn, fib.sd, code[0]
+    _, fib, hy, fibers, classes, mirror = plan
+    D, sn, sd = fib.D, fib.sn, fib.sd
     mod = scale * D
     x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
     cosets = [[(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)] for s in classes.values()]
-    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, (), split) for s, h in zip(classes.values(), cosets)]
+    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, ()) for s, h in zip(classes.values(), cosets)]
     s_top = max(map(abs, fibers))
-    offset = D * max(map(abs, x0)) + s_top * max(map(abs, fib.Dc)) + mod
-    if max(D * D * bound * sd, fib.g * s_top, offset if split > 1 else 0) > 2 ** 62:
+    if max(D * D * bound * sd, fib.g * s_top) > 2 ** 62:
         raise OverflowError(f"fold of the fibers to bound {bound} could pass 2^62 in int64")
     index = {key: i for i, key in enumerate(classes)}
     which = np.array([index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers], dtype=np.intp)
@@ -837,27 +758,16 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
         bad = int(np.flatnonzero(rem)[0])
         raise ArithmeticError(f"Q_K = {K[idx[bad], 0]} on fiber s = {S[rep[bad]]} gives a non-integral norm")
     ts = [fib.g * S[rep]] if weights else []
-    if split > 1:
-        # each fiber is its class's coset or, mirrored, its negative
-        signs = np.where((S - np.array(list(classes.values()), dtype=np.int64)[which]) % mod, -1, 1)
-        num = signs[:, None] * np.array(cosets, dtype=np.int64)[which] - D * np.array(x0, dtype=np.int64)
-        num -= S[:, None] * np.array(fib.Dc, dtype=np.int64)
-        if (num % mod).any():
-            raise ArithmeticError("a fiber's kernel coset is not its class's")
-        tables = _fiber_tables(form, fib, hy, scale, code, fibers, num // mod % split, signs)
-        ts.append(tables[rep, K[idx, 1]])
     return _tally_cells([e, *ts], np.concatenate([n for _, n in walks])[idx])
 
 
-def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split: int = 1):
+def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     """The histogram of z = h0 + scale*u with Q(z) <= bound as a pair
     (keys, counts) of int64 arrays: keys (n, width) in ascending order
-    with no repeated rows, (e, t...) with t = weight . z and, with
-    split > 1, a last entry naming the fine slice
-    h0 + scale*w + scale*split*Z^f of each vector by the code
-    sum_i w_i split^i, and counts the vectors of each.  The one entry of
-    every lattice slice and class family; it builds no dict, and the
-    callers that keep the histogram keep these arrays (Histogram).
+    with no repeated rows, (e, t...) with t = weight . z, and counts the
+    vectors of each.  The one entry of every lattice slice; it builds no
+    dict, and the callers that keep the histogram keep these arrays
+    (Histogram).
 
     A slice with at most one weight row may be walked fiber by fiber along
     that row, or, with none, along the coordinate of the reduced basis the
@@ -865,37 +775,32 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, split
     the norm of a kernel coset that depends on the fiber s only through a
     residue, the theta decomposition of Jacobi forms (Eichler-Zagier,
     1985, Thm 5.1).  Each kernel coset is a plain slice of the kernel form
-    and comes back through this entry, with the same split, so kernels are
-    fibered in turn wherever that is cheaper, down to a direct walk; a
-    kernel vector's code is affine in the fiber's, so one table per fiber
-    carries it (_fiber_tables).  Folded exactly, the fibers give the
-    direct walk's histogram, and every leaf, fold pair and cell of a plan
-    is a distinct vector of the slice.  The slice's one plan is taken
-    unless the direct walk, at its estimated points plus _WALK_SETUP per
-    level, costs no more.  A kernel's plan never costs more than the
-    direct walk the enclosing slice counted for it, so the chosen plan's
-    cost bounds the whole recursion, and it is refused before any walk
-    when it passes ENUMERATION_BUDGET (EnumerationBudgetError); a direct
-    walk keeps the refusals of _leaf_chunks and tallies each of its
-    blocks, then merges them with one more tally weighted by their counts.
-    OverflowError before the form is reduced or planned when the split^f
-    codes could pass 2^62.
+    and comes back through this entry, so kernels are fibered in turn
+    wherever that is cheaper, down to a direct walk.  Folded exactly, the
+    fibers give the direct walk's histogram, and every leaf, fold pair and
+    cell of a plan is a distinct vector of the slice.  The slice's one
+    plan is taken unless the direct walk, at its estimated points plus
+    _WALK_SETUP per level, costs no more.  A kernel's plan never costs
+    more than the direct walk the enclosing slice counted for it, so the
+    chosen plan's cost bounds the whole recursion, and it is refused
+    before any walk when it passes ENUMERATION_BUDGET
+    (EnumerationBudgetError); a direct walk keeps the refusals of
+    _leaf_chunks and tallies each of its blocks, then merges them with one
+    more tally weighted by their counts.
     """
-    if split ** form.rank > 2 ** 62:
-        raise OverflowError(f"{split}^{form.rank} slice codes could pass 2^62 in int64")
     est = _ellipsoid_points(form.rank, form.det, bound, scale)
     direct = est + _WALK_SETUP * form.rank
-    plan = _fiber_plan(form, bound, scale, h0, weights, est, direct, split)
+    plan = _fiber_plan(form, bound, scale, h0, weights, est, direct)
     if plan is not None and plan[0] < direct:
         if plan[0] > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
                 f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
         return _fibered_cells(form, bound, scale, weights, plan)
-    blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights, split)]
+    blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights)]
     if len(blocks) == 1:
         return blocks[0]
-    keys = np.concatenate([np.zeros((0, 1 + len(weights) + (split > 1)), dtype=np.int64)] + [k for k, _ in blocks])
+    keys = np.concatenate([np.zeros((0, 1 + len(weights)), dtype=np.int64)] + [k for k, _ in blocks])
     counts = np.concatenate([np.zeros(0, dtype=np.int64)] + [n for _, n in blocks])
     del blocks
     return _tally_cells(list(keys.T), counts)
@@ -952,12 +857,10 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     is walked fiber by fiber along the row, or along one coordinate of the
     reduced basis when there is none, recursively through the kernels,
     wherever the estimated cost says so, and directly otherwise; two rows
-    (a complex insertion vector) take the direct walk.  A slice that one
-    walk of a coarser coset kept with its whole class family
-    (_keep_class_slices, fibered the same way) is served without a walk.
-    Either way the histogram is the direct walk's exactly.  Every slice
-    and every walk is refused before allocating: EnumerationBudgetError
-    above ENUMERATION_BUDGET estimated points, OverflowError when an int64
+    (a complex insertion vector) take the direct walk.  Either way the
+    histogram is the direct walk's exactly.  Every slice and every walk is
+    refused before allocating: EnumerationBudgetError above
+    ENUMERATION_BUDGET estimated points, OverflowError when an int64
     partial could overflow.
     """
     if bound < 0 or scale < 1:
@@ -975,38 +878,6 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     hist = Histogram(*_slice_cells(form, bound, scale, h0, weights))
     kept[weights] = (bound, hist)
     return hist
-
-
-def _keep_class_slices(form: QuadraticForm, bound: int, *, scale: int, h0, weights, split: int):
-    """Keep the histograms of all split^f fine slices of one coset, from one pass over it.
-
-    The coset h0 + scale*Z^f is the union of the slices
-    g + scale*split*Z^f, g = h0 + scale*w for w in [0, split)^f.  One
-    _slice_cells call with split codes every vector of the coset by its
-    slice, fibered like any slice with at most one weight row, and each
-    slice's histogram is kept on the form under the key
-    insertion_histogram(form, bound, scale=scale*split, h0=g mod
-    scale*split, weights=weights) looks up, empty slices too, so every
-    such call is then served without a walk.  The coded keys are split by
-    their last column with one stable sort, which keeps each slice's rows
-    ascending, and each slice is kept as a read-only Histogram over its
-    views of the family's sorted arrays, so no dict is built.  The
-    refusals are _slice_cells'.
-    """
-    h0 = tuple(int(x) for x in h0)
-    weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
-    keys, counts = _slice_cells(form, bound, scale, h0, weights, split)
-    cuts = [0, len(counts)]
-    if split > 1:
-        order = np.argsort(keys[:, -1], kind="stable")
-        keys, counts = keys[order], counts[order]
-        cuts = np.searchsorted(keys[:, -1], np.arange(split ** form.rank + 1)).tolist()
-        keys = keys[:, :-1]
-    fine = scale * split
-    # the slices' representatives in code order, w_0 running fastest
-    shifts = [[(x + scale * w) % fine for w in range(split)] for x in reversed(h0)]
-    for a, b, g in zip(cuts, cuts[1:], product(*shifts)):
-        form._cells.setdefault((fine, g[::-1]), {})[weights] = (bound, Histogram(keys[a:b], counts[a:b]))
 
 
 def _tally_cells(cols, counts=None):

@@ -1,11 +1,11 @@
 """q-expansions and numeric evaluation of Eisenstein and theta series.
 
 Exact expansions run through the lattice histogram engine and stay in
-Q(i).  Every numeric theta (plain, class, Poisson offset and dual) is one
-coset sum: the histogram of a coset x + Z^f, cut at a certified radius
-and summed against exp(2 pi i tau e/M) in one numpy sum over the
-histogram's read-only arrays.  Both views of every series share one
-enumeration.
+Q(i).  Every numeric theta (plain, class, Poisson offset, dual, and the
+rescale law's family of class thetas) is one coset sum: the histogram of
+a coset x + Z^f, cut at a certified radius and summed against
+exp(2 pi i tau e/M) in one numpy sum over the histogram's read-only
+arrays.  Both views of every series share one enumeration.
 """
 
 from __future__ import annotations
@@ -172,12 +172,6 @@ def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:
     return r
 
 
-def _certified_bound(rank: int, tau: complex, tol: float, k: int, M: int) -> int:
-    """radius * M: the histogram bound that certifies, to tol, a coset sum
-    of rank `rank` with insertion power k and exponents e/M at tau."""
-    return _truncation_radius(tau.imag, k, rank, tol) * M
-
-
 def _coset_sum(
     form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, t_mod=None, **coset
 ) -> complex:
@@ -185,14 +179,15 @@ def _coset_sum(
 
     The rows and counts are the read-only arrays of the insertion
     histogram of the slice named by coset (scale, h0, weights), cut at the
-    certified bound for tol and k; with t_mod, every t is reduced mod
+    bound radius * M that certifies tol at tau for the form's rank and k
+    (_truncation_radius); with t_mod, every t is reduced mod
     t_mod and the rows are tallied again (_tally_cells).  insert maps the
     rows array to one factor per row.  The terms are summed in one numpy
     sum over the rows in ascending order, which the histogram fixes, so
     the value does not depend on the order the walk met the vectors in,
     nor on the basis.
     """
-    hist = insertion_histogram(form, _certified_bound(form.rank, tau, tol, k, M), **coset)
+    hist = insertion_histogram(form, _truncation_radius(tau.imag, k, form.rank, tol) * M, **coset)
     rows, counts = hist.rows, hist.counts
     if t_mod is not None:
         rows, counts = _tally_cells([rows[:, 0], *(rows[:, 1:] % t_mod).T], counts)
@@ -209,21 +204,30 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     drops (the certified-contract region of the harness is im >= 0.3, and
     campaign fallbacks go lower at their own expense).
     """
-    z = _as_complex(tau)
-    den, coset = _spec_slice(spec)
-    M = _exp_denom(spec)
-    k = spec.k
+    level, h0 = (1, None) if spec.h is None else (spec.form.level, spec.h.rep)
+    return _theta_sum(spec.form, spec.v, spec.k, _as_complex(tau), tol, level, level, h0)
+
+
+def _theta_sum(form: QuadraticForm, v, k: int, tau: complex, tol: float, level: int, scale: int, h0) -> complex:
+    """sum over z = h0 + scale*u of <v, z>^k exp(2 pi i tau Q(z)/level^2)
+    / level^k, truncation error below tol: one coset sum.
+
+    level = scale gives theta_numeric's class theta (level = 1, h0 = None
+    the plain one).  The rescale law's right side, the c^f class thetas of
+    cA at level cN, is the coset h + N Z^f of cA summed once at level cN
+    (verify.check_rescale).
+    """
+    M = level * level
     if k == 0:
-        return _coset_sum(spec.form, z, tol, 0, M, **coset)
-    pref = float(spec.v.s) ** (k / 2) / den ** k
-    if spec.h is not None:
-        pref /= float(spec.form.level) ** k
+        return _coset_sum(form, tau, tol, 0, M, scale=scale, h0=h0)
+    den, weights = v.integral_weights(form)
+    pref = float(v.s) ** (k / 2) / den ** k / float(level) ** k
 
     def insert(rows):
         base = rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] > 2 else 0)
         return pref * base ** k
 
-    return _coset_sum(spec.form, z, tol, k, M, insert, **coset)
+    return _coset_sum(form, tau, tol, k, M, insert, scale=scale, h0=h0, weights=weights)
 
 
 def _offset_geometry(form: QuadraticForm, x):

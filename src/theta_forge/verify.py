@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import gcd, pi
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -29,14 +28,13 @@ from .lattice import (
     CongruenceClass,
     InsertionVector,
     QuadraticForm,
-    _keep_class_slices,
     gauss_sum,
     unit_insertion_vector,
 )
 from .modforms import (
     ThetaSpec,
     _as_complex,
-    _certified_bound,
+    _theta_sum,
     eisenstein_e2_numeric,
     theta_dual_numeric,
     theta_numeric,
@@ -307,36 +305,25 @@ def check_rescale(
 ) -> LawReport:
     """theta for A at tau against the sum of c^f class thetas for cA at c tau.
 
-    Each class theta keeps its own spec (level cN, exponents e/(cN)^2 and
-    the prefactor) and is summed on its own, so only the walk is shared.
     cA has level cN (r (cA)^-1 = (r/c) A^-1 is integral with even diagonal
     exactly when r/c is a multiple of N, as A (r/c) A^-1 = (r/c) I is then
-    integral), so every class h + N w, w in [0, c)^f, is one fine slice of
-    the coset h + N Z^f.  One pass of cA over that coset, to the bound
-    each class call certifies, coding every vector by its class and
-    fibered through the kernels like any slice with at most one weight
-    row, keeps every class histogram on the scaled form before the sum
-    reads them.  More than ENUMERATION_BUDGET classes are refused with
-    ValueError before anything is allocated.
+    integral), so the classes h + N w, w in [0, c)^f, of cA are the fine
+    slices of the coset h + N Z^f.  Their thetas share the exponents
+    e/(cN)^2, the prefactor 1/(cN)^k and the weight rows of cA, and enter
+    the sum with equal weight, so the right side is that coset's sum at
+    level cN, walked and summed once to the bound each class's tolerance
+    tol/c^f certifies.  It is summed first, so a coset past the budget is
+    refused by the walk's own guards (EnumerationBudgetError) before
+    either side walks or allocates.
     """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")
-    if c ** form.rank > ENUMERATION_BUDGET:
-        raise ValueError(f"{c}^{form.rank} rescale classes exceed budget {ENUMERATION_BUDGET:.2e}")
+    spec = ThetaSpec(form, v, k, h)
     z = _as_complex(tau)
     inner = tol * 1e-3
-    N = form.level
-    lhs = theta_numeric(ThetaSpec(form, v, k, h), z, inner)
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
-    cz, ctol = c * z, inner / c ** form.rank
-    bound = _certified_bound(form.rank, cz, ctol, k, (c * N) ** 2)
-    weights = v.integral_weights(scaled)[1] if k else ()
-    _keep_class_slices(scaled, bound, scale=N, h0=h.rep, weights=weights, split=c)
-    rhs = 0j
-    for w in product(range(c), repeat=form.rank):
-        # h + N w lies in [0, cN)^f and cA (h + N w) = c A h = 0 mod cN
-        gcls = CongruenceClass._known(scaled, tuple(x + N * wi for x, wi in zip(h.rep, w)))
-        rhs += theta_numeric(ThetaSpec(scaled, v, k, gcls), cz, ctol)
+    rhs = _theta_sum(scaled, v, k, c * z, inner / c ** form.rank, c * form.level, form.level, h.rep)
+    lhs = theta_numeric(spec, z, inner)
     return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)
 
 

@@ -493,27 +493,28 @@ class TestHistogram:
     def test_callers_cannot_change_kept_histograms(self, monkeypatch):
         # every histogram handed out is a read-only view of the kept arrays:
         # the walk's own result, an exact kept hit, a smaller bound cut out
-        # of a kept one, and a class slice a family walk kept refuse item
+        # of a kept one, and a walked slice h0 + 4 Z^4 of 2 D4 refuse item
         # assignment and writes to their arrays, and later calls still
         # match the direct walk, served without a walk
         d4 = catalog_form("D4")
         scaled = QuadraticForm([[2 * x for x in row] for row in d4.gram])
-        lattice._keep_class_slices(scaled, 16, scale=2, h0=(0,) * 4, weights=(), split=2)
+        h0 = (2, 0, 0, 2)
+        insertion_histogram(scaled, 16, scale=4, h0=h0)
         full, cut = _direct_cells(d4, 6, ()), _direct_cells(d4, 4, ())
-        expect = [full, full, cut, _direct_cells(scaled, 16, (), 4, (0,) * 4)]
+        expect = [full, full, cut, _direct_cells(scaled, 16, (), 4, h0)]
         walked = insertion_histogram(d4, 6)
         walks = _count_leaves(monkeypatch)
         calls = [
             lambda: walked,
             lambda: insertion_histogram(d4, 6),
             lambda: insertion_histogram(d4, 4),
-            lambda: insertion_histogram(scaled, 16, scale=4, h0=(0,) * 4),
+            lambda: insertion_histogram(scaled, 16, scale=4, h0=h0),
         ]
         for call, cells in zip(calls, expect):
             got = call()
             assert got == cells
             with pytest.raises(TypeError):
-                got[(0,)] += 1
+                got[next(iter(got))] += 1
             with pytest.raises(TypeError):
                 got[(-1,)] = 1
             for array in (got.rows, got.counts):
@@ -523,13 +524,12 @@ class TestHistogram:
         assert walks == []
 
     def test_histogram_reads_its_arrays(self):
-        # an exact hit, a cut bound, a summed-out projection and a class
-        # slice each read as the dict of their own arrays
+        # an exact hit, a cut bound, a summed-out projection and a walked
+        # slice h0 + 4 Z^4 of 2 D4 each read as the dict of their own arrays
         d4 = catalog_form("D4")
         v = unit_insertion_vector(d4)
         _, rows = v.integral_weights(d4)
         scaled = QuadraticForm([[2 * x for x in row] for row in d4.gram])
-        lattice._keep_class_slices(scaled, 16, scale=2, h0=(0,) * 4, weights=rows, split=2)
         insertion_histogram(d4, 6, weights=rows)
         for hist in (
             insertion_histogram(d4, 6, weights=rows),
@@ -645,11 +645,11 @@ def _as_dict(keys, counts):
     return dict(zip(rows, counts.tolist()))
 
 
-def _direct_cells(form, bound, weights, scale=1, h0=None, split=1):
+def _direct_cells(form, bound, weights, scale=1, h0=None):
     """The histogram of one direct walk, bypassing the fibered dispatch, its
     blocks merged in a dict."""
     cells = {}
-    for e, ts in lattice._leaf_chunks(form, bound, scale, h0 or (0,) * form.rank, weights, split):
+    for e, ts in lattice._leaf_chunks(form, bound, scale, h0 or (0,) * form.rank, weights):
         for key, n in _as_dict(*lattice._tally_cells([e, *ts])).items():
             cells[key] = cells.get(key, 0) + n
     return cells
@@ -668,9 +668,9 @@ def _count_leaves(monkeypatch):
     walks = []
     leaf_chunks = lattice._leaf_chunks
 
-    def counting(form, bound, scale, h0, weights, split=1):
+    def counting(form, bound, scale, h0, weights):
         met = 0
-        for e, ts in leaf_chunks(form, bound, scale, h0, weights, split):
+        for e, ts in leaf_chunks(form, bound, scale, h0, weights):
             met += len(e)
             yield e, ts
         walks.append((form.rank, scale, met))
@@ -895,39 +895,33 @@ def _rescale_weights(scaled, vector):
     return InsertionVector(w).integral_weights(scaled)[1]
 
 
-def _check_class_slices(form, c, h, vector, radius, plans=False):
-    """Keep the class family of c*form over h + N Z^f to the bound radius*(cN)^2,
-    as check_rescale does, and compare every one of the c^f fine slices
-    with its own direct walk.  With plans, the family's fibered plan,
-    forced, must also give the direct family walk's coded histogram.
-    Returns the family's total."""
+def _check_coset_partition(form, c, h, vector, radius, plans=False):
+    """The coset h + N Z^f of c*form to the bound radius*(cN)^2, as the
+    rescale law's right side walks it, against its c^f fine slices
+    h + N w + cN Z^f, the classes of cA, each walked directly on its own:
+    the coset's histogram is exactly their sum.  With plans, the coset's
+    fibered plan, forced, must give it too.  Returns the coset's total."""
     f, N = form.rank, form.level
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
     assert scaled.level == c * N  # so each class of cA is one fine slice
     weights = _rescale_weights(scaled, vector)
     bound = radius * (c * N) ** 2
-    lattice._keep_class_slices(scaled, bound, scale=N, h0=h, weights=weights, split=c)
-    assert len(scaled._cells) == c ** f  # every slice, the empty ones too
-    met = 0
+    expect = {}
     for w in product(range(c), repeat=f):
         g = tuple(x + N * wi for x, wi in zip(h, w))
-        kept_bound, cells = scaled._cells[(c * N, g)][weights]
-        assert kept_bound == bound
-        assert cells == _direct_cells(scaled, bound, weights, c * N, g), w
-        met += sum(cells.values())
+        for key, n in _direct_cells(scaled, bound, weights, c * N, g).items():
+            expect[key] = expect.get(key, 0) + n
+    assert insertion_histogram(scaled, bound, scale=N, h0=h, weights=weights) == expect
     if plans:
-        coded = _direct_cells(scaled, bound, weights, N, h, c)
-        est = lattice._ellipsoid_points(f, scaled.det, bound, N)
-        plan = lattice._fiber_plan(scaled, bound, N, h, weights, est, math.inf, c)
-        if plan is not None:
-            assert _as_dict(*lattice._fibered_cells(scaled, bound, N, weights, plan)) == coded
-    return met
+        for plan in _plans(scaled, bound, weights, N, h):
+            assert _as_dict(*lattice._fibered_cells(scaled, bound, N, weights, plan)) == expect
+    return sum(expect.values())
 
 
 class TestClassSlices:
-    # The rescale law sums every class, so a vector binned under the wrong
-    # class leaves its residual unchanged; only a slice-by-slice comparison
-    # with the direct walk sees it.
+    # The rescale law sums the c^f class thetas of cA as the one coset
+    # h + N Z^f of cA; these check that coset's walk exactly against its
+    # classes, walked one by one, and bound what the walk costs.
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -935,10 +929,10 @@ class TestClassSlices:
         # random even forms of rank 2, 4 and 8 in skewed bases, every class
         # h, c = 2 or 3 (2 on rank 8, whose 3^8 direct walks are too slow
         # here), with no weights, the one row of a real vector or the two
-        # rows of a complex one.  The family, fibered wherever its cost
-        # says so and, in half the draws, with the cost constants at zero
-        # so that it is fibered as deep as its estimates allow, and its
-        # fibered plan, forced, give the direct walks' histograms.
+        # rows of a complex one.  The coset, fibered wherever its cost says
+        # so and, in half the draws, with the cost constants at zero so
+        # that it is fibered as deep as its estimates allow, and its
+        # fibered plan, forced, give the sum of the classes' direct walks.
         f = data.draw(st.sampled_from((2, 4, 8)))
         base = data.draw(st.sampled_from(_EVEN_BASES[f]))
         u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100, 10 ** 4))))
@@ -956,7 +950,7 @@ class TestClassSlices:
             )
         radius = data.draw(st.integers(1, {2: 4, 4: 2, 8: 1}[f]))
         with patch.multiple(lattice, **_EAGER) if data.draw(st.booleans()) else nullcontext():
-            _check_class_slices(form, c, h, vector, radius, plans=True)
+            _check_coset_partition(form, c, h, vector, radius, plans=True)
 
     # E8 at c = 3 would take 3^8 direct walks; c = 2 covers E8
     @pytest.mark.parametrize(
@@ -966,10 +960,10 @@ class TestClassSlices:
         form = _CATALOG_FORMS[name]
         h = form.congruence_classes()[-1].rep
         vector = (1,) + (0,) * (form.rank - 2) + (1j,)
-        assert _check_class_slices(form, c, h, vector, 2) > 0
+        assert _check_coset_partition(form, c, h, vector, 2) > 0
 
     def test_family_walk_memory(self):
-        # the laws-e8 family walk (2 E8 along a root, k = 2, c = 2, to bound
+        # the laws-e8 coset walk (2 E8 along a root, k = 2, c = 2, to bound
         # 20: the 794,161 vectors of E8 with Q <= 10) peaks near 30 MB with
         # blocks bounded by their candidates, and at 66 MB with leaf blocks
         # bounded only by the rows they grew from
@@ -979,12 +973,12 @@ class TestClassSlices:
         scaled._reduced()
         tracemalloc.start()
         try:
-            lattice._keep_class_slices(scaled, 20, scale=1, h0=(0,) * 8, weights=weights, split=2)
+            hist = insertion_histogram(scaled, 20, weights=weights)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 40 << 20
-        assert sum(sum(cells.values()) for (_, cells) in (k[weights] for k in scaled._cells.values())) == 794_161
+        assert sum(hist.values()) == 794_161
 
     @pytest.mark.parametrize(
         "gram, h, radius",
@@ -995,39 +989,25 @@ class TestClassSlices:
         ],
     )
     def test_mirrored_fibers(self, gram, h, radius):
-        # families with fibers that are the negatives of their class's
-        # kernel coset, at c = 3, where the mirror turns each kernel code
-        # kappa into -kappa (at c = 2 the two agree); the plan, forced
+        # cosets with fibers that are the negatives of their class's kernel
+        # coset (2 hy = 0 mod scale), at c = 3, against their classes,
+        # whose fibers at scale 3N are mirrored too; the plan, forced
         for eager in (False, True):
             with patch.multiple(lattice, **_EAGER) if eager else nullcontext():
-                assert _check_class_slices(QuadraticForm(gram), 3, h, None, radius, plans=True) > 0
+                assert _check_coset_partition(QuadraticForm(gram), 3, h, None, radius, plans=True) > 0
 
     @pytest.mark.parametrize("c, bound, direct, most", [(2, 20, 794_161, 150_000), (3, 45, 3_721_681, 300_000)])
     def test_fibered_family_leaves(self, monkeypatch, c, bound, direct, most):
-        # the rescale families of c E8 along a root (k = 2), as laws-e8 and
+        # the rescale cosets of c E8 along a root (k = 2), as laws-e8 and
         # the E8 campaign walk them: fibered through the kernels, they meet
         # a small part of the direct walk's leaves and keep every vector
         e8 = _CATALOG_FORMS["E8"]
         scaled = QuadraticForm([[c * x for x in row] for row in e8.gram])
         weights = unit_insertion_vector(e8).integral_weights(scaled)[1]
         walks = _count_leaves(monkeypatch)
-        lattice._keep_class_slices(scaled, bound, scale=1, h0=(0,) * 8, weights=weights, split=c)
-        assert sum(sum(cells.values()) for (_, cells) in (k[weights] for k in scaled._cells.values())) == direct
+        assert sum(insertion_histogram(scaled, bound, weights=weights).values()) == direct
         assert len(walks) > 1 and all(rank < 8 for rank, _, _ in walks)
         assert sum(met for _, _, met in walks) < most
-
-    def test_code_column_refuses_int64_overflow(self):
-        # 3^40 slice codes could pass 2^62: refused before the walk
-        form = QuadraticForm(_block(*[CATALOG["A1A1"]] * 20))
-        tracemalloc.start()
-        try:
-            with pytest.raises(OverflowError, match="slice codes"):
-                lattice._keep_class_slices(form, 1, scale=1, h0=(0,) * 40, weights=(), split=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert form._lll is None
 
 
 class TestReducedBasis:

@@ -286,7 +286,7 @@ class TestThetaNumeric:
         spec = ThetaSpec(form, v, k, h)
         den, coset = modforms._spec_slice(spec)
         M = modforms._exp_denom(spec)
-        cells = dict(insertion_histogram(form, modforms._certified_bound(form.rank, tau, tol, k, M), **coset))
+        cells = dict(insertion_histogram(form, modforms._truncation_radius(tau.imag, k, form.rank, tol) * M, **coset))
         pref = float(v.s) ** (k / 2) / den ** k / (float(form.level) ** k if h else 1)
         insert = (lambda key: pref * complex(key[1], key[2] if len(key) > 2 else 0) ** k) if k else None
         want = coset_sum_loop(cells, tau, M, insert)
@@ -299,12 +299,12 @@ class TestThetaNumeric:
         form = catalog_form("D4")
         x = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-3, 7))
         rho, h0 = 42, (21, 14, 12, -18)
-        bound = modforms._certified_bound(form.rank, tau, tol, 0, rho * rho)
+        bound = modforms._truncation_radius(tau.imag, 0, form.rank, tol) * rho * rho
         offset = dict(insertion_histogram(form, bound, scale=rho, h0=h0))
         want = coset_sum_loop(offset, tau, rho * rho)
         assert abs(theta_offset_numeric(form, x, tau, tol) - want) <= 1e-12 * abs(want)
         row = (-21, 14, 12, -18)  # the centred residues of rho x
-        bound = modforms._certified_bound(form.rank, tau, tol, 0, form.det)
+        bound = modforms._truncation_radius(tau.imag, 0, form.rank, tol) * form.det
         dual = dict(insertion_histogram(form.dual(), bound, weights=(row,)))
         want = coset_sum_loop(dual, tau, form.det, lambda key: cmath.exp(2j * math.pi * key[1] / rho), rho)
         assert len(offset) > 1 and len(dual) > len({(e, t % rho) for e, t in dual}) > 1

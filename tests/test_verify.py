@@ -5,18 +5,21 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from theta_forge import lattice, modforms, verify
 from theta_forge.lattice import (
     CongruenceClass,
+    EnumerationBudgetError,
     InsertionVector,
     QuadraticForm,
     catalog_form,
     unit_insertion_vector,
 )
 from theta_forge.arith import GaussianRational
+from theta_forge.modforms import ThetaSpec, theta_numeric
 from theta_forge.verify import (
     _GAUSS_SUM_CAP,
     LAW_IDS,
@@ -263,55 +266,100 @@ class TestTranslationRescale:
         ],
     )
     def test_two_walks_per_rescale_check(self, monkeypatch, name, vector, k, c):
-        # the left side's walks (one, or the kernel walks of a fibered
-        # left side) and then the class family's, every one of them
-        # coding its vectors by class (split = c), fibered or direct;
-        # every class theta is then read from the family's histograms
-        # without a walk
+        # the left side's slice h + N Z^f of A and the right side's one
+        # coset h + N Z^f of cA: two top-level slices, fibered or direct,
+        # and no walk of a class h + N w + cN Z^f of cA
         form = catalog_form(name)
-        if vector is None:
-            v = unit_insertion_vector(form)
-        else:
-            v = InsertionVector(
-                tuple(GaussianRational(int(x.real), int(x.imag)) for x in vector), 1
-            )
-        walks = []
-        leaf_chunks = lattice._leaf_chunks
+        v = _insertion(form, vector)
+        slices, walks = [], []
+        slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
 
-        def counting(walked, bound, scale, h0, weights, split=1):
-            walks.append((walked.rank, scale, split))
-            return leaf_chunks(walked, bound, scale, h0, weights, split)
+        def slicing(walked, bound, scale, h0, weights):
+            slices.append((walked, scale, h0))
+            return slice_cells(walked, bound, scale, h0, weights)
 
-        family = []
-        keep_class_slices = verify._keep_class_slices
+        def counting(walked, bound, scale, h0, weights):
+            walks.append((walked, scale))
+            return leaf_chunks(walked, bound, scale, h0, weights)
 
-        def keeping(*args, **kwargs):
-            family.append(len(walks))
-            keep_class_slices(*args, **kwargs)
-            family.append(len(walks))
-
+        monkeypatch.setattr(lattice, "_slice_cells", slicing)
         monkeypatch.setattr(lattice, "_leaf_chunks", counting)
-        monkeypatch.setattr(verify, "_keep_class_slices", keeping)
         h = form.congruence_classes()[-1]
         res = check_rescale(form, h, v, k, c, 0.15 + 1.1j, 1e-8)
         assert res.passed, res.residual
-        start, end = family
-        assert walks[:start] and all(split == 1 for _, _, split in walks[:start])
-        assert walks[start:] and all(split == c for _, _, split in walks[start:])
-        assert end == len(walks)
+        N = form.level
+        scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
+        assert [(s, h0) for walked, s, h0 in slices if walked == form] == [(N, h.rep)]
+        assert [(s, h0) for walked, s, h0 in slices if walked == scaled] == [(N, h.rep)]
+        assert walks and not any(walked == scaled and s == c * N for walked, s in walks)
 
-    def test_rescale_refuses_oversized_family_before_allocating(self):
-        # 10^8 classes of 10 E8: refused up front, where the per-class sum
-        # used to start 10^8 walks
+    @pytest.mark.parametrize(
+        "name, vector, k, c",
+        [
+            ("A2", None, 2, 2),
+            ("A2", None, 2, 3),
+            ("2A2", None, 2, 2),
+            ("2A2", None, 0, 3),
+            ("D4", None, 2, 2),
+            ("D4", None, 4, 3),
+            ("A1A1", (1, 1j), 4, 2),
+            ("E8", None, 2, 2),
+        ],
+    )
+    def test_right_side_is_the_class_sum(self, monkeypatch, name, vector, k, c):
+        # the right side, one coset sum, against the c^f public class
+        # thetas of cA at c tau, each walked on its own on a fresh form
+        form = catalog_form(name)
+        v = _insertion(form, vector)
+        sides = []
+        theta_sum = verify._theta_sum
+
+        def keeping(*args):
+            sides.append(theta_sum(*args))
+            return sides[-1]
+
+        monkeypatch.setattr(verify, "_theta_sum", keeping)
+        h, tau, tol = form.congruence_classes()[-1], 0.15 + 1.1j, 1e-8
+        assert check_rescale(form, h, v, k, c, tau, tol).passed
+        N, f = form.level, form.rank
+        scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
+        want = sum(
+            theta_numeric(
+                ThetaSpec(scaled, v, k, CongruenceClass(scaled, tuple(x + N * wi for x, wi in zip(h.rep, w)))),
+                c * tau,
+                tol * 1e-3 / c ** f,
+            )
+            for w in product(range(c), repeat=f)
+        )
+        assert len(sides) == 1 and abs(want) > 1e-3
+        assert abs(sides[0] - want) < 1e-13
+
+    def test_rescale_e8_at_c10_passes(self):
+        # 10^8 classes of 10 E8, summed as one coset of a few vectors
+        e8 = catalog_form("E8")
+        res = check_rescale(e8, CongruenceClass.zero(e8), None, 0, 10, 0.1 + 1.1j, 1e-8)
+        assert res.passed, res.residual
+
+    def test_rescale_refuses_oversized_walk_before_allocating(self):
+        # the coset of 100 E8 at its certified bound is past the budget:
+        # refused by the walk's own guard before any walk, the left
+        # side's included
         e8 = catalog_form("E8")
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="rescale classes exceed budget"):
-                check_rescale(e8, CongruenceClass.zero(e8), None, 0, 10, 0.1 + 1.1j, 1e-8)
+            with pytest.raises(EnumerationBudgetError):
+                check_rescale(e8, CongruenceClass.zero(e8), None, 0, 100, 0.1 + 1.1j, 1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _insertion(form, vector):
+    """The form's unit insertion vector, or v = vector with s = 1."""
+    if vector is None:
+        return unit_insertion_vector(form)
+    return InsertionVector(tuple(GaussianRational(int(x.real), int(x.imag)) for x in vector), 1)
 
 
 class TestCuspExpansion:
