@@ -185,6 +185,9 @@ def _cmd_verify_laws(args) -> int:
     form = _resolve_form(args.lattice)
     laws = LAW_IDS if args.laws == "all" else [s.strip() for s in args.laws.split(",")]
     given = {name: getattr(args, name) for name in ("tol", "k", "x_prec") if hasattr(args, name)}
+    if "cusp" in laws and given.get("k", 0) % 2:
+        # every cusp check would be skipped, leaving an empty passing report
+        raise UsageError(f"--k {given['k']} is odd; the cusp law needs an even insertion index")
     if args.v_spec:
         given["v"] = _parse_v(args.v_spec, form)
     reports, notes = run_campaign(form, laws, args.count, args.seed, **given)

@@ -404,7 +404,7 @@ class InsertionVector:
 
         One row when w'A is real, two (real then imaginary part) otherwise.
         The rows of the last form asked for are kept, so the class sums of
-        one form (det of them in an inversion check) compute them once.
+        one form (det of them in a cusp check) compute them once.
         """
         if self._rows is None or self._rows[0] is not form:
             ar, ai = form._gram_times(self._re), form._gram_times(self._im)

@@ -1,11 +1,17 @@
 """q-expansions and numeric evaluation of Eisenstein and theta series.
 
 Exact expansions run through the lattice histogram engine and stay in
-Q(i).  Every numeric theta (plain, class, Poisson offset, dual, and the
-rescale law's family of class thetas) is one coset sum: the histogram of
-a coset x + Z^f, cut at a certified radius and summed against
-exp(2 pi i tau e/M) in one numpy sum over the histogram's read-only
-arrays.  Both views of every series share one enumeration.
+Q(i).  Every numeric theta (plain, class, Poisson offset, dual, the
+rescale law's family of class thetas and the inversion law's phased sum
+of all det class thetas) is one coset sum: the histogram of a coset
+x + Z^f, cut at a certified radius and summed against exp(2 pi i tau e/M)
+in one numpy sum over the histogram's read-only arrays.  Both views of
+every series share one enumeration.  The inversion classes tile
+{m : A m = 0 mod N} = N A^-1 Z^f, and their phases are a character of y
+in m = N A^-1 y, so their sum is one walk of the dual form (_dual_sum).
+The cusp law keeps one class theta per class: its Gauss-sum weights are
+no character of y, and binning one dual walk by class would give up the
+fibered walk of a one-row slice.
 """
 
 from __future__ import annotations
@@ -172,17 +178,15 @@ def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:
     return r
 
 
-def _coset_sum(
-    form: QuadraticForm, tau: complex, tol: float, k: int, M: int, insert=None, t_mod=None, **coset
-) -> complex:
-    """Sum count * insert(rows) * exp(2 pi i tau e/M) over the rows (e, t...).
+def _coset_sum(form: QuadraticForm, tau: complex, tol: float, k: int, M: int, *inserts, t_mod=None, **coset) -> complex:
+    """Sum count * insert(rows)... * exp(2 pi i tau e/M) over the rows (e, t...).
 
     The rows and counts are the read-only arrays of the insertion
     histogram of the slice named by coset (scale, h0, weights), cut at the
     bound radius * M that certifies tol at tau for the form's rank and k
-    (_truncation_radius); with t_mod, every t is reduced mod
-    t_mod and the rows are tallied again (_tally_cells).  insert maps the
-    rows array to one factor per row.  The terms are summed in one numpy
+    (_truncation_radius); with t_mod, the last t is reduced mod t_mod and
+    the rows are tallied again (_tally_cells).  Each insert maps the rows
+    array to one factor per row.  The terms are summed in one numpy
     sum over the rows in ascending order, which the histogram fixes, so
     the value does not depend on the order the walk met the vectors in,
     nor on the basis.
@@ -190,11 +194,22 @@ def _coset_sum(
     hist = insertion_histogram(form, _truncation_radius(tau.imag, k, form.rank, tol) * M, **coset)
     rows, counts = hist.rows, hist.counts
     if t_mod is not None:
-        rows, counts = _tally_cells([rows[:, 0], *(rows[:, 1:] % t_mod).T], counts)
+        rows, counts = _tally_cells([*rows[:, :-1].T, rows[:, -1] % t_mod], counts)
     terms = counts * np.exp(2j * pi * tau / M * rows[:, 0])
-    if insert is not None:
+    for insert in inserts:
         terms *= insert(rows)
     return complex(terms.sum())
+
+
+def _power(pref: float, k: int, width: int):
+    """The insert pref * (t1 + i t2)^k of a coset sum whose rows carry the
+    width (1 or 2) weight columns t1 (and t2) right after e."""
+
+    def insert(rows):
+        base = rows[:, 1] + 1j * (rows[:, 2] if width > 1 else 0)
+        return pref * base ** k
+
+    return insert
 
 
 def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
@@ -222,12 +237,7 @@ def _theta_sum(form: QuadraticForm, v, k: int, tau: complex, tol: float, level: 
         return _coset_sum(form, tau, tol, 0, M, scale=scale, h0=h0)
     den, weights = v.integral_weights(form)
     pref = float(v.s) ** (k / 2) / den ** k / float(level) ** k
-
-    def insert(rows):
-        base = rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] > 2 else 0)
-        return pref * base ** k
-
-    return _coset_sum(form, tau, tol, k, M, insert, scale=scale, h0=h0, weights=weights)
+    return _coset_sum(form, tau, tol, k, M, _power(pref, k, len(weights)), scale=scale, h0=h0, weights=weights)
 
 
 def _offset_geometry(form: QuadraticForm, x):
@@ -253,22 +263,38 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
 
     The argument tau here is the already-inverted variable, so the
     inversion identity reads: theta_offset_numeric(form, x, t) equals
-    theta_dual_numeric(form, x, -1/t) / ((-i t)^r sqrt(D)).
+    theta_dual_numeric(form, x, -1/t) / ((-i t)^r sqrt(D)).  At x = h/N
+    it is the inversion law's phased class sum at k = 0 (_dual_sum).
     """
-    z = _as_complex(tau)
+    return _dual_sum(form, None, 0, x, _as_complex(tau), tol)
+
+
+def _dual_sum(form: QuadraticForm, v, k: int, x, tau: complex, tol: float) -> complex:
+    """sum over y of (sqrt(s) w'y)^k exp(2 pi i tau Q_adj(y)/det) exp(2 pi i y'x)
+    for v = sqrt(s) w, truncation error below tol: one walk of form.dual().
+
+    With m = N A^-1 y this is the sum over all det classes g of
+    e(<g, h>/N^2) times the class theta of g with insertion v and power k
+    at tau, for x = h/N: Q(m)/N^2 = Q_adj(y)/det, <v, m>/N = sqrt(s) w'y
+    and <g, h>/N^2 = y'h/N mod 1 (verify.check_inversion_law).  Each
+    class's bound radius * N^2 on Q(m) is the bound radius * det on
+    Q_adj(y), so the same vectors are summed.  The weight rows are v's own
+    integer rows den * w, then, only when x is not integral, the short row
+    of centred residues of rho x, whose column alone is folded to
+    t mod rho: only that residue enters the phase, so the value depends
+    on neither the representative of x nor the basis.
+    """
     rho, h0 = _offset_geometry(form, x)
-    phase = 2j * pi / rho
-
-    def insert(rows):
-        return np.exp(phase * rows[:, 1])
-
-    # m'A^-1 m / 2 = Q_adj(m) / D, and the offset enters only as the phase
-    # of t = rho m'x mod rho: the walk is keyed by the short row of centred
-    # residues of rho x, which the fibered walk takes when its t repeat,
-    # and its cells are folded to t mod rho, so the value depends on
-    # neither the representative nor the basis
-    row = tuple((t + rho // 2) % rho - rho // 2 for t in h0)
-    return _coset_sum(form.dual(), z, tol, 0, form.det, insert, t_mod=rho, weights=(row,))
+    weights, inserts, t_mod = (), [], None
+    if k:
+        weights = (v._re, v._im) if any(v._im) else (v._re,)
+        inserts.append(_power(float(v.s) ** (k / 2) / v._den ** k, k, len(weights)))
+    if rho > 1:
+        weights += (tuple((t + rho // 2) % rho - rho // 2 for t in h0),)
+        phase = 2j * pi / rho
+        inserts.append(lambda rows: np.exp(phase * rows[:, -1]))
+        t_mod = rho
+    return _coset_sum(form.dual(), tau, tol, k, form.det, *inserts, t_mod=t_mod, weights=weights)
 
 
 def eisenstein_e2_numeric(tau, tol: float = 1e-12) -> complex:

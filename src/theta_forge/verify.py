@@ -34,6 +34,7 @@ from .lattice import (
 from .modforms import (
     ThetaSpec,
     _as_complex,
+    _dual_sum,
     _theta_sum,
     eisenstein_e2_numeric,
     theta_dual_numeric,
@@ -144,17 +145,20 @@ def _report(law: str, residual: float, tol: float, **inputs) -> LawReport:
     return LawReport.make(law, encoded, residual, tol)
 
 
-def _completed(form, v, k, h, tau, inner, x) -> complex:
-    """sum over t of x^t pairing_coeff(t, k) theta(A, h, v, k-2t, tau); h=None
-    sums the plain series."""
+def _completed(theta, k: int, x) -> complex:
+    """sum over t of x^t pairing_coeff(t, k) theta(k-2t), theta giving the
+    series of each power at one point (_class_theta, or the inversion
+    law's dual sum)."""
     total = 0j
     for t in range(k // 2 + 1):
-        total += (
-            x ** t
-            * float(pairing_coeff(t, k))
-            * theta_numeric(ThetaSpec(form, v, k - 2 * t, h), tau, inner)
-        )
+        total += x ** t * float(pairing_coeff(t, k)) * theta(k - 2 * t)
     return total
+
+
+def _class_theta(form, v, h, tau, inner):
+    """The theta of the class h (h=None: the plain series) at tau, as a
+    function of the insertion power."""
+    return lambda p: theta_numeric(ThetaSpec(form, v, p, h), tau, inner)
 
 
 def check_generating_modularity(
@@ -220,19 +224,22 @@ def check_inversion_law(
     tau,
     tol: float,
 ) -> LawReport:
-    """Congruence theta at -1/tau against the completed class sums."""
+    """Congruence theta at -1/tau against the completed class sums.
+
+    The right side is sum over all det classes g of e(<g, h>/N^2) times
+    the completed class theta of g at tau.  The classes tile
+    N A^-1 Z^f, on which the phase is the character e(y'h/N) of y, so each
+    power's class sum is one dual sum, _dual_sum(form, v, p, h/N, tau),
+    walked once for every class at the bound each class used.
+    """
     if k > 8:
         raise ValueError("insertion powers above 8 are outside the harness contract")
     z = _as_complex(tau)
     inner = tol * 1e-3
     lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner)
-    N = form.level
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
-    x = ql / (1j * pi * z)
-    rhs = 0j
-    for g in form.congruence_classes():
-        ph = _phase(Fraction(int(form.bilinear(g.rep, h.rep)), N * N))
-        rhs += ph * _completed(form, v, k, g, z, inner, x)
+    x = tuple(Fraction(c, form.level) for c in h.rep)
+    rhs = _completed(lambda p: _dual_sum(form, v, p, x, z, inner), k, ql / (1j * pi * z))
     rhs *= _minus_i_pow(form.half_rank + 2 * k) * z ** (form.half_rank + k) / math.sqrt(form.det)
     return _report("inversion", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
@@ -269,7 +276,7 @@ def check_congruence_modularity(
     eps = form.character(gamma.d)
     ah = CongruenceClass(form, tuple(gamma.a * x for x in h.rep))
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
-    rhs = _completed(form, v, k, ah, z, inner, ql * gamma.c / (1j * pi * j))
+    rhs = _completed(_class_theta(form, v, ah, z, inner), k, ql * gamma.c / (1j * pi * j))
     rhs *= phase * eps
     return _report(
         "congruence", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, gamma=gamma, tau=z
@@ -349,7 +356,7 @@ def check_cusp_expansion(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     r = form.half_rank
-    lhs = _completed(form, v, k, None, gz, inner, eisenstein_e2_numeric(gz))
+    lhs = _completed(_class_theta(form, v, None, gz, inner), k, eisenstein_e2_numeric(gz))
     lhs *= j ** (-(r + k))
     e2_t = eisenstein_e2_numeric(z)
     zero = CongruenceClass.zero(form)
@@ -358,7 +365,7 @@ def check_cusp_expansion(
         phi = gauss_sum(form, gamma.a, gamma.d, gamma.c, zero, q)
         if abs(phi) < 1e-13:
             continue
-        rhs += phi * _completed(form, v, k, q, z, inner, e2_t)
+        rhs += phi * _completed(_class_theta(form, v, q, z, inner), k, e2_t)
     rhs *= _minus_i_pow(r + 2 * k) / (gamma.c ** r * math.sqrt(form.det))
     return _report("cusp", abs(lhs - rhs), tol, form=form, v=v, k=k, gamma=gamma, tau=z)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_forge
+from theta_forge import cli
 from theta_forge.cli import main
 from theta_forge.qseries import FracQSeries
 
@@ -294,6 +295,30 @@ class TestVerifyLaws:
         assert code == 2
         assert message in err
         assert "reports" not in out
+
+    @pytest.mark.parametrize("laws", ["cusp", "all", "inversion,cusp"])
+    def test_odd_cusp_index_refused(self, capsys, monkeypatch, laws):
+        # an odd k skips every cusp check, which used to print an empty
+        # report and exit 0; it is refused before any check runs
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        code, out, err = run(capsys, "verify-laws", "--lattice", "A2", "--laws", laws, "--k", "3", "--count", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--k 3 is odd" in err
+
+    def test_odd_index_runs_without_cusp(self, capsys):
+        # no law but cusp reads k: inversion cycles its own powers
+        code, out, err = run(
+            capsys, "verify-laws", "--lattice", "A2", "--laws", "inversion", "--k", "3", "--count", "3",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        reports = json.loads(out)["reports"]
+        assert [r["inputs"]["k"] for r in reports] == [0, 2, 4]
+        assert all(r["pass"] for r in reports)
 
     def test_rootless_default_settings(self, capsys):
         # no roots on 2A2: the campaign uses the scaled shortest vector

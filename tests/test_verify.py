@@ -1,5 +1,6 @@
 """Numeric law checks at pinned matrices plus campaign plumbing."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from theta_forge.lattice import (
     catalog_form,
     unit_insertion_vector,
 )
-from theta_forge.arith import GaussianRational
+from theta_forge.arith import GaussianRational, pairing_coeff
 from theta_forge.modforms import ThetaSpec, theta_numeric
 from theta_forge.verify import (
     _GAUSS_SUM_CAP,
@@ -214,6 +215,83 @@ class TestInversion:
                 res = check_inversion_law(form, h, v, k, tau, 1e-9)
                 assert res.passed, (h, tau, res.residual)
 
+    @pytest.mark.parametrize(
+        "name, vector, every_class",
+        [("A2", None, True), ("D4", None, True), ("2A2", None, False), ("A1A1", (1, 1j), False), ("E8", None, False)],
+    )
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_right_side_is_the_class_sum(self, monkeypatch, name, vector, every_class, k):
+        # the right side, one dual sum per power, against the phased sum of
+        # the completed class thetas of every class, each walked on its own
+        # on a fresh form
+        form, fresh = catalog_form(name), catalog_form(name)
+        v = _insertion(form, vector)
+        tau, tol = 0.4 + 0.9j, 1e-8
+        x = complex(v.norm(form)) / 2 / (1j * math.pi * tau)
+        dual_sum = verify._dual_sum
+        sides = {}
+
+        def keeping(*args):
+            sides[args[2]] = dual_sum(*args)
+            return sides[args[2]]
+
+        monkeypatch.setattr(verify, "_dual_sum", keeping)
+        classes = form.congruence_classes()
+        for h in classes if every_class else classes[-1:]:
+            sides.clear()
+            assert check_inversion_law(form, h, v, k, tau, tol).passed
+            powers = range(k // 2 + 1)
+            got = sum(x ** t * float(pairing_coeff(t, k)) * sides[k - 2 * t] for t in powers)
+            want = sum(
+                x ** t * float(pairing_coeff(t, k)) * _phased_class_sum(fresh, v, k - 2 * t, h, tau, tol * 1e-3)
+                for t in powers
+            )
+            # v = (1, i) on A1A1 is null, and its k = 2 class thetas sum to 0
+            assert len(sides) == k // 2 + 1 and (abs(want) > 1e-3 or (name, k) == ("A1A1", 2))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (h, got, want)
+
+    @pytest.mark.parametrize("name, vector", [("A2", None), ("D4", None), ("2A2", None), ("A1A1", (1, 1j)), ("E8", None)])
+    def test_dual_sum_is_the_phased_class_sum(self, name, vector):
+        # odd powers too, which no campaign asks for
+        form, fresh = catalog_form(name), catalog_form(name)
+        v = _insertion(form, vector)
+        h = form.congruence_classes()[-1]
+        x = tuple(Fraction(c, form.level) for c in h.rep)
+        tau, tol = 0.4 + 0.9j, 1e-11
+        for k in range(5):
+            got = modforms._dual_sum(form, v, k, x, tau, tol)
+            want = _phased_class_sum(fresh, v, k, h, tau, tol)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, got, want)
+
+    @pytest.mark.parametrize("gram", [None, [[2018, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]])
+    def test_one_walk_of_the_form_per_check(self, monkeypatch, gram):
+        # the left side's class slice is the form's only walk; the right
+        # side walks the dual form at most once per power, whatever det is
+        # (16144 on the diagonal form, 12 on 2A2)
+        form = catalog_form("2A2") if gram is None else QuadraticForm(gram)
+        v = unit_insertion_vector(form)
+        h = form.congruence_classes()[-1]
+        top, depth = [], [0]
+        slice_cells = lattice._slice_cells
+
+        def slicing(walked, bound, scale, h0, weights):
+            if not depth[0]:
+                top.append((walked, scale, h0))
+            depth[0] += 1
+            try:
+                return slice_cells(walked, bound, scale, h0, weights)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(lattice, "_slice_cells", slicing)
+        k = 4
+        res = check_inversion_law(form, h, v, k, 0.4 + 0.9j, 1e-8)
+        assert res.passed, res.residual
+        assert [(s, h0) for walked, s, h0 in top if walked is form] == [(form.level, h.rep)]
+        duals = [walked for walked, _, _ in top if walked is not form]
+        assert 1 <= len(duals) <= k // 2 + 1
+        assert all(walked is form.dual() for walked in duals)
+
     def test_large_index_rejected(self):
         h = A2.congruence_classes()[0]
         with pytest.raises(ValueError):
@@ -353,6 +431,18 @@ class TestTranslationRescale:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _phased_class_sum(form, v, k, h, tau, inner):
+    """sum over every class g of e(<g, h>/N^2) times the class theta of g
+    with insertion v and power k at tau: the paper's inversion right side
+    for one power, class by class."""
+    M = form.level ** 2
+    return sum(
+        cmath.exp(2j * math.pi * (form.bilinear(g.rep, h.rep) % M) / M)
+        * theta_numeric(ThetaSpec(form, v, k, g), tau, inner)
+        for g in form.congruence_classes()
+    )
 
 
 def _insertion(form, vector):
