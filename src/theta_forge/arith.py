@@ -140,25 +140,19 @@ def pairing_coeff(t: int, k: int) -> Fraction:
     return Fraction(math.comb(k, t) * math.comb(k - t, t) * math.factorial(t), 2 ** t)
 
 
-_bernoulli_cache = [Fraction(1)]
-
-
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n for even n >= 2, exactly.
 
     Computed through the defining recurrence sum_{j<m} C(m+1,j) B_j =
-    -(m+1) B_m with memoization; the test suite pins values against an
+    -(m+1) B_m from B_0 = 1 up; the test suite pins values against an
     independent closed-form evaluation.
     """
     if n < 2 or n % 2:
         raise ValueError("Bernoulli index must be an even integer >= 2")
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[n]
 
 
 def divisor_sigma(k: int, n: int) -> int:

@@ -365,7 +365,7 @@ class InsertionVector:
     that way.
     """
 
-    __slots__ = ("w", "s", "_den", "_re", "_im", "_rows")
+    __slots__ = ("w", "s", "_den", "_re", "_im")
 
     def __init__(self, w, s=1):
         self.w = tuple(_as_gaussian(x) for x in w)
@@ -376,8 +376,6 @@ class InsertionVector:
         self._den = lcm(1, *(d for x in self.w for d in (x.re.denominator, x.im.denominator)))
         self._re = tuple(int(self._den * x.re) for x in self.w)
         self._im = tuple(int(self._den * x.im) for x in self.w)
-        # (form, integral_weights(form)) of the last form asked for
-        self._rows = None
 
     @classmethod
     def from_root(cls, root) -> "InsertionVector":
@@ -403,17 +401,12 @@ class InsertionVector:
         """(den, weight rows) with weight_i . m = den * component_i of w'Am.
 
         One row when w'A is real, two (real then imaginary part) otherwise.
-        The rows of the last form asked for are kept, so the class sums of
-        one form (det of them in a cusp check) compute them once.
         """
-        if self._rows is None or self._rows[0] is not form:
-            ar, ai = form._gram_times(self._re), form._gram_times(self._im)
-            g = math.gcd(self._den, *ar, *ai)
-            re_row = tuple(x // g for x in ar)
-            im_row = tuple(x // g for x in ai)
-            rows = (re_row, im_row) if any(im_row) else (re_row,)
-            self._rows = (form, (self._den // g, rows))
-        return self._rows[1]
+        ar, ai = form._gram_times(self._re), form._gram_times(self._im)
+        g = math.gcd(self._den, *ar, *ai)
+        re_row = tuple(x // g for x in ar)
+        im_row = tuple(x // g for x in ai)
+        return self._den // g, ((re_row, im_row) if any(im_row) else (re_row,))
 
     def __eq__(self, other):
         if not isinstance(other, InsertionVector):
@@ -981,10 +974,8 @@ def minimal_vector(form: QuadraticForm):
 
 
 def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:
-    """An insertion vector with <v,v> = 1 built from a shortest vector."""
-    root = first_root(form)
-    if root is not None:
-        return InsertionVector.from_root(root)
+    """An insertion vector with <v,v> = 1 built from a shortest vector
+    (on a root lattice, the first root scaled as InsertionVector.from_root)."""
     m, mu = minimal_vector(form)
     return InsertionVector(m, Fraction(1, 2 * mu))
 

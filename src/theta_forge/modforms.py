@@ -4,14 +4,17 @@ Exact expansions run through the lattice histogram engine and stay in
 Q(i).  Every numeric theta (plain, class, Poisson offset, dual, the
 rescale law's family of class thetas and the inversion law's phased sum
 of all det class thetas) is one coset sum: the histogram of a coset
-x + Z^f, cut at a certified radius and summed against exp(2 pi i tau e/M)
-in one numpy sum over the histogram's read-only arrays.  Both views of
-every series share one enumeration.  The inversion classes tile
-{m : A m = 0 mod N} = N A^-1 Z^f, and their phases are a character of y
-in m = N A^-1 y, so their sum is one walk of the dual form (_dual_sum).
-The cusp law keeps one class theta per class: its Gauss-sum weights are
-no character of y, and binning one dual walk by class would give up the
-fibered walk of a one-row slice.
+x + Z^f, cut at a certified radius and summed against
+P(<v, z>/level) exp(2 pi i tau e/M) in one numpy sum over the
+histogram's read-only arrays.  The insertion polynomial P is y^k for a
+theta of power k, and sum over t of x^t pairing_coeff(t, k) y^(k-2t) for
+its E2 completion, so a completed theta is one sum, not one per power.
+Both views of every series share one enumeration.  The inversion classes
+tile {m : A m = 0 mod N} = N A^-1 Z^f, and their phases are a character
+of y in m = N A^-1 y, so their sum is one walk of the dual form
+(_dual_sum).  The cusp law keeps one completed class theta per class:
+its Gauss-sum weights are no character of y, and binning one dual walk
+by class would give up the fibered walk of a one-row slice.
 """
 
 from __future__ import annotations
@@ -178,38 +181,35 @@ def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:
     return r
 
 
-def _coset_sum(form: QuadraticForm, tau: complex, tol: float, k: int, M: int, *inserts, t_mod=None, **coset) -> complex:
-    """Sum count * insert(rows)... * exp(2 pi i tau e/M) over the rows (e, t...).
+def _coset_sum(form: QuadraticForm, tau: complex, tol: float, poly, M: int, unit=(), t_mod=None, **coset):
+    """Sum count * P(unit . t) * exp(2 pi i tau e/M) over the rows (e, t...).
 
     The rows and counts are the read-only arrays of the insertion
     histogram of the slice named by coset (scale, h0, weights), cut at the
-    bound radius * M that certifies tol at tau for the form's rank and k
-    (_truncation_radius); with t_mod, the last t is reduced mod t_mod and
-    the rows are tallied again (_tally_cells).  Each insert maps the rows
-    array to one factor per row.  The terms are summed in one numpy
-    sum over the rows in ascending order, which the histogram fixes, so
-    the value does not depend on the order the walk met the vectors in,
-    nor on the basis.
+    bound radius * M that certifies tol at tau for the form's rank and the
+    degree of P (_truncation_radius).  poly holds P's coefficients, lowest
+    degree first; a 2-d poly holds one polynomial per column and gives one
+    sum per column.  unit maps the first len(unit) weight columns, the
+    real (and imaginary) part of den w'Az, to the argument of P, which is
+    c0 (t1 + i t2) = <v, z>/level; it is empty when P is constant.  With
+    t_mod, the last t is reduced mod t_mod, the rows are tallied again
+    (_tally_cells) and each term gains the phase exp(2 pi i t/t_mod).  The
+    terms are summed in one numpy sum over the rows in ascending order,
+    which the histogram fixes, so the value does not depend on the order
+    the walk met the vectors in, nor on the basis.
     """
-    hist = insertion_histogram(form, _truncation_radius(tau.imag, k, form.rank, tol) * M, **coset)
+    hist = insertion_histogram(form, _truncation_radius(tau.imag, len(poly) - 1, form.rank, tol) * M, **coset)
     rows, counts = hist.rows, hist.counts
     if t_mod is not None:
         rows, counts = _tally_cells([*rows[:, :-1].T, rows[:, -1] % t_mod], counts)
     terms = counts * np.exp(2j * pi * tau / M * rows[:, 0])
-    for insert in inserts:
-        terms *= insert(rows)
-    return complex(terms.sum())
-
-
-def _power(pref: float, k: int, width: int):
-    """The insert pref * (t1 + i t2)^k of a coset sum whose rows carry the
-    width (1 or 2) weight columns t1 (and t2) right after e."""
-
-    def insert(rows):
-        base = rows[:, 1] + 1j * (rows[:, 2] if width > 1 else 0)
-        return pref * base ** k
-
-    return insert
+    if t_mod is not None:
+        terms *= np.exp(2j * pi / t_mod * rows[:, -1])
+    arg = rows[:, 1:1 + len(unit)] @ np.asarray(unit, dtype=complex)
+    value = 0
+    for c in np.asarray(poly)[::-1]:  # Horner; a column of c per polynomial
+        value = value * arg + c[..., None]
+    return (value * terms).sum(axis=-1)
 
 
 def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
@@ -220,24 +220,28 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     campaign fallbacks go lower at their own expense).
     """
     level, h0 = (1, None) if spec.h is None else (spec.form.level, spec.h.rep)
-    return _theta_sum(spec.form, spec.v, spec.k, _as_complex(tau), tol, level, level, h0)
+    monomial = [0] * spec.k + [1]
+    return complex(_theta_sum(spec.form, spec.v, monomial, _as_complex(tau), tol, level, level, h0))
 
 
-def _theta_sum(form: QuadraticForm, v, k: int, tau: complex, tol: float, level: int, scale: int, h0) -> complex:
-    """sum over z = h0 + scale*u of <v, z>^k exp(2 pi i tau Q(z)/level^2)
-    / level^k, truncation error below tol: one coset sum.
+def _theta_sum(form: QuadraticForm, v, poly, tau: complex, tol: float, level: int, scale: int, h0):
+    """sum over z = h0 + scale*u of P(<v, z>/level) exp(2 pi i tau Q(z)/level^2),
+    truncation error below tol: one coset sum.
 
-    level = scale gives theta_numeric's class theta (level = 1, h0 = None
-    the plain one).  The rescale law's right side, the c^f class thetas of
-    cA at level cN, is the coset h + N Z^f of cA summed once at level cN
-    (verify.check_rescale).
+    P has the coefficients poly, lowest degree first; a 2-d poly gives one
+    sum per column.  The monomial y^k with level = scale is theta_numeric's
+    class theta (level = 1, h0 = None the plain one).  An E2-completed
+    class theta, sum over t of x^t pairing_coeff(t, k) theta_(k-2t), is
+    the sum of one polynomial (verify._completion), each power summed to
+    the radius the top power needs.  The rescale law's right side, the c^f
+    class thetas of cA at level cN, is the coset h + N Z^f of cA summed
+    once at level cN (verify.check_rescale).
     """
-    M = level * level
-    if k == 0:
-        return _coset_sum(form, tau, tol, 0, M, scale=scale, h0=h0)
-    den, weights = v.integral_weights(form)
-    pref = float(v.s) ** (k / 2) / den ** k / float(level) ** k
-    return _coset_sum(form, tau, tol, k, M, _power(pref, k, len(weights)), scale=scale, h0=h0, weights=weights)
+    weights, unit = (), ()
+    if len(poly) > 1:
+        den, weights = v.integral_weights(form)
+        unit = math.sqrt(v.s) / (den * level) * np.array((1, 1j)[: len(weights)])
+    return _coset_sum(form, tau, tol, poly, level * level, unit, scale=scale, h0=h0, weights=weights)
 
 
 def _offset_geometry(form: QuadraticForm, x):
@@ -255,7 +259,7 @@ def theta_offset_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     """sum over m of exp(2 pi i tau Q(m + x)) for a rational offset x."""
     z = _as_complex(tau)
     rho, h0 = _offset_geometry(form, x)
-    return _coset_sum(form, z, tol, 0, rho * rho, scale=rho, h0=h0)
+    return complex(_coset_sum(form, z, tol, [1], rho * rho, scale=rho, h0=h0))
 
 
 def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
@@ -266,35 +270,33 @@ def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     theta_dual_numeric(form, x, -1/t) / ((-i t)^r sqrt(D)).  At x = h/N
     it is the inversion law's phased class sum at k = 0 (_dual_sum).
     """
-    return _dual_sum(form, None, 0, x, _as_complex(tau), tol)
+    return complex(_dual_sum(form, None, [1], x, _as_complex(tau), tol))
 
 
-def _dual_sum(form: QuadraticForm, v, k: int, x, tau: complex, tol: float) -> complex:
-    """sum over y of (sqrt(s) w'y)^k exp(2 pi i tau Q_adj(y)/det) exp(2 pi i y'x)
+def _dual_sum(form: QuadraticForm, v, poly, x, tau: complex, tol: float):
+    """sum over y of P(sqrt(s) w'y) exp(2 pi i tau Q_adj(y)/det) exp(2 pi i y'x)
     for v = sqrt(s) w, truncation error below tol: one walk of form.dual().
 
-    With m = N A^-1 y this is the sum over all det classes g of
-    e(<g, h>/N^2) times the class theta of g with insertion v and power k
-    at tau, for x = h/N: Q(m)/N^2 = Q_adj(y)/det, <v, m>/N = sqrt(s) w'y
-    and <g, h>/N^2 = y'h/N mod 1 (verify.check_inversion_law).  Each
-    class's bound radius * N^2 on Q(m) is the bound radius * det on
-    Q_adj(y), so the same vectors are summed.  The weight rows are v's own
-    integer rows den * w, then, only when x is not integral, the short row
-    of centred residues of rho x, whose column alone is folded to
-    t mod rho: only that residue enters the phase, so the value depends
-    on neither the representative of x nor the basis.
+    P has the coefficients poly, lowest degree first.  With m = N A^-1 y
+    this is the sum over all det classes g of e(<g, h>/N^2) times the
+    class theta of g with insertion P(<v, m>/N) at tau, for x = h/N:
+    Q(m)/N^2 = Q_adj(y)/det, <v, m>/N = sqrt(s) w'y and <g, h>/N^2 =
+    y'h/N mod 1 (verify.check_inversion_law).  Each class's bound
+    radius * N^2 on Q(m) is the bound radius * det on Q_adj(y), so the
+    same vectors are summed.  The weight rows are v's own integer rows
+    den * w, then, only when x is not integral, the short row of centred
+    residues of rho x, whose column alone is folded to t mod rho: only
+    that residue enters the phase, so the value depends on neither the
+    representative of x nor the basis.
     """
     rho, h0 = _offset_geometry(form, x)
-    weights, inserts, t_mod = (), [], None
-    if k:
+    weights, unit = (), ()
+    if len(poly) > 1:
         weights = (v._re, v._im) if any(v._im) else (v._re,)
-        inserts.append(_power(float(v.s) ** (k / 2) / v._den ** k, k, len(weights)))
+        unit = math.sqrt(v.s) / v._den * np.array((1, 1j)[: len(weights)])
     if rho > 1:
         weights += (tuple((t + rho // 2) % rho - rho // 2 for t in h0),)
-        phase = 2j * pi / rho
-        inserts.append(lambda rows: np.exp(phase * rows[:, -1]))
-        t_mod = rho
-    return _coset_sum(form.dual(), tau, tol, k, form.det, *inserts, t_mod=t_mod, weights=weights)
+    return _coset_sum(form.dual(), tau, tol, poly, form.det, unit, t_mod=rho if rho > 1 else None, weights=weights)
 
 
 def eisenstein_e2_numeric(tau, tol: float = 1e-12) -> complex:

@@ -26,6 +26,7 @@ from .arith import pairing_coeff
 from .lattice import (
     ENUMERATION_BUDGET,
     CongruenceClass,
+    EnumerationBudgetError,
     InsertionVector,
     QuadraticForm,
     gauss_sum,
@@ -145,20 +146,14 @@ def _report(law: str, residual: float, tol: float, **inputs) -> LawReport:
     return LawReport.make(law, encoded, residual, tol)
 
 
-def _completed(theta, k: int, x) -> complex:
-    """sum over t of x^t pairing_coeff(t, k) theta(k-2t), theta giving the
-    series of each power at one point (_class_theta, or the inversion
-    law's dual sum)."""
-    total = 0j
+def _completion(k: int, x) -> list:
+    """Coefficients, lowest degree first, of sum over t of x^t
+    pairing_coeff(t, k) y^(k-2t): the insertion polynomial whose theta is
+    the completed theta of index k (x the E2 factor of the law)."""
+    poly = [0j] * (k + 1)
     for t in range(k // 2 + 1):
-        total += x ** t * float(pairing_coeff(t, k)) * theta(k - 2 * t)
-    return total
-
-
-def _class_theta(form, v, h, tau, inner):
-    """The theta of the class h (h=None: the plain series) at tau, as a
-    function of the insertion power."""
-    return lambda p: theta_numeric(ThetaSpec(form, v, p, h), tau, inner)
+        poly[k - 2 * t] = x ** t * float(pairing_coeff(t, k))
+    return poly
 
 
 def check_generating_modularity(
@@ -185,23 +180,21 @@ def check_generating_modularity(
     inner = tol * 1e-3
     nv = complex(v.norm(form))
     eps = form.character(gamma.d)
-    # The largest power at the lower point needs the largest radius; asked
-    # first, its histogram (kept by the form) serves every later call.
-    points = sorted((("g", gz), ("t", z)), key=lambda p: p[1].imag)
-    theta_at = {}
-    for n in reversed(range(x_prec)):
-        for side, point in points:
-            theta_at[(side, 2 * n)] = theta_numeric(ThetaSpec(form, v, 2 * n), point, inner)
+    # theta_0, theta_2, ... at a point are one sum whose columns are the
+    # even monomials; the lower point needs the larger radius, and summed
+    # first, its histogram (kept by the form) serves the other point
+    evens = np.eye(2 * x_prec - 1)[:, ::2]
+    theta_at = {p: _theta_sum(form, v, evens, p, inner, 1, 1, None) for p in sorted((gz, z), key=lambda p: p.imag)}
     residual = 0.0
     for n in range(x_prec):
         coeff = Fraction(2 ** n, math.factorial(2 * n))
-        lhs = float(coeff) * theta_at[("g", 2 * n)] / j ** (2 * n)
+        lhs = float(coeff) * theta_at[gz][n] / j ** (2 * n)
         rhs = 0j
         for i in range(n + 1):
             # exp factor contributes (c nv / (2 pi i j))^i / i! at Y^i
             efac = (gamma.c * nv / (2j * pi * j)) ** i / math.factorial(i)
             m = n - i
-            rhs += efac * float(Fraction(2 ** m, math.factorial(2 * m))) * theta_at[("t", 2 * m)]
+            rhs += efac * float(Fraction(2 ** m, math.factorial(2 * m))) * theta_at[z][m]
         rhs *= eps * j ** form.half_rank
         residual = max(residual, abs(lhs - rhs))
     return _report("generating", residual, tol, form=form, v=v, gamma=gamma, tau=z, x_prec=x_prec)
@@ -228,9 +221,10 @@ def check_inversion_law(
 
     The right side is sum over all det classes g of e(<g, h>/N^2) times
     the completed class theta of g at tau.  The classes tile
-    N A^-1 Z^f, on which the phase is the character e(y'h/N) of y, so each
-    power's class sum is one dual sum, _dual_sum(form, v, p, h/N, tau),
-    walked once for every class at the bound each class used.
+    N A^-1 Z^f, on which the phase is the character e(y'h/N) of y, so the
+    class sum is one dual sum of the completion polynomial,
+    _dual_sum(form, v, poly, h/N, tau), walked once for every class and
+    every power.
     """
     if k > 8:
         raise ValueError("insertion powers above 8 are outside the harness contract")
@@ -239,7 +233,7 @@ def check_inversion_law(
     lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner)
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
     x = tuple(Fraction(c, form.level) for c in h.rep)
-    rhs = _completed(lambda p: _dual_sum(form, v, p, x, z, inner), k, ql / (1j * pi * z))
+    rhs = _dual_sum(form, v, _completion(k, ql / (1j * pi * z)), x, z, inner)
     rhs *= _minus_i_pow(form.half_rank + 2 * k) * z ** (form.half_rank + k) / math.sqrt(form.det)
     return _report("inversion", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
@@ -276,7 +270,7 @@ def check_congruence_modularity(
     eps = form.character(gamma.d)
     ah = CongruenceClass(form, tuple(gamma.a * x for x in h.rep))
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
-    rhs = _completed(_class_theta(form, v, ah, z, inner), k, ql * gamma.c / (1j * pi * j))
+    rhs = _theta_sum(form, v, _completion(k, ql * gamma.c / (1j * pi * j)), z, inner, N, N, ah.rep)
     rhs *= phase * eps
     return _report(
         "congruence", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, gamma=gamma, tau=z
@@ -329,7 +323,7 @@ def check_rescale(
     z = _as_complex(tau)
     inner = tol * 1e-3
     scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
-    rhs = _theta_sum(scaled, v, k, c * z, inner / c ** form.rank, c * form.level, form.level, h.rep)
+    rhs = _theta_sum(scaled, v, [0] * k + [1], c * z, inner / c ** form.rank, c * form.level, form.level, h.rep)
     lhs = theta_numeric(spec, z, inner)
     return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)
 
@@ -356,16 +350,16 @@ def check_cusp_expansion(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     r = form.half_rank
-    lhs = _completed(_class_theta(form, v, None, gz, inner), k, eisenstein_e2_numeric(gz))
+    lhs = _theta_sum(form, v, _completion(k, eisenstein_e2_numeric(gz)), gz, inner, 1, 1, None)
     lhs *= j ** (-(r + k))
-    e2_t = eisenstein_e2_numeric(z)
+    poly = _completion(k, eisenstein_e2_numeric(z))
     zero = CongruenceClass.zero(form)
     rhs = 0j
     for q in form.congruence_classes():
         phi = gauss_sum(form, gamma.a, gamma.d, gamma.c, zero, q)
         if abs(phi) < 1e-13:
             continue
-        rhs += phi * _completed(_class_theta(form, v, q, z, inner), k, e2_t)
+        rhs += phi * _theta_sum(form, v, poly, z, inner, form.level, form.level, q.rep)
     rhs *= _minus_i_pow(r + 2 * k) / (gamma.c ** r * math.sqrt(form.det))
     return _report("cusp", abs(lhs - rhs), tol, form=form, v=v, k=k, gamma=gamma, tau=z)
 
@@ -517,8 +511,10 @@ def run_campaign(
     """Run `count` checks of each requested law; returns (reports, notes).
 
     Deterministic for a fixed seed.  Matrices whose orbit cannot reach
-    the working height and Gauss sums too large to evaluate are recorded
-    in the notes instead of producing reports.  `v` defaults to
+    the working height, Gauss sums too large to evaluate and checks
+    refused with ValueError or EnumerationBudgetError are recorded in the
+    notes instead of producing reports; each law makes at most
+    4 count + 10 attempts, whether or not it draws a matrix.  `v` defaults to
     unit_insertion_vector(form).  An unknown law, count < 1, tol <= 0,
     k < 0 or x_prec < 1 raises ValueError before any check runs.
     """
@@ -541,18 +537,22 @@ def run_campaign(
     nonzero = next((c for c in classes if any(c.rep)), None)
     h_cycle = [CongruenceClass.zero(form)] + ([nonzero] if nonzero else [])
     min_im = 0.05 if form.rank <= 4 else 0.35
-    matrices = sample_gamma0(form.level, 4 * count + 10, seed)
+    attempts = 4 * count + 10
+    matrices = sample_gamma0(form.level, attempts, seed)
     reports = []
     notes = []
     for law in laws:
         row = _LAWS[law]
-        done = 0
+        done = tried = 0
         mats = iter(matrices)
         while done < count:
             gamma = next(mats, None) if row.gamma else None
             if row.gamma and gamma is None:
                 notes.append(f"{law}: matrix pool exhausted at {done}/{count}")
                 break
+            if tried == attempts:  # each failed attempt left a note
+                break
+            tried += 1
             if row.cap == "c" and gamma.c ** form.rank > _GAUSS_SUM_CAP:
                 notes.append(f"{law}: skipped c={gamma.c} (Gauss sum too large)")
                 continue
@@ -572,7 +572,7 @@ def run_campaign(
             kk = row.powers[done % len(row.powers)] if row.powers else k
             try:
                 reports.append(row.drive(settings, gamma, h, kk, tau))
-            except ValueError as exc:
+            except (ValueError, EnumerationBudgetError) as exc:
                 notes.append(f"{law}: skipped ({exc})")
                 continue
             done += 1

@@ -343,6 +343,18 @@ def congruent_gram(gram, u):
     )
 
 
+def block_gram(*grams):
+    """The block-diagonal Gram matrix of the orthogonal sum of the forms."""
+    f = sum(len(g) for g in grams)
+    out = [[0] * f for _ in range(f)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return tuple(map(tuple, out))
+
+
 def mat_vec(m, x):
     return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
 

@@ -14,7 +14,7 @@ from theta_forge import cli
 from theta_forge.cli import main
 from theta_forge.qseries import FracQSeries
 
-from oracles import congruent_gram
+from oracles import block_gram, congruent_gram
 
 
 def run(capsys, *argv):
@@ -365,6 +365,34 @@ class TestVerifyLaws:
         assert time.perf_counter() - start < 10
         assert json.loads(out) == {"reports": []}
         assert "exceed budget" in err
+
+
+    def test_walk_past_budget_keeps_the_campaign(self, capsys, tmp_path):
+        # E8+D4 (rank 12): walks past the budget skip their check with a
+        # note; the campaign used to end with exit code 2 and no report
+        path = tmp_path / "e8d4.json"
+        path.write_text(json.dumps({"gram": block_gram(theta_forge.CATALOG["E8"], theta_forge.CATALOG["D4"])}))
+        code, out, err = run(
+            capsys, "verify-laws", "--lattice", str(path), "--laws", "all", "--count", "1", "--format", "json",
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 6 and all(r["pass"] for r in reports)
+        assert "inversion: skipped (estimated cost" in err
+
+    def test_refused_translation_returns(self, capsys, tmp_path):
+        # every translation walk on E8+E8 is refused; the law's attempts
+        # are bounded, so the campaign returns with no report
+        path = tmp_path / "e8e8.json"
+        path.write_text(json.dumps({"gram": block_gram(theta_forge.CATALOG["E8"], theta_forge.CATALOG["E8"])}))
+        start = time.perf_counter()
+        _, out, err = run(
+            capsys, "verify-laws", "--lattice", str(path), "--laws", "translation", "--count", "1",
+            "--format", "json",
+        )
+        assert time.perf_counter() - start < 10
+        assert json.loads(out) == {"reports": []}
+        assert "translation: skipped (estimated cost" in err
 
 
 class TestCatalog:

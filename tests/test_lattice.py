@@ -34,6 +34,7 @@ from theta_forge.lattice import (
 from theta_forge.modforms import ThetaSpec, theta_expand
 
 from oracles import (
+    block_gram,
     box_enumerate,
     congruence_classes_scan,
     congruent_gram,
@@ -54,29 +55,18 @@ from oracles import (
 _CATALOG_FORMS = {name: catalog_form(name) for name in CATALOG}
 
 
-def _block(*grams):
-    f = sum(len(g) for g in grams)
-    out = [[0] * f for _ in range(f)]
-    at = 0
-    for g in grams:
-        for i, row in enumerate(g):
-            out[at + i][at:at + len(row)] = row
-        at += len(g)
-    return tuple(map(tuple, out))
-
-
 # even positive-definite Gram matrices the random forms are built from
 _EVEN_BASES = {
     2: (CATALOG["A2"], CATALOG["A1A1"], ((2, 1), (1, 4)), ((4, 1), (1, 4)), ((6, 3), (3, 2))),
-    4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(((2, 1), (1, 4)), CATALOG["A1A1"])),
-    8: (CATALOG["E8"], _block(CATALOG["D4"], CATALOG["D4"]), _block(CATALOG["A2"], CATALOG["D4"], ((2, 1), (1, 4)))),
+    4: (CATALOG["D4"], block_gram(CATALOG["A2"], CATALOG["A2"]), block_gram(((2, 1), (1, 4)), CATALOG["A1A1"])),
+    8: (CATALOG["E8"], block_gram(CATALOG["D4"], CATALOG["D4"]), block_gram(CATALOG["A2"], CATALOG["D4"], ((2, 1), (1, 4)))),
 }
 
 
 # forms whose N^rank residues the class scan covers quickly
 _SCANNABLE = {
     2: _EVEN_BASES[2],
-    4: (CATALOG["D4"], _block(CATALOG["A2"], CATALOG["A2"]), _block(CATALOG["A1A1"], CATALOG["A2"])),
+    4: (CATALOG["D4"], block_gram(CATALOG["A2"], CATALOG["A2"]), block_gram(CATALOG["A1A1"], CATALOG["A2"])),
 }
 
 

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from theta_forge.lattice import (
     EnumerationBudgetError,
     InsertionVector,
     QuadraticForm,
+    CATALOG,
     catalog_form,
     unit_insertion_vector,
 )
@@ -40,7 +42,7 @@ from theta_forge.verify import (
     sample_gamma0,
 )
 
-from oracles import gauss_orthogonality_residual_loop
+from oracles import block_gram, gauss_orthogonality_residual_loop
 
 A2 = catalog_form("A2")
 V_A2 = unit_insertion_vector(A2)
@@ -221,34 +223,32 @@ class TestInversion:
     )
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_right_side_is_the_class_sum(self, monkeypatch, name, vector, every_class, k):
-        # the right side, one dual sum per power, against the phased sum of
-        # the completed class thetas of every class, each walked on its own
-        # on a fresh form
+        # the right side, one dual sum of the completion polynomial, against
+        # the phased sum of the completed public class thetas of every
+        # class, each walked on its own on a fresh form
         form, fresh = catalog_form(name), catalog_form(name)
         v = _insertion(form, vector)
         tau, tol = 0.4 + 0.9j, 1e-8
         x = complex(v.norm(form)) / 2 / (1j * math.pi * tau)
         dual_sum = verify._dual_sum
-        sides = {}
+        sides = []
 
         def keeping(*args):
-            sides[args[2]] = dual_sum(*args)
-            return sides[args[2]]
+            sides.append(dual_sum(*args))
+            return sides[-1]
 
         monkeypatch.setattr(verify, "_dual_sum", keeping)
         classes = form.congruence_classes()
         for h in classes if every_class else classes[-1:]:
             sides.clear()
             assert check_inversion_law(form, h, v, k, tau, tol).passed
-            powers = range(k // 2 + 1)
-            got = sum(x ** t * float(pairing_coeff(t, k)) * sides[k - 2 * t] for t in powers)
             want = sum(
                 x ** t * float(pairing_coeff(t, k)) * _phased_class_sum(fresh, v, k - 2 * t, h, tau, tol * 1e-3)
-                for t in powers
+                for t in range(k // 2 + 1)
             )
             # v = (1, i) on A1A1 is null, and its k = 2 class thetas sum to 0
-            assert len(sides) == k // 2 + 1 and (abs(want) > 1e-3 or (name, k) == ("A1A1", 2))
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (h, got, want)
+            assert len(sides) == 1 and (abs(want) > 1e-3 or (name, k) == ("A1A1", 2))
+            assert abs(sides[0] - want) <= 1e-13 * max(1.0, abs(want)), (h, sides[0], want)
 
     @pytest.mark.parametrize("name, vector", [("A2", None), ("D4", None), ("2A2", None), ("A1A1", (1, 1j)), ("E8", None)])
     def test_dual_sum_is_the_phased_class_sum(self, name, vector):
@@ -259,7 +259,7 @@ class TestInversion:
         x = tuple(Fraction(c, form.level) for c in h.rep)
         tau, tol = 0.4 + 0.9j, 1e-11
         for k in range(5):
-            got = modforms._dual_sum(form, v, k, x, tau, tol)
+            got = modforms._dual_sum(form, v, [0] * k + [1], x, tau, tol)
             want = _phased_class_sum(fresh, v, k, h, tau, tol)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, got, want)
 
@@ -296,6 +296,75 @@ class TestInversion:
         h = A2.congruence_classes()[0]
         with pytest.raises(ValueError):
             check_inversion_law(A2, h, V_A2, 10, 1j, 1e-8)
+
+
+class TestCompletedSums:
+    @pytest.mark.parametrize(
+        "name, vector, every_class",
+        [("A2", None, True), ("D4", None, True), ("2A2", None, False), ("A1A1", (1, 1j), False), ("E8", None, False)],
+    )
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_fused_sum_is_the_completed_class_theta(self, name, vector, every_class, k):
+        # one coset sum of the completion polynomial against the completed
+        # theta built from the public class thetas, each on a fresh form
+        form, fresh = catalog_form(name), catalog_form(name)
+        v = _insertion(form, vector)
+        tau, tol, N = 0.4 + 0.9j, 1e-11, form.level
+        x = modforms.eisenstein_e2_numeric(tau)
+        classes = form.congruence_classes()
+        for h in classes if every_class else classes[-1:]:
+            got = modforms._theta_sum(form, v, verify._completion(k, x), tau, tol, N, N, h.rep)
+            want = sum(
+                x ** t * float(pairing_coeff(t, k)) * theta_numeric(ThetaSpec(fresh, v, k - 2 * t, h), tau, tol)
+                for t in range(k // 2 + 1)
+            )
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (h, got, want)
+
+    def test_two_dimensional_poly_sums_each_column(self):
+        # the columns of a 2-d poly are summed as separate polynomials
+        d4 = catalog_form("D4")
+        v, tau, tol = unit_insertion_vector(d4), 0.1 + 0.9j, 1e-11
+        poly = [[1, 0, 2], [0, 0, 0], [0, 1, 3]]
+        got = modforms._theta_sum(d4, v, poly, tau, tol, 1, 1, None)
+        for col in range(3):
+            want = modforms._theta_sum(d4, v, [row[col] for row in poly], tau, tol, 1, 1, None)
+            assert abs(got[col] - want) <= 1e-13 * max(1.0, abs(want))
+
+    def _counted(self, monkeypatch):
+        calls = []
+        coset_sum = modforms._coset_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return coset_sum(*args, **kwargs)
+
+        monkeypatch.setattr(modforms, "_coset_sum", counting)
+        return calls
+
+    # one coset sum per side of each check, whatever the index: each
+    # completed theta is one polynomial insertion, and the generating law
+    # sums every power at a point as the columns of one polynomial
+    def test_one_sum_per_side(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        g = Gamma0Matrix(1, 1, 3, 4)
+        h = A2.congruence_classes()[-1]
+        assert check_generating_modularity(A2, V_A2, g, -0.25 + 0.4j, 4, 1e-8).passed
+        assert len(calls) == 2
+        calls.clear()
+        assert check_congruence_modularity(A2, h, V_A2, 4, g, -0.25 + 0.4j, 1e-8).passed
+        assert len(calls) == 2
+        calls.clear()
+        assert check_inversion_law(A2, h, V_A2, 4, 0.4 + 0.9j, 1e-8).passed
+        assert len(calls) == 2
+
+    def test_cusp_sums_once_per_weighted_class(self, monkeypatch):
+        d4 = catalog_form("D4")
+        g = Gamma0Matrix(1, 0, 2, 1)
+        zero = CongruenceClass.zero(d4)
+        weighted = [q for q in d4.congruence_classes() if abs(lattice.gauss_sum(d4, g.a, g.d, g.c, zero, q)) >= 1e-13]
+        calls = self._counted(monkeypatch)
+        assert check_cusp_expansion(d4, unit_insertion_vector(d4), 4, g, 0.1 + 1.1j, 1e-8).passed
+        assert 0 < len(weighted) < d4.det and len(calls) == 1 + len(weighted)
 
 
 class TestCongruence:
@@ -596,6 +665,28 @@ class TestCampaign:
     def test_vacuous_settings_rejected(self, law, settings):
         with pytest.raises(ValueError):
             run_campaign(A2, (law,), 1, seed=0, **settings)
+
+    def test_walk_past_budget_skips_one_check(self):
+        # on E8+D4 (rank 12) the inversion walk is refused for its budget:
+        # one check's note, where it used to end the campaign and lose the
+        # reports of the laws that fit
+        form = QuadraticForm(block_gram(CATALOG["E8"], CATALOG["D4"]))
+        reports, notes = run_campaign(form, LAW_IDS, 1, seed=0)
+        assert [r.law for r in reports] == [
+            "inversion", "translation", "rescale", "poisson", "gauss_orthogonality", "gauss_closed_form",
+        ]
+        assert all(r.passed for r in reports)
+        assert any(n.startswith("inversion: skipped (estimated cost") and "exceeds budget" in n for n in notes)
+
+    def test_refused_law_without_matrices_stops(self):
+        # every translation walk on E8+E8 is past the budget, and the law
+        # draws no matrix: it stops after 4 count + 10 attempts, one note each
+        form = QuadraticForm(block_gram(CATALOG["E8"], CATALOG["E8"]))
+        start = time.perf_counter()
+        reports, notes = run_campaign(form, ("translation",), 1, seed=0)
+        assert time.perf_counter() - start < 10
+        assert reports == [] and len(notes) == 14
+        assert all(n.startswith("translation: skipped (") for n in notes)
 
     def test_rank_four_sampler(self):
         d4 = catalog_form("D4")
