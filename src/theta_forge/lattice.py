@@ -30,10 +30,17 @@ refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
 fold could leave int64; a fibered plan is refused before any walk when
 its estimated cost passes ENUMERATION_BUDGET.
+A Gauss sum over c^rank points is split by the CRT into one sum per
+prime power p^e of c, and each of those, by a Jordan splitting of the
+form over Z_p, into 1x1 and 2x2 blocks summed by brute force over p^e
+or p^2e points with exact integer residues; a block whose residue counts
+cancel exactly makes the sum exactly 0j, and the block points are
+refused above ENUMERATION_BUDGET before anything is allocated.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections.abc import Mapping
@@ -980,53 +987,182 @@ def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:
     return InsertionVector(m, Fraction(1, 2 * mu))
 
 
-_GAUSS_BLOCK = 1 << 16  # points per block of the Gauss-sum walk
+_GAUSS_BLOCK = 1 << 16  # points per chunk of a Jordan block's sum
+
+
+def _prime_powers(c: int):
+    """[(p, e)] with c the product of the p^e, by trial division up to
+    sqrt(ENUMERATION_BUDGET).  A cofactor left above ENUMERATION_BUDGET is
+    refused with EnumerationBudgetError without factoring it."""
+    out, p = [], 2
+    while p * p <= min(c, ENUMERATION_BUDGET):
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 + (p > 2)
+    if c > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"Gauss sum modulus has a factor {c} above budget {ENUMERATION_BUDGET:.2e}"
+        )
+    return out + [(c, 1)] * (c > 1)
+
+
+def _valuation(x: int, p: int):
+    """The p-adic valuation of x; infinite for x = 0."""
+    if x == 0:
+        return math.inf
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _jordan_blocks(gram, lin, p: int, e: int):
+    """Split sum over y mod p^e of e((y'By/2 + b'y)/p^e), B = gram with
+    even diagonal and b = lin, into a product of 1x1 and 2x2 blocks by
+    unimodular congruences in exact integers (Jordan splitting over Z_p;
+    Cassels, Rational Quadratic Forms, ch. 8).
+
+    Each step pivots on the entry of B of least p-valuation v, a
+    diagonal one at a tie.  A diagonal pivot B_ii clears row i with the
+    inverse of its unit part B_ii/p^v, leaving a 1x1 block.  For odd p an
+    off-diagonal pivot B_ij moves onto the diagonal by y_i += y_j (the new
+    B_ii = B_ii + 2 B_ij + B_jj has valuation v); for p = 2 the pair (i, j)
+    is cleared with the inverse of its unit 2x2 part, whose determinant
+    is odd, leaving a 2x2 block.  Off-diagonal entries are kept mod p^e
+    and diagonal ones mod 2p^e, all the sum sees.  Returns [(quad, lin)]
+    per block: the block's y'By/2 as upper-triangular coefficient rows
+    and its linear part, mod p^e.
+    """
+    P = p ** e
+    f = len(lin)
+    B = [[x % (2 * P if i == j else P) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    b = [x % P for x in lin]
+
+    def add(k, i, lam):
+        # y = U y' with U e_k = e_k + lam e_i: B -> U'BU, b -> U'b
+        for row in B:
+            row[k] += lam * row[i]
+        B[k] = [x + lam * y for x, y in zip(B[k], B[i])]
+        for j in range(f):
+            B[j][k] = B[k][j] = B[k][j] % (2 * P if j == k else P)
+        b[k] = (b[k] + lam * b[i]) % P
+
+    live, blocks = list(range(f)), []
+    while live:
+        v, off, i, j = min(
+            (_valuation(B[i][j], p), i != j, i, j) for n, i in enumerate(live) for j in live[n:]
+        )
+        if off and p > 2:
+            add(i, j, 1)
+            continue
+        pair = (i, j) if off else (i,)
+        if v < math.inf:
+            unit = [[B[r][s] // p ** v for s in pair] for r in pair]
+            if off:
+                inv = pow(unit[0][0] * unit[1][1] - unit[0][1] ** 2, -1, P)
+                solve = [[unit[1][1] * inv, -unit[0][1] * inv], [-unit[0][1] * inv, unit[0][0] * inv]]
+            else:
+                solve = [[pow(unit[0][0], -1, P)]]
+            for k in live:
+                s = [B[r][k] // p ** v for r in pair]
+                if k not in pair and any(s):
+                    for r, row in zip(pair, solve):
+                        add(k, r, -sum(x * y for x, y in zip(row, s)) % P)
+        blocks.append((
+            [[B[r][s] // (1 + (r == s)) % P for s in pair[n:]] for n, r in enumerate(pair)],
+            [b[r] for r in pair],
+        ))
+        live = [k for k in live if k not in pair]
+    return blocks
+
+
+def _block_sum(quad, lin, p: int, P: int):
+    """sum over y mod P of e((sum over i <= j of quad_ij y_i y_j + lin'y) / P)
+    for one Jordan block; None when the sum is exactly zero.
+
+    The exact residues mod P are counted, one chunk of _GAUSS_BLOCK points
+    at a time, and their counts n_r summed against e(r/P) in chunks.  The
+    sum vanishes exactly when n_(r + j P/p) is constant in j for every r:
+    the counts Z^P -> Z[e(1/P)] lose exactly the multiples of the
+    cyclotomic polynomial Phi_P(x) = sum over j < p of x^(j P/p).
+    """
+    n = len(lin)
+    points = P ** n
+    counts = np.zeros(P, dtype=np.int64)
+    for start in range(0, points, _GAUSS_BLOCK):
+        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
+        y = [idx // P ** (n - 1 - i) % P for i in range(n)]
+        r = sum(lin[i] * y[i] + sum(quad[i][j - i] * (y[i] * y[j] % P) for j in range(i, n)) for i in range(n))
+        # np.add.at costs the chunk; a bincount to length P would cost P per chunk
+        np.add.at(counts, r % P, 1)
+    rows = counts.reshape(p, P // p)
+    if (rows == rows[0]).all():
+        return None
+    return complex(sum(
+        counts[s:s + _GAUSS_BLOCK] @ np.exp(2j * np.pi * np.arange(s, min(s + _GAUSS_BLOCK, P)) / P)
+        for s in range(0, P, _GAUSS_BLOCK)
+    ))
 
 
 def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
-    """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
+    """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2),
+    for h and q in L' (A h = A q = 0 mod N; else the sum depends on the
+    representative, and ValueError is raised).  c must be positive.
 
-    Phases are exact rationals mod 1; only the final exponentials are
-    floating point.  With g = h + N w, w in [0, c)^rank, the numerator is
-    a Q(h) + d Q(q) + h'Aq + N (a Ah + Aq)'w + a N^2 Q(w).  Everything that
-    depends on h, q, a or d is reduced mod cN^2 in Python integers, so the
-    walk over w runs in int64 blocks of _GAUSS_BLOCK points; the residues
-    mod cN^2 are counted exactly and the counts summed against one table
-    of exponentials.  c must be positive.  Before anything is allocated,
-    OverflowError is raised when an int64 intermediate could pass 2^62,
-    and EnumerationBudgetError when the c^rank points or the cN^2 residues
-    exceed ENUMERATION_BUDGET.
+    With g = h + N w the numerator is const + N^2 (beta'w + a Q(w)), where
+    const = a Q(h) + d Q(q) + h'Aq and beta = (a Ah + Aq)/N is integral, so
+    the sum is e(const/cN^2) sum over w mod c of e((a Q(w) + beta'w)/c).
+    By the CRT, with c the product of the p^e and u_p = (c/p^e)^-1 mod p^e,
+    that sum is the product over p of the sums over w mod p^e of
+    e(u_p (a Q(w) + beta'w)/p^e), and a Jordan splitting of u_p a A over
+    Z_p (_jordan_blocks) makes each one a product of 1x1 and 2x2 blocks.
+    Each block is summed by brute force over its p^e or p^(2e) points,
+    with exact integer residues (_block_sum), so the cost is the sum over
+    blocks of p^(e size), not c^rank, and no closed form enters.  A block
+    whose residue counts cancel exactly makes the result exactly 0j.
+
+    Before anything is allocated, EnumerationBudgetError is raised when
+    the block points pass ENUMERATION_BUDGET.  c is factored by trial
+    division up to sqrt(ENUMERATION_BUDGET) and a cofactor left above the
+    budget is refused unfactored; that is conservative only for c with
+    two prime factors above 7,746.  Every residue is then below 2^26, so
+    the int64 products of a block stay below 2^53.
     """
     if c <= 0:
         raise ValueError("gauss_sum requires c > 0")
-    hrep = h.rep if isinstance(h, CongruenceClass) else tuple(int(x) for x in h)
-    qrep = q.rep if isinstance(q, CongruenceClass) else tuple(int(x) for x in q)
-    f, N = form.rank, form.level
+    N = form.level
+    hrep, qrep = (
+        x.rep if isinstance(x, CongruenceClass) else tuple(int(y) for y in x) for x in (h, q)
+    )
+    for rep in (hrep, qrep):
+        if any(x % N for x in form._gram_times(rep)):
+            raise ValueError(f"gauss_sum needs classes of L': A{rep} is not 0 mod N = {N}")
     M = c * N * N
-    if max((f + 2) * c * M, f * f * c ** 3) > 2 ** 62:
-        raise OverflowError(f"gauss_sum residues mod cN^2 = {M} overflow int64 at c = {c}")
-    if max(c ** f, M) > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{c}^{f} points over {M} residues exceeds budget {ENUMERATION_BUDGET:.2e}"
-        )
     const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
-    lin = [N * x % M for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
-    # Q(w) = sum over i <= j of u_ij w_i w_j, u_ii = A_ii/2 and u_ij = A_ij above
-    quad = [
-        (i, j, form.gram[i][j] // (1 + (i == j)) % c)
-        for i in range(f)
-        for j in range(i, f)
-    ]
-    aq = N * N * (a % c)  # a N^2 Q(w) mod cN^2 needs Q(w) mod c only
-    points = c ** f
-    counts = np.zeros(M, dtype=np.int64)
-    for start in range(0, points, _GAUSS_BLOCK):
-        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
-        w = [idx // c ** (f - 1 - i) % c for i in range(f)]
-        qw = sum(u * w[i] * w[j] for i, j, u in quad if u) % c
-        num = const + sum(lin[i] * w[i] for i in range(f)) + aq * qw
-        counts += np.bincount(num % M, minlength=M)
-    return complex(counts @ np.exp(2j * np.pi * np.arange(M) / M))
+    beta = [x // N for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
+    splits = []
+    for p, e in _prime_powers(c):
+        P = p ** e
+        u = pow(c // P, -1, P)
+        gram = [[u * a * x for x in row] for row in form.gram]
+        splits += [(p, P, block) for block in _jordan_blocks(gram, [u * x for x in beta], p, e)]
+    points = sum(P ** len(lin) for _, P, (_, lin) in splits)
+    if points > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{points:.2e} Gauss-sum block points at c = {c} exceed budget {ENUMERATION_BUDGET:.2e}"
+        )
+    phi = cmath.exp(2j * pi * (const / M))
+    for p, P, (quad, lin) in splits:
+        part = _block_sum(quad, lin, p, P)
+        if part is None:
+            return 0j
+        phi *= part
+    return phi
 
 
 CATALOG = {

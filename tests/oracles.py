@@ -13,7 +13,14 @@ from math import lcm, pi
 
 import numpy as np
 
-from theta_forge.lattice import InvalidFormError
+from theta_forge.lattice import (
+    ENUMERATION_BUDGET,
+    _GAUSS_BLOCK,
+    CongruenceClass,
+    EnumerationBudgetError,
+    InvalidFormError,
+    QuadraticForm,
+)
 
 
 def quad_value_twice(gram, x):
@@ -191,6 +198,55 @@ def gauss_sum_bruteforce(form, a, d, c, h, q):
         frac = Fraction(num, denom) % 1
         total += cexp(2j * pi * float(frac))
     return total
+
+
+def gauss_sum_walk(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
+    """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
+
+    The vectorized c^rank block walk the library's Jordan-block sum
+    replaced, kept as a fast oracle beside gauss_sum_bruteforce.
+
+    Phases are exact rationals mod 1; only the final exponentials are
+    floating point.  With g = h + N w, w in [0, c)^rank, the numerator is
+    a Q(h) + d Q(q) + h'Aq + N (a Ah + Aq)'w + a N^2 Q(w).  Everything that
+    depends on h, q, a or d is reduced mod cN^2 in Python integers, so the
+    walk over w runs in int64 blocks of _GAUSS_BLOCK points; the residues
+    mod cN^2 are counted exactly and the counts summed against one table
+    of exponentials.  c must be positive.  Before anything is allocated,
+    OverflowError is raised when an int64 intermediate could pass 2^62,
+    and EnumerationBudgetError when the c^rank points or the cN^2 residues
+    exceed ENUMERATION_BUDGET.
+    """
+    if c <= 0:
+        raise ValueError("gauss_sum requires c > 0")
+    hrep = h.rep if isinstance(h, CongruenceClass) else tuple(int(x) for x in h)
+    qrep = q.rep if isinstance(q, CongruenceClass) else tuple(int(x) for x in q)
+    f, N = form.rank, form.level
+    M = c * N * N
+    if max((f + 2) * c * M, f * f * c ** 3) > 2 ** 62:
+        raise OverflowError(f"gauss_sum residues mod cN^2 = {M} overflow int64 at c = {c}")
+    if max(c ** f, M) > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{c}^{f} points over {M} residues exceeds budget {ENUMERATION_BUDGET:.2e}"
+        )
+    const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
+    lin = [N * x % M for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
+    # Q(w) = sum over i <= j of u_ij w_i w_j, u_ii = A_ii/2 and u_ij = A_ij above
+    quad = [
+        (i, j, form.gram[i][j] // (1 + (i == j)) % c)
+        for i in range(f)
+        for j in range(i, f)
+    ]
+    aq = N * N * (a % c)  # a N^2 Q(w) mod cN^2 needs Q(w) mod c only
+    points = c ** f
+    counts = np.zeros(M, dtype=np.int64)
+    for start in range(0, points, _GAUSS_BLOCK):
+        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
+        w = [idx // c ** (f - 1 - i) % c for i in range(f)]
+        qw = sum(u * w[i] * w[j] for i, j, u in quad if u) % c
+        num = const + sum(lin[i] * w[i] for i in range(f)) + aq * qw
+        counts += np.bincount(num % M, minlength=M)
+    return complex(counts @ np.exp(2j * np.pi * np.arange(M) / M))
 
 
 def gauss_orthogonality_residual_loop(form, b):

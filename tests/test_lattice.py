@@ -41,6 +41,7 @@ from oracles import (
     eliminate_fraction,
     float_walk_histogram,
     gauss_sum_bruteforce,
+    gauss_sum_walk,
     insertion_norm_loop,
     integral_weights_loop,
     inverse_exact,
@@ -1107,20 +1108,72 @@ class TestGaussSum:
         h, q = (1 + 3 * 10 ** 12, 2 - 3 * 10 ** 12), (2 + 9 * 10 ** 12, 1)
         twin = gauss_sum_bruteforce(a2, 5, -7, 3, (1, 2), (2, 1))
         assert abs(gauss_sum(a2, 5, -7, 3, h, q) - twin) < 1e-9
-        # not a class: no reduction applies, the loop itself is the reference
+        # not a class: the sum over g mod cN depends on the representative
         odd = (10 ** 12, 1)
-        assert abs(
-            gauss_sum(a2, 3, 5, 2, odd, odd) - gauss_sum_bruteforce(a2, 3, 5, 2, odd, odd)
-        ) < 1e-9
+        with pytest.raises(ValueError):
+            gauss_sum(a2, 3, 5, 2, odd, odd)
 
-    def test_int64_overflow_refused(self):
-        with pytest.raises(OverflowError):
-            gauss_sum(catalog_form("A2"), 1, 1, 10 ** 9, (0, 0), (0, 0))
+    def test_representative_outside_classes_refused(self):
+        # A h != 0 mod 3: these three representatives of h = (1, 0) mod 3
+        # summed to three different values over g mod cN
+        a2 = catalog_form("A2")
+        for h in ((1, 0), (4, 0), (1, 3)):
+            with pytest.raises(ValueError):
+                gauss_sum(a2, 1, 5, 2, h, (0, 0))
+            with pytest.raises(ValueError):
+                gauss_sum(a2, 1, 5, 2, (0, 0), h)
+
+    def test_c_past_int64_residues(self):
+        # c = 2^9 5^9: one 2x2 block of 2^18 points and two 1x1 blocks of
+        # 5^9 points, where the walk refused residues mod cN^2 past int64
+        phi = gauss_sum(catalog_form("A2"), 1, 1, 10 ** 9, (0, 0), (0, 0))
+        assert abs(abs(phi) / 10 ** 9 - 1) < 1e-9
 
     def test_budget_refused(self):
-        # 10^8 points: refused before the walk starts
-        with pytest.raises(EnumerationBudgetError):
-            gauss_sum(catalog_form("A2"), 1, 1, 10 ** 4, (0, 0), (0, 0))
+        # a prime above the budget is refused unfactored; E8 at c = 2^12
+        # splits into four 2x2 blocks of 2^24 points each; both before
+        # anything is allocated
+        for name, c in (("A2", 2 ** 31 - 1), ("E8", 2 ** 12)):
+            form = catalog_form(name)
+            tracemalloc.start()
+            try:
+                with pytest.raises(EnumerationBudgetError):
+                    gauss_sum(form, 1, 1, c, (0,) * form.rank, (0,) * form.rank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_e8_past_the_walk(self):
+        # 49^8 points for the walk; eight 1x1 blocks of 49 points here
+        phi = gauss_sum(catalog_form("E8"), 1, 1, 49, (0,) * 8, (0,) * 8)
+        assert abs(abs(phi) / 49 ** 4 - 1) < 1e-9
+
+    # moduli with 1x1 and 2x2 blocks at 2, blocks at 3, 5 and 7, and CRT
+    WALK_C = (2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 12, 18, 24, 30)
+    # random forms: orthogonal sums of these, with odd and even
+    # off-diagonals, in a basis mixed by column operations
+    WALK_BLOCKS = tuple(
+        ((2 * x, y), (y, 2 * z)) for x in (1, 2) for z in (1, 2) for y in range(-2, 3) if 4 * x * z > y * y
+    )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_walk(self, data):
+        if data.draw(st.booleans()):
+            form = _CATALOG_FORMS[data.draw(st.sampled_from(sorted(CATALOG)))]
+        else:
+            f = data.draw(st.sampled_from((2, 4, 6)))
+            gram = block_gram(*data.draw(st.lists(st.sampled_from(self.WALK_BLOCKS), min_size=f // 2, max_size=f // 2)))
+            u, _ = unimodular_pair(f, data.draw(st.lists(_column_ops(f), max_size=4)))
+            form = QuadraticForm(congruent_gram(gram, u))
+        c = data.draw(st.sampled_from([c for c in self.WALK_C if c ** form.rank <= 2 * 10 ** 5]))
+        a, d = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 2))
+        classes = form.congruence_classes()
+        h, q = (data.draw(st.sampled_from(classes)) for _ in range(2))
+        phi, walk = gauss_sum(form, a, d, c, h, q), gauss_sum_walk(form, a, d, c, h, q)
+        assert abs(phi - walk) < 1e-9
+        assert (phi == 0j) == (abs(walk) < 1e-9)
 
     def test_block_walk_memory(self):
         # 31^4 = 923521 points; every row at once would take more than 60 MB
