@@ -1,8 +1,9 @@
 """Exact scalar arithmetic shared by every other module.
 
-Gaussian rationals, Bernoulli numbers, divisor power sums, the Kronecker
-symbol, and the pairing coefficients that weight the quasimodular
-corrections.  Everything here is exact; no floating point enters.
+Gaussian rationals, Bernoulli numbers, divisor power sums (one at a time
+or as a sieved table), the Kronecker symbol, and the pairing coefficients
+that weight the quasimodular corrections.  Everything here is exact; no
+floating point enters.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -171,6 +173,20 @@ def divisor_sigma(k: int, n: int) -> int:
                 total += e ** k
         d += 1
     return total
+
+
+def divisor_sigmas(k: int, n: int) -> list:
+    """[sigma_k(0), ..., sigma_k(n-1)] by one sieve over the divisors, with
+    sigma_k(0) = 0 as a placeholder: the table divisor_sigma gives entry by
+    entry, in O(n log n) additions instead of O(n sqrt n) trial divisions."""
+    if k < 0:
+        raise ValueError("divisor_sigmas requires k >= 0")
+    table = [0] * n
+    for d in range(1, n):
+        dk = d ** k
+        for m in range(d, n, d):
+            table[m] += dk
+    return table
 
 
 def kronecker_symbol(a: int, n: int) -> int:

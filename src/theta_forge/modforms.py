@@ -1,9 +1,13 @@
 """q-expansions and numeric evaluation of Eisenstein and theta series.
 
 Exact expansions run through the lattice histogram engine and stay in
-Q(i).  Every numeric theta (plain, class, Poisson offset, dual, the
-rescale law's family of class thetas and the inversion law's phased sum
-of all det class thetas) is one coset sum: the histogram of a coset
+Q(i): theta_expand and the exact Eisenstein series sum integer numerators
+(histogram counts times powers of the weights, sieved divisor sums) and
+hand them to FracQSeries.from_numerators with the prefactor as one
+denominator.
+Every numeric theta (plain, class, Poisson offset, dual, the rescale
+law's family of class thetas and the inversion law's phased sum of all
+det class thetas) is one coset sum: the histogram of a coset
 x + Z^f, cut at a certified radius and summed against
 P(<v, z>/level) exp(2 pi i tau e/M) in one numpy sum over the
 histogram's read-only arrays.  The insertion polynomial P is y^k for a
@@ -28,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import GaussianRational, bernoulli, divisor_sigma
+from .arith import bernoulli, divisor_sigma, divisor_sigmas
 from .lattice import CongruenceClass, InsertionVector, QuadraticForm, _tally_cells, insertion_histogram
 from .qseries import FracQSeries
 
@@ -84,10 +88,9 @@ class ThetaSpec:
 
 def eisenstein_e2(prec: int) -> FracQSeries:
     """Quasimodular weight-2 series -1/12 + 2 sum sigma_1(n) q^n."""
-    coeffs = [(0, GaussianRational(Fraction(-1, 12)))]
-    for n in range(1, prec):
-        coeffs.append((n, GaussianRational(2 * divisor_sigma(1, n))))
-    return FracQSeries(coeffs, prec=prec)
+    sigma = divisor_sigmas(1, prec)
+    terms = [(0, -1, 0)] + [(n, 24 * sigma[n], 0) for n in range(1, prec)]
+    return FracQSeries.from_numerators(terms, 12, prec=prec)
 
 
 def eisenstein_e2k(k: int, prec: int) -> FracQSeries:
@@ -95,10 +98,10 @@ def eisenstein_e2k(k: int, prec: int) -> FracQSeries:
     if not isinstance(k, int) or k < 2:
         raise ValueError("weight parameter k must be an integer >= 2")
     factor = Fraction(-4 * k) / bernoulli(2 * k)
-    coeffs = [(0, GaussianRational(1))]
-    for n in range(1, prec):
-        coeffs.append((n, GaussianRational(factor * divisor_sigma(2 * k - 1, n))))
-    return FracQSeries(coeffs, prec=prec)
+    sigma = divisor_sigmas(2 * k - 1, prec)
+    terms = [(0, factor.denominator, 0)]
+    terms += [(n, factor.numerator * sigma[n], 0) for n in range(1, prec)]
+    return FracQSeries.from_numerators(terms, factor.denominator, prec=prec)
 
 
 def _exp_denom(spec: ThetaSpec) -> int:
@@ -144,24 +147,23 @@ def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
         )
     den, coset = _spec_slice(spec)
     cells = insertion_histogram(spec.form, series_prec - 1, **coset)
+    rows, counts = cells.rows.tolist(), cells.counts.tolist()
     if spec.k == 0:
-        coeffs = [(e, GaussianRational(c)) for (e,), c in cells.items()]
-        return FracQSeries(coeffs, prec=series_prec, exp_denom=M)
+        terms = [(e, count, 0) for (e,), count in zip(rows, counts)]
+        return FracQSeries.from_numerators(terms, prec=series_prec, exp_denom=M)
     pref = spec.v.s ** (spec.k // 2) * Fraction(1, den ** spec.k)
     if spec.h is not None:
         pref /= spec.form.level ** spec.k
-    # sum count * (t1 + i t2)^k per exponent in Gaussian integers, then
-    # scale each exponent's sum by pref once
-    acc: dict = {}
-    for key, count in cells.items():
+    # count * (t1 + i t2)^k in Gaussian integers per row, times pref's
+    # numerator; pref's denominator is the series' one denominator
+    terms = []
+    for key, count in zip(rows, counts):
         t1, t2 = key[1], key[2] if len(key) > 2 else 0
-        re, im = 1, 0
+        re, im = count * pref.numerator, 0
         for _ in range(spec.k):
             re, im = re * t1 - im * t2, re * t2 + im * t1
-        old_re, old_im = acc.get(key[0], (0, 0))
-        acc[key[0]] = (old_re + count * re, old_im + count * im)
-    coeffs = [(e, GaussianRational(re, im) * pref) for e, (re, im) in acc.items()]
-    return FracQSeries(coeffs, prec=series_prec, exp_denom=M)
+        terms.append((key[0], re, im))
+    return FracQSeries.from_numerators(terms, pref.denominator, prec=series_prec, exp_denom=M)
 
 
 def _truncation_radius(y: float, k: int, f: int, tol: float) -> int:

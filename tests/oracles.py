@@ -326,6 +326,40 @@ def series_product_loop(a, b):
     return type(a)(out, prec=prec, exp_denom=a.exp_denom)
 
 
+def series_sum_loop(a, b):
+    """a + b for two FracQSeries, one Q(i) sum per exponent, on the finer
+    exponent lattice and to the lower precision."""
+    a, b = a._aligned(b)
+    prec = min(a.prec, b.prec)
+    out = {}
+    for series in (a, b):
+        for e, c in series.coeffs.items():
+            if e < prec:
+                out[e] = out[e] + c if e in out else c
+    return type(a)(out, prec=prec, exp_denom=a.exp_denom)
+
+
+def series_negation_loop(a):
+    """-a, one Q(i) negation per term."""
+    return type(a)({e: -c for e, c in a.coeffs.items()}, prec=a.prec, exp_denom=a.exp_denom)
+
+
+def series_scalar_loop(a, s):
+    """s * a for a scalar s, one Q(i) product per term."""
+    return type(a)({e: c * s for e, c in a.coeffs.items()}, prec=a.prec, exp_denom=a.exp_denom)
+
+
+def series_rebase_loop(a, exp_denom):
+    """a on the finer lattice exp_denom: each exponent and prec times the ratio."""
+    k = exp_denom // a.exp_denom
+    return type(a)({e * k: c for e, c in a.coeffs.items()}, prec=a.prec * k, exp_denom=exp_denom)
+
+
+def series_truncate_loop(a, prec):
+    """a to the lower precision prec: the terms below it."""
+    return type(a)({e: c for e, c in a.coeffs.items() if e < prec}, prec=prec, exp_denom=a.exp_denom)
+
+
 def float_walk_histogram(gram, bound, scale=1, h0=None, weights=()):
     """{(e, t...): count} over z = h0 + scale*u with z'Az/2 = e <= bound and
     t_i = weights_i . z, by the float walk the integer kernel replaced.

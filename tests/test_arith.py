@@ -9,6 +9,7 @@ from theta_forge.arith import (
     GaussianRational,
     bernoulli,
     divisor_sigma,
+    divisor_sigmas,
     kronecker_symbol,
     pairing_coeff,
 )
@@ -85,6 +86,17 @@ class TestDivisorSigma:
     def test_against_naive(self, n, k):
         assert divisor_sigma(k, n) == sigma_naive(k, n)
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 11])
+    def test_sieved_table_matches_trial_division(self, k):
+        table = divisor_sigmas(k, 3000)
+        assert table == [0] + [divisor_sigma(k, n) for n in range(1, 3000)]
+
+    def test_sieved_table_edges(self):
+        assert divisor_sigmas(1, 0) == [] and divisor_sigmas(1, 1) == [0]
+        assert divisor_sigmas(0, 7) == [0, 1, 2, 2, 3, 2, 4]
+        with pytest.raises(ValueError):
+            divisor_sigmas(-1, 5)
+
 
 class TestKronecker:
     def test_examples(self):
@@ -134,6 +146,14 @@ class TestGaussianRational:
         x = GaussianRational(Fraction(7, 3), Fraction(-2, 5))
         y = GaussianRational(2, 1)
         assert (x / y) * y == x
+
+    def test_real_value_hashes_like_its_real_part(self):
+        # equal objects must hash alike: GaussianRational(3) == 3
+        for x in (3, Fraction(1, 2), Fraction(-7, 3), 0):
+            assert GaussianRational(x) == x
+            assert hash(GaussianRational(x)) == hash(x)
+        assert len({GaussianRational(3), 3, Fraction(3)}) == 1
+        assert GaussianRational(3, 1) != 3
 
     def test_conjugate_and_predicates(self):
         x = GaussianRational(2, -3)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from theta_forge.jacobi_like import (
     theta_generating,
     verify_root_identity,
 )
-from theta_forge.lattice import InsertionVector, catalog_form, unit_insertion_vector
+from theta_forge.lattice import CongruenceClass, InsertionVector, catalog_form, first_root, unit_insertion_vector
 from theta_forge.modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
 from theta_forge.qseries import FracQSeries
 
@@ -240,3 +242,50 @@ class TestJacobiLikeForm:
         gen = theta_generating(a2, unit_insertion_vector(a2), 2, 4)
         assert isinstance(gen, JacobiLikeForm)
         assert gen.xseries.x_prec == 2
+
+
+def _root_vector(name):
+    form = catalog_form(name)
+    return form, InsertionVector.from_root(first_root(form))
+
+
+def _two_a2_class_theta():
+    form = catalog_form("2A2")
+    v = InsertionVector((1, GaussianRational(0, 1)))
+    return theta_expand(ThetaSpec(form, v, 2, CongruenceClass(form, (1, 2))), 40)
+
+
+class TestPinnedExpansions:
+    """sha256 of the canonical JSON of exact expansions, pinned before the
+    series stored integer numerators over one denominator: the storage
+    must not change one coefficient."""
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: completed_theta(*_root_vector("A2"), 4, 120),
+                "d8a769f408840bb51d650441a018182658c053628fb271cba4b81b0ee1368cb3",
+            ),
+            (
+                lambda: cusp_combination(*_root_vector("D4"), 2, 60),
+                "7ed58304db657cb583c91ef18d4031e9581b5ab482fe5018e0d4daa7520bda2b",
+            ),
+            (
+                lambda: cusp_combination(*_root_vector("D4"), 3, 60),
+                "0c8d433e29ab824ea2a5b4515938ead6260dd923d71bd062bbfb7784ad7157e3",
+            ),
+            (
+                lambda: theta_generating(*_root_vector("E8"), 3, 8).xseries,
+                "91dbd0fcb141d5b2ede1cd58627c8ce7368380cbe992823d6d5ad05476698620",
+            ),
+            (
+                _two_a2_class_theta,
+                "db1bf4aff91b3cbe0e1a7ebdd87ae8c44194d3abb6e5635ed1ce75b933c4fb09",
+            ),
+        ],
+        ids=["completed-A2", "cusp-D4-k2", "cusp-D4-k3", "generating-E8", "class-2A2"],
+    )
+    def test_json_digest(self, build, digest):
+        text = json.dumps(build().to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

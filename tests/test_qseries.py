@@ -1,13 +1,22 @@
 import cmath
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_product_loop
+from oracles import (
+    series_negation_loop,
+    series_product_loop,
+    series_rebase_loop,
+    series_scalar_loop,
+    series_sum_loop,
+    series_truncate_loop,
+)
 from theta_forge.arith import GaussianRational
-from theta_forge.modforms import eisenstein_e2, eisenstein_e2k
+from theta_forge.lattice import InsertionVector, catalog_form, first_root
+from theta_forge.modforms import ThetaSpec, eisenstein_e2, eisenstein_e2k, theta_expand
 from theta_forge.qseries import FracQSeries, PrecisionError, XSeries, _pack, _unpack
 
 
@@ -167,6 +176,18 @@ class TestPackedProduct:
         # only the low n digits are read, whatever lies above them
         assert _unpack(_pack(digits + [-top - 1, top], bits), bits, 3) == digits[:3]
 
+    @given(st.integers(2, 70), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pack_and_unpack_at_any_length(self, bits, data):
+        # the halving split must agree with the digit-by-digit definition
+        # at lengths that are no power of two
+        top = 1 << (bits - 1)
+        digits = data.draw(st.lists(st.integers(-top, top - 1), max_size=70))
+        x = _pack(digits, bits)
+        assert x == sum(d << (bits * j) for j, d in enumerate(digits))
+        assert _unpack(x, bits, len(digits)) == digits
+        assert _unpack(x, bits, len(digits) + 3) == digits + [0] * 3
+
     @pytest.mark.parametrize("m", [1, 2 ** 31 - 1, 10 ** 30])
     def test_largest_digits_of_the_slot_bound(self, m):
         # (m + im)(m - im) = 2m^2 per pair: every real digit in the middle
@@ -196,16 +217,114 @@ class TestPackedProduct:
         e2, e4 = eisenstein_e2(401), eisenstein_e2k(2, 401)
         calls = []
 
-        def counted(self, other):
-            calls.append(1)
-            return original(self, other)
+        def counted(original):
+            # a scalar on the left hands the series back as NotImplemented,
+            # which is no product in Q(i)
+            def method(self, other):
+                result = original(self, other)
+                if result is not NotImplemented:
+                    calls.append(original.__name__)
+                return result
+            return method
 
-        original = GaussianRational.__mul__
-        monkeypatch.setattr(GaussianRational, "__mul__", counted)
-        monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(GaussianRational, name, counted(getattr(GaussianRational, name)))
         product = e2 * e4
         assert len(product.coeffs) == 401
+        # scalar products and sums run on the numerators as well
+        for scalar in (3, Fraction(-5, 7), GaussianRational(Fraction(1, 2), -3)):
+            e2 * scalar, scalar * e4, e2 + scalar, e4 - scalar
+        e2 + e4, e2 - e4, -e4
         assert calls == []
+
+
+class TestIntegerStorage:
+    def test_coeffs_is_a_read_only_view(self):
+        s = S([(0, 1), (4, Fraction(2, 3))])
+        view = s.coeffs
+        assert isinstance(view, Mapping) and len(view) == 2
+        assert view == {0: GaussianRational(1), 4: GaussianRational(Fraction(2, 3))}
+        assert 4 in view and 1 not in view
+        with pytest.raises(TypeError):
+            view[1] = GaussianRational(1)
+        with pytest.raises(AttributeError):
+            s.coeffs = {}
+
+    def test_expansions_make_no_gaussian_rationals(self, monkeypatch):
+        a2 = catalog_form("A2")
+        v = InsertionVector.from_root(first_root(a2))
+        made = []
+        init = GaussianRational.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counted)
+        series = [eisenstein_e2(200), eisenstein_e2k(3, 200), theta_expand(ThetaSpec(a2, v, 4), 200)]
+        series[0] * series[1] + series[2]
+        assert made == []
+
+    def test_equal_series_hash_alike(self):
+        # q^1 to prec 10 on the lattices Z and Z/3
+        a = S([(1, 1)], prec=10, exp_denom=1)
+        b = S([(3, 1)], prec=30, exp_denom=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        one = S([(0, 1)])
+        assert len({XSeries([one, a]), XSeries([one.rebase(3), b])}) == 1
+
+    def test_equal_values_over_any_denominator_are_equal(self):
+        half = S([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
+        assert half * 6 == S([(0, 3), (1, 2)])
+        assert (half * 6).coeffs == {0: GaussianRational(3), 1: GaussianRational(2)}
+        # truncation drops the term whose denominator the others lack
+        assert half.truncate(1) == S([(0, Fraction(1, 2))], prec=1)
+        assert hash(half.truncate(1)) == hash(S([(0, Fraction(1, 2))], prec=1))
+        assert FracQSeries.from_numerators([(0, 2, 4), (3, 6, 0), (3, -6, 0)], 8, prec=5) == FracQSeries(
+            [(0, GaussianRational(Fraction(1, 4), Fraction(1, 2)))], prec=5
+        )
+
+    def test_from_numerators_checks_its_input(self):
+        with pytest.raises(ValueError):
+            FracQSeries.from_numerators([(0, 1, 0)], 0, prec=5)
+        with pytest.raises(ValueError):
+            FracQSeries.from_numerators([(-1, 1, 0)], prec=5)
+        with pytest.raises(TypeError):
+            FracQSeries.from_numerators([(Fraction(1, 2), 1, 0)], prec=5)
+        with pytest.raises(TypeError):
+            FracQSeries.from_numerators([(0, Fraction(1, 2), 0)], prec=5)
+        assert FracQSeries.from_numerators([(7, 1, 0)], prec=5).is_zero()
+
+    @given(
+        _sparse_series(),
+        _sparse_series(),
+        st.one_of(st.just(0), st.integers(-4, 4), _BIG, *_COEFFS.values(), st.just(GaussianRational(0, 1))),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_coefficient_oracles(self, a, b, s, cut):
+        finer = a.exp_denom * 4
+        cases = [
+            (a + b, series_sum_loop(a, b)),
+            (b + a, series_sum_loop(a, b)),
+            (-a, series_negation_loop(a)),
+            (a - b, series_sum_loop(a, series_negation_loop(b))),
+            (a * s, series_scalar_loop(a, s)),
+            (s * a, series_scalar_loop(a, s)),
+            (a + s, series_sum_loop(a, FracQSeries.constant(s, a.prec, a.exp_denom))),
+            (a.rebase(finer), series_rebase_loop(a, finer)),
+            (a.truncate(min(cut, a.prec)), series_truncate_loop(a, min(cut, a.prec))),
+        ]
+        for got, want in cases:
+            assert (got.prec, got.exp_denom) == (want.prec, want.exp_denom)
+            assert got.coeffs == want.coeffs
+            assert got == want and hash(got) == hash(want)
+        # equal results on different lattices hash alike
+        assert a.rebase(finer) == a and hash(a.rebase(finer)) == hash(a)
+        back = (a + b) - b
+        want = series_sum_loop(a, FracQSeries.zero(b.prec, b.exp_denom))
+        assert back == want and hash(back) == hash(want)
 
 
 class TestRebase:
