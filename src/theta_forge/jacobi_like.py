@@ -111,14 +111,13 @@ def completed_theta(form: QuadraticForm, v: InsertionVector, k: int, q_prec: int
     """
     if k % 2 or k < 0:
         raise ValueError("the insertion index k must be even and >= 0")
+    # theta_k first: the form keeps its weighted histogram, and theta_0 is
+    # summed out of it; then Horner in E_2 from the top power of E_2 down
+    terms = [theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec) * pairing_coeff(t, k) for t in range(k // 2 + 1)]
     e2 = eisenstein_e2(q_prec)
-    total = FracQSeries.zero(q_prec)
-    e2_power = FracQSeries.constant(1, q_prec)
-    for t in range(k // 2 + 1):
-        if t:
-            e2_power = e2_power * e2
-        theta = theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec)
-        total = total + theta * e2_power * pairing_coeff(t, k)
+    total = terms.pop()
+    for term in reversed(terms):
+        total = total * e2 + term
     return total
 
 

@@ -257,7 +257,8 @@ class QuadraticForm:
             # coordinate first), the benchmark walks met up to 0.5% more
             # candidates and ran no faster
             basis, uinv = _lll_basis(self.gram)
-            gram = tuple(tuple(self.bilinear(bi, bj) for bj in basis) for bi in basis)
+            products = [self._gram_times(b) for b in basis]
+            gram = tuple(tuple(sum(x * y for x, y in zip(bi, ab)) for ab in products) for bi in basis)
             adj, minors, lower = _bareiss(gram)
             if minors[-1] != self.det:
                 raise ArithmeticError(f"reduced Gram determinant {minors[-1]} is not det = {self.det}")
@@ -404,16 +405,21 @@ class InsertionVector:
     def is_null(self, form) -> bool:
         return not self.norm(form)
 
+    def integer_rows(self):
+        """(den, rows): den * w = re + i im with integer rows, rows = (re,)
+        for a real w and (re, im) otherwise."""
+        return self._den, ((self._re, self._im) if any(self._im) else (self._re,))
+
     def integral_weights(self, form: QuadraticForm):
         """(den, weight rows) with weight_i . m = den * component_i of w'Am.
 
-        One row when w'A is real, two (real then imaginary part) otherwise.
+        The rows of integer_rows times A, over their gcd with den: A is
+        nonsingular, so w'A has an imaginary row exactly when w has one.
         """
-        ar, ai = form._gram_times(self._re), form._gram_times(self._im)
-        g = math.gcd(self._den, *ar, *ai)
-        re_row = tuple(x // g for x in ar)
-        im_row = tuple(x // g for x in ai)
-        return self._den // g, ((re_row, im_row) if any(im_row) else (re_row,))
+        den, rows = self.integer_rows()
+        rows = [form._gram_times(row) for row in rows]
+        g = math.gcd(den, *(x for row in rows for x in row))
+        return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
     def __eq__(self, other):
         if not isinstance(other, InsertionVector):
@@ -857,11 +863,11 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     is walked fiber by fiber along the row, or along one coordinate of the
     reduced basis when there is none, recursively through the kernels,
     wherever the estimated cost says so, and directly otherwise; two rows
-    (a complex insertion vector) take the direct walk.  Either way the
-    histogram is the direct walk's exactly.  Every slice and every walk is
-    refused before allocating: EnumerationBudgetError above
-    ENUMERATION_BUDGET estimated points, OverflowError when an int64
-    partial could overflow.
+    (a complex insertion vector, or a dual sum's insertion and residue
+    rows) take the direct walk.  Either way the histogram is the direct
+    walk's exactly.  Every slice and every walk is refused before
+    allocating: EnumerationBudgetError above ENUMERATION_BUDGET estimated
+    points, OverflowError when an int64 partial could overflow.
     """
     if bound < 0 or scale < 1:
         raise ValueError(f"bound {bound} must be >= 0 and scale {scale} >= 1")

@@ -10,9 +10,14 @@ law's family of class thetas and the inversion law's phased sum of all
 det class thetas) is one coset sum: the histogram of a coset
 x + Z^f, cut at a certified radius and summed against
 P(<v, z>/level) exp(2 pi i tau e/M) in one numpy sum over the
-histogram's read-only arrays.  The insertion polynomial P is y^k for a
-theta of power k, and sum over t of x^t pairing_coeff(t, k) y^(k-2t) for
-its E2 completion, so a completed theta is one sum, not one per power.
+histogram's read-only arrays.  One rule names the slice of a ThetaSpec,
+z = h0 + level*u with M = level^2 (_spec_coset), for the exact and the
+numeric sums alike; the offset theta at x = h0/rho is the level-rho
+coset theta, and v's integer rows come from one place,
+InsertionVector.integer_rows, paired with A or not.  The insertion
+polynomial P is y^k for a theta of power k, and sum over t of
+x^t pairing_coeff(t, k) y^(k-2t) for its E2 completion, so a completed
+theta is one sum, not one per power.
 Both views of every series share one enumeration.  The inversion classes
 tile {m : A m = 0 mod N} = N A^-1 Z^f, and their phases are a character
 of y in m = N A^-1 y, so their sum is one walk of the dual form
@@ -104,27 +109,10 @@ def eisenstein_e2k(k: int, prec: int) -> FracQSeries:
     return FracQSeries.from_numerators(terms, factor.denominator, prec=prec)
 
 
-def _exp_denom(spec: ThetaSpec) -> int:
-    """M: the series has exponents e/M, 1 for the plain sum and N^2 on a class."""
-    return 1 if spec.h is None else spec.form.level ** 2
-
-
-def _spec_slice(spec: ThetaSpec):
-    """(den, slice): the insertion_histogram keywords of the lattice sum
-    spec describes, whose keys are (e,) for k = 0, otherwise (e, t...)
-    with t/den the parts of w'Am."""
-    form = spec.form
-    scale, h0 = (1, None) if spec.h is None else (form.level, spec.h.rep)
-    den, weights = spec.v.integral_weights(form) if spec.k else (1, ())
-    return den, {"scale": scale, "h0": h0, "weights": weights}
-
-
-def _class_symmetric(spec: ThetaSpec) -> bool:
-    # m -> -m maps the class h to -h; cancellation needs 2h = 0 mod N
-    if spec.h is None:
-        return True
-    N = spec.form.level
-    return all((2 * x) % N == 0 for x in spec.h.rep)
+def _spec_coset(spec: ThetaSpec):
+    """(level, h0): spec sums z = h0 + level*u with exponents Q(z)/level^2,
+    (1, None) for the plain sum and (N, rep) on the class h."""
+    return (1, None) if spec.h is None else (spec.form.level, spec.h.rep)
 
 
 def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
@@ -137,23 +125,21 @@ def theta_expand(spec: ThetaSpec, prec: int) -> FracQSeries:
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    M = _exp_denom(spec)
+    level, h0 = _spec_coset(spec)
+    M = level * level
     series_prec = prec * M
     if spec.k % 2:
-        if _class_symmetric(spec):
+        # m -> -m maps the class h to -h; cancellation needs 2h = 0 mod N
+        if h0 is None or all(2 * x % level == 0 for x in h0):
             return FracQSeries.zero(series_prec, M)
-        raise ValueError(
-            "odd insertion power on an asymmetric class has no exact expansion"
-        )
-    den, coset = _spec_slice(spec)
-    cells = insertion_histogram(spec.form, series_prec - 1, **coset)
+        raise ValueError("odd insertion power on an asymmetric class has no exact expansion")
+    den, weights = spec.v.integral_weights(spec.form) if spec.k else (1, ())
+    cells = insertion_histogram(spec.form, series_prec - 1, scale=level, h0=h0, weights=weights)
     rows, counts = cells.rows.tolist(), cells.counts.tolist()
     if spec.k == 0:
         terms = [(e, count, 0) for (e,), count in zip(rows, counts)]
         return FracQSeries.from_numerators(terms, prec=series_prec, exp_denom=M)
-    pref = spec.v.s ** (spec.k // 2) * Fraction(1, den ** spec.k)
-    if spec.h is not None:
-        pref /= spec.form.level ** spec.k
+    pref = spec.v.s ** (spec.k // 2) * Fraction(1, (den * level) ** spec.k)
     # count * (t1 + i t2)^k in Gaussian integers per row, times pref's
     # numerator; pref's denominator is the series' one denominator
     terms = []
@@ -221,7 +207,7 @@ def theta_numeric(spec: ThetaSpec, tau, tol: float) -> complex:
     drops (the certified-contract region of the harness is im >= 0.3, and
     campaign fallbacks go lower at their own expense).
     """
-    level, h0 = (1, None) if spec.h is None else (spec.form.level, spec.h.rep)
+    level, h0 = _spec_coset(spec)
     monomial = [0] * spec.k + [1]
     return complex(_theta_sum(spec.form, spec.v, monomial, _as_complex(tau), tol, level, level, h0))
 
@@ -261,7 +247,7 @@ def theta_offset_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
     """sum over m of exp(2 pi i tau Q(m + x)) for a rational offset x."""
     z = _as_complex(tau)
     rho, h0 = _offset_geometry(form, x)
-    return complex(_coset_sum(form, z, tol, [1], rho * rho, scale=rho, h0=h0))
+    return complex(_theta_sum(form, None, [1], z, tol, rho, rho, h0))
 
 
 def theta_dual_numeric(form: QuadraticForm, x, tau, tol: float) -> complex:
@@ -286,16 +272,18 @@ def _dual_sum(form: QuadraticForm, v, poly, x, tau: complex, tol: float):
     y'h/N mod 1 (verify.check_inversion_law).  Each class's bound
     radius * N^2 on Q(m) is the bound radius * det on Q_adj(y), so the
     same vectors are summed.  The weight rows are v's own integer rows
-    den * w, then, only when x is not integral, the short row of centred
-    residues of rho x, whose column alone is folded to t mod rho: only
-    that residue enters the phase, so the value depends on neither the
-    representative of x nor the basis.
+    den * w (InsertionVector.integer_rows), then, only when x is not
+    integral, the short row of centred residues of rho x, whose column
+    alone is folded to t mod rho: only that residue enters the phase, so
+    the value depends on neither the representative of x nor the basis.
+    A P of degree > 0 with x not integral keys two rows even for a real
+    v, and two rows take the direct walk (insertion_histogram).
     """
     rho, h0 = _offset_geometry(form, x)
     weights, unit = (), ()
     if len(poly) > 1:
-        weights = (v._re, v._im) if any(v._im) else (v._re,)
-        unit = math.sqrt(v.s) / v._den * np.array((1, 1j)[: len(weights)])
+        den, weights = v.integer_rows()
+        unit = math.sqrt(v.s) / den * np.array((1, 1j)[: len(weights)])
     if rho > 1:
         weights += (tuple((t + rho // 2) % rho - rho // 2 for t in h0),)
     return _coset_sum(form.dual(), tau, tol, poly, form.det, unit, t_mod=rho if rho > 1 else None, weights=weights)

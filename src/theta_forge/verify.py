@@ -6,6 +6,10 @@ points from a fixed grid with seeded jitter; when a sampled matrix pushes
 the orbit too far down the half-plane an adapted tau near -d/c is tried,
 and matrices that still fail are skipped with a note rather than silently
 dropped.
+
+The Gamma_0(N) multiplier nu(gamma, h) = e(Q(h) a b/N^2) eps(d) is
+written once (_multiplier), for the congruence law, the closed-form Gauss
+sum d^r nu and, at T = (1, 1; 0, 1), the translation law.
 """
 
 from __future__ import annotations
@@ -81,6 +85,20 @@ class Gamma0Matrix:
 
     def as_list(self):
         return [self.a, self.b, self.c, self.d]
+
+
+def _multiplier(form: QuadraticForm, gamma: Gamma0Matrix, h: CongruenceClass) -> complex:
+    """nu(gamma, h) = e(Q(h) a b/N^2) eps(d), the Gamma_0(N) multiplier of
+    the class theta of h."""
+    qh = int(form.q_value(h.rep))
+    return _phase(Fraction(qh * gamma.a * gamma.b, form.level ** 2)) * form.character(gamma.d)
+
+
+def _require_gamma0(form: QuadraticForm, gamma: Gamma0Matrix) -> None:
+    if gamma.c <= 0 or gamma.d <= 0:
+        raise ValueError("harness requires c > 0 and d > 0")
+    if gamma.c % form.level:
+        raise ValueError("matrix is not in Gamma_0(level)")
 
 
 @dataclass(frozen=True)
@@ -254,10 +272,7 @@ def check_congruence_modularity(
     the rest of the formula.  b*h fails numerically, e.g. at the matrix
     (1, 6; 6, 37) on the rank-two form of determinant three.
     """
-    if gamma.c <= 0 or gamma.d <= 0:
-        raise ValueError("harness requires c > 0 and d > 0")
-    if gamma.c % form.level:
-        raise ValueError("matrix is not in Gamma_0(level)")
+    _require_gamma0(form, gamma)
     z = _as_complex(tau)
     inner = tol * 1e-3
     N = form.level
@@ -265,13 +280,10 @@ def check_congruence_modularity(
     lhs = j ** (-(form.half_rank + k)) * theta_numeric(
         ThetaSpec(form, v, k, h), gamma.act(z), inner
     )
-    qh = int(form.q_value(h.rep))
-    phase = _phase(Fraction(qh * gamma.a * gamma.b, N * N))
-    eps = form.character(gamma.d)
     ah = CongruenceClass(form, tuple(gamma.a * x for x in h.rep))
     ql = complex(v.norm(form)) / 2 if v is not None else 0j
     rhs = _theta_sum(form, v, _completion(k, ql * gamma.c / (1j * pi * j)), z, inner, N, N, ah.rep)
-    rhs *= phase * eps
+    rhs *= _multiplier(form, gamma, h)
     return _report(
         "congruence", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, gamma=gamma, tau=z
     )
@@ -285,13 +297,13 @@ def check_translation(
     tau,
     tol: float,
 ) -> LawReport:
-    """theta at tau + 1 equals exp(2 pi i Q(h)/N^2) theta at tau."""
+    """theta at tau + 1 equals exp(2 pi i Q(h)/N^2) theta at tau: the
+    multiplier at T = (1, 1; 0, 1)."""
     z = _as_complex(tau)
     inner = tol * 1e-3
     spec = ThetaSpec(form, v, k, h)
     lhs = theta_numeric(spec, z + 1, inner)
-    qh = int(form.q_value(h.rep))
-    rhs = _phase(Fraction(qh, form.level ** 2)) * theta_numeric(spec, z, inner)
+    rhs = _multiplier(form, Gamma0Matrix(1, 1, 0, 1), h) * theta_numeric(spec, z, inner)
     return _report("translation", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
 
@@ -411,19 +423,10 @@ def check_gauss_closed_form(
     whose slots are the sampled matrix's (b, -c, d); see the decisions
     ledger for the reading of the printed closed form.
     """
-    if gamma.c <= 0 or gamma.d <= 0:
-        raise ValueError("closed form requires c > 0 and d > 0")
-    if gamma.c % form.level:
-        raise ValueError("matrix is not in Gamma_0(level)")
-    N = form.level
+    _require_gamma0(form, gamma)
     zero = (0,) * form.rank
     phi = gauss_sum(form, gamma.b, -gamma.c, gamma.d, h, zero)
-    qh = int(form.q_value(h.rep))
-    expect = (
-        gamma.d ** form.half_rank
-        * _phase(Fraction(qh * gamma.a * gamma.b, N * N))
-        * form.character(gamma.d)
-    )
+    expect = gamma.d ** form.half_rank * _multiplier(form, gamma, h)
     return _report("gauss_closed_form", abs(phi - expect), tol, form=form, gamma=gamma, h=h)
 
 

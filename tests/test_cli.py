@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import theta_forge
 from theta_forge import cli
+from theta_forge.arith import GaussianRational
 from theta_forge.cli import main
 from theta_forge.qseries import FracQSeries
 
@@ -393,6 +395,20 @@ class TestVerifyLaws:
         assert time.perf_counter() - start < 10
         assert json.loads(out) == {"reports": []}
         assert "translation: skipped (estimated cost" in err
+
+
+class TestParseGaussian:
+    @pytest.mark.parametrize(
+        "text, re, im",
+        [("1/2-3/4i", Fraction(1, 2), Fraction(-3, 4)), ("-1+i", -1, 1), ("2-i", 2, -1), ("1-1/2i", 1, Fraction(-1, 2))],
+    )
+    def test_two_part(self, text, re, im):
+        assert cli._parse_gaussian(text) == GaussianRational(re, im)
+
+    @pytest.mark.parametrize("text", ["1+", "1--i", "1/0i"])
+    def test_refused(self, text):
+        with pytest.raises(cli.UsageError, match="bad Gaussian rational"):
+            cli._parse_gaussian(text)
 
 
 class TestCatalog:

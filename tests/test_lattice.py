@@ -254,6 +254,12 @@ class TestEnumeration:
         assert len([m for m in enumerate_upto(catalog_form("D4"), 1) if any(m)]) == 24
         assert len([m for m in enumerate_upto(catalog_form("E8"), 1) if any(m)]) == 240
 
+    def test_leaf_test_drops_float_admitted_vectors(self):
+        # the float pruning bound admits two vectors with Q > 10^6 here;
+        # only the exact leaf test on 2Q keeps them out
+        form = QuadraticForm([[44, 11], [11, 366]])
+        assert enumerate_upto(form, 10 ** 6) == box_enumerate(form.gram, 10 ** 6)
+
     def test_rootless_form(self):
         m = catalog_form("2A2")
         assert first_root(m) is None
@@ -1174,6 +1180,19 @@ class TestGaussSum:
         phi, walk = gauss_sum(form, a, d, c, h, q), gauss_sum_walk(form, a, d, c, h, q)
         assert abs(phi - walk) < 1e-9
         assert (phi == 0j) == (abs(walk) < 1e-9)
+
+    @pytest.mark.parametrize("c", [3, 9, 15, 27, 45])
+    def test_odd_prime_off_diagonal_pivot(self, c):
+        # [[6, 1], [1, 6]] is 0 on the diagonal mod 3 with a unit off it, so
+        # the Jordan splitting at p = 3 first makes a diagonal unit by adding
+        # one basis vector to the other; at 15 and 45 the p = 5 block joins
+        form = QuadraticForm([[6, 1], [1, 6]])
+        classes = form.congruence_classes()
+        for a, d in ((1, 1), (2, 5), (4, 7)):
+            for h, q in ((classes[0], classes[0]), (classes[1], classes[3])):
+                phi, walk = gauss_sum(form, a, d, c, h, q), gauss_sum_walk(form, a, d, c, h, q)
+                assert abs(phi - walk) < 1e-9
+                assert (phi == 0j) == (abs(walk) < 1e-9)
 
     def test_block_walk_memory(self):
         # 31^4 = 923521 points; every row at once would take more than 60 MB

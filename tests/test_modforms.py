@@ -284,10 +284,12 @@ class TestThetaNumeric:
         v = unit_insertion_vector(form) if w is None else InsertionVector(w, 1)
         h = form.congruence_classes()[-1] if h == "last" else h and CongruenceClass(form, h)
         spec = ThetaSpec(form, v, k, h)
-        den, coset = modforms._spec_slice(spec)
-        M = modforms._exp_denom(spec)
-        cells = dict(insertion_histogram(form, modforms._truncation_radius(tau.imag, k, form.rank, tol) * M, **coset))
-        pref = float(v.s) ** (k / 2) / den ** k / (float(form.level) ** k if h else 1)
+        level, h0 = modforms._spec_coset(spec)
+        M = level * level
+        den, weights = v.integral_weights(form) if k else (1, ())
+        bound = modforms._truncation_radius(tau.imag, k, form.rank, tol) * M
+        cells = dict(insertion_histogram(form, bound, scale=level, h0=h0, weights=weights))
+        pref = float(v.s) ** (k / 2) / den ** k / float(level) ** k
         insert = (lambda key: pref * complex(key[1], key[2] if len(key) > 2 else 0) ** k) if k else None
         want = coset_sum_loop(cells, tau, M, insert)
         assert len(cells) > 1 and abs(theta_numeric(spec, tau, tol) - want) <= 1e-12 * abs(want)
