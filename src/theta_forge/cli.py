@@ -139,8 +139,6 @@ def _cmd_expand_theta(args) -> int:
 
 def _cmd_expand_psi(args) -> int:
     form = _resolve_form(args.lattice)
-    if args.k < 0 or args.k % 2:
-        raise UsageError("the completed series needs an even k >= 0")
     _print_series(completed_theta(form, _insertion_vector(args, form), args.k, args.prec), args.fmt)
     return 0
 

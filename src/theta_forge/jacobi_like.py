@@ -104,16 +104,17 @@ def e2_exponential(x_prec: int, q_prec: int, sign: int = 1) -> JacobiLikeForm:
 
 
 def completed_theta(form: QuadraticForm, v: InsertionVector, k: int, q_prec: int) -> FracQSeries:
-    """sum over t of pairing_coeff(t,k) E_2^t theta(form, v, k-2t), exact.
+    """sum over t of pairing_coeff(t,k) (<v,v> E_2)^t theta(form, v, k-2t).
 
-    k is the full even insertion index; the result transforms with weight
-    half_rank + k.  k = 0 degenerates to the plain theta series.
+    Exact; k is the full even insertion index, and for every v the result
+    transforms with weight half_rank + k.  k = 0 is the plain theta series.
     """
     if k % 2 or k < 0:
         raise ValueError("the insertion index k must be even and >= 0")
+    nv = v.norm(form) if k else 1
     # theta_k first: the form keeps its weighted histogram, and theta_0 is
     # summed out of it; then Horner in E_2 from the top power of E_2 down
-    terms = [theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec) * pairing_coeff(t, k) for t in range(k // 2 + 1)]
+    terms = [theta_expand(ThetaSpec(form, v, k - 2 * t), q_prec) * (pairing_coeff(t, k) * nv ** t) for t in range(k // 2 + 1)]
     e2 = eisenstein_e2(q_prec)
     total = terms.pop()
     for term in reversed(terms):
@@ -126,7 +127,8 @@ def cusp_combination(form: QuadraticForm, v: InsertionVector, k: int, q_prec: in
 
     The subtraction pairing_coeff(k,2k) (-1/12)^k theta E_2k removes the
     value at i-infinity; for k >= 2 the difference is a cusp form, and its
-    constant term is exactly 0 by construction.
+    constant term is exactly 0 by construction.  It needs <v,v> = 1, as
+    the completed constant term is pairing_coeff(k,2k) (-<v,v>/12)^k.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError("k must be an integer >= 2")

@@ -219,11 +219,11 @@ def _theta_sum(form: QuadraticForm, v, poly, tau: complex, tol: float, level: in
     P has the coefficients poly, lowest degree first; a 2-d poly gives one
     sum per column.  The monomial y^k with level = scale is theta_numeric's
     class theta (level = 1, h0 = None the plain one).  An E2-completed
-    class theta, sum over t of x^t pairing_coeff(t, k) theta_(k-2t), is
-    the sum of one polynomial (verify._completion), each power summed to
-    the radius the top power needs.  The rescale law's right side, the c^f
-    class thetas of cA at level cN, is the coset h + N Z^f of cA summed
-    once at level cN (verify.check_rescale).
+    class theta, sum over t of x^t pairing_coeff(t, k) theta_(k-2t) for
+    x = <v,v> E2, is one polynomial's sum (verify._completion), each power
+    summed to the radius the top power needs.  The rescale law's right
+    side, the c^f class thetas of cA at level cN, is the coset h + N Z^f
+    of cA summed once at level cN (verify.check_rescale).
     """
     weights, unit = (), ()
     if len(poly) > 1:

@@ -164,10 +164,14 @@ def _report(law: str, residual: float, tol: float, **inputs) -> LawReport:
     return LawReport.make(law, encoded, residual, tol)
 
 
-def _completion(k: int, x) -> list:
+def _completion(form: QuadraticForm, v: Optional[InsertionVector], k: int, e2) -> list:
     """Coefficients, lowest degree first, of sum over t of x^t
-    pairing_coeff(t, k) y^(k-2t): the insertion polynomial whose theta is
-    the completed theta of index k (x the E2 factor of the law)."""
+    pairing_coeff(t, k) y^(k-2t), x = <v,v> e2 for the law's E2 term e2:
+    the insertion polynomial whose theta is the completed theta of index
+    k, for every v (the plain series, v = None, at k = 0 only)."""
+    if v is None and k:
+        raise ValueError("insertion power k > 0 requires a vector v")
+    x = complex(v.norm(form)) * e2 if k else 0j
     poly = [0j] * (k + 1)
     for t in range(k // 2 + 1):
         poly[k - 2 * t] = x ** t * float(pairing_coeff(t, k))
@@ -186,7 +190,8 @@ def check_generating_modularity(
 
     LHS: Y^n coefficient of the series at (gamma tau, X/(c tau+d)^2).
     RHS: eps(d) (c tau+d)^r exp(c <v,v> X/(c tau+d)) times the series at
-    tau, its exponential expanded through Y^(x_prec-1).
+    tau, whose Y^n coefficient is 2^n/(2n)! times the completed theta_2n
+    at tau: the congruence law at h = 0, k = 2n.
     """
     if v is None:
         raise ValueError("the generating law needs an insertion vector")
@@ -196,25 +201,18 @@ def check_generating_modularity(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     inner = tol * 1e-3
-    nv = complex(v.norm(form))
-    eps = form.character(gamma.d)
-    # theta_0, theta_2, ... at a point are one sum whose columns are the
-    # even monomials; the lower point needs the larger radius, and summed
-    # first, its histogram (kept by the form) serves the other point
-    evens = np.eye(2 * x_prec - 1)[:, ::2]
-    theta_at = {p: _theta_sum(form, v, evens, p, inner, 1, 1, None) for p in sorted((gz, z), key=lambda p: p.imag)}
-    residual = 0.0
+    # each side is one sum whose columns are the even monomials at gamma
+    # tau, the completions at tau; the lower point needs the larger radius,
+    # and summed first, its histogram (kept by the form) serves the other
+    completed = np.zeros((2 * x_prec - 1, x_prec), dtype=complex)
     for n in range(x_prec):
-        coeff = Fraction(2 ** n, math.factorial(2 * n))
-        lhs = float(coeff) * theta_at[gz][n] / j ** (2 * n)
-        rhs = 0j
-        for i in range(n + 1):
-            # exp factor contributes (c nv / (2 pi i j))^i / i! at Y^i
-            efac = (gamma.c * nv / (2j * pi * j)) ** i / math.factorial(i)
-            m = n - i
-            rhs += efac * float(Fraction(2 ** m, math.factorial(2 * m))) * theta_at[z][m]
-        rhs *= eps * j ** form.half_rank
-        residual = max(residual, abs(lhs - rhs))
+        completed[: 2 * n + 1, n] = _completion(form, v, 2 * n, gamma.c / (2j * pi * j))
+    sides = ((np.eye(2 * x_prec - 1)[:, ::2], gz), (completed, z))
+    theta = {i: _theta_sum(form, v, *sides[i], inner, 1, 1, None) for i in sorted((0, 1), key=lambda i: sides[i][1].imag)}
+    factor = form.character(gamma.d) * j ** form.half_rank
+    residual = max(
+        2 ** n / math.factorial(2 * n) * abs(theta[0][n] / j ** (2 * n) - factor * theta[1][n]) for n in range(x_prec)
+    )
     return _report("generating", residual, tol, form=form, v=v, gamma=gamma, tau=z, x_prec=x_prec)
 
 
@@ -249,9 +247,8 @@ def check_inversion_law(
     z = _as_complex(tau)
     inner = tol * 1e-3
     lhs = theta_numeric(ThetaSpec(form, v, k, h), -1 / z, inner)
-    ql = complex(v.norm(form)) / 2 if v is not None else 0j
     x = tuple(Fraction(c, form.level) for c in h.rep)
-    rhs = _dual_sum(form, v, _completion(k, ql / (1j * pi * z)), x, z, inner)
+    rhs = _dual_sum(form, v, _completion(form, v, k, 1 / (2j * pi * z)), x, z, inner)
     rhs *= _minus_i_pow(form.half_rank + 2 * k) * z ** (form.half_rank + k) / math.sqrt(form.det)
     return _report("inversion", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, tau=z)
 
@@ -281,8 +278,7 @@ def check_congruence_modularity(
         ThetaSpec(form, v, k, h), gamma.act(z), inner
     )
     ah = CongruenceClass(form, tuple(gamma.a * x for x in h.rep))
-    ql = complex(v.norm(form)) / 2 if v is not None else 0j
-    rhs = _theta_sum(form, v, _completion(k, ql * gamma.c / (1j * pi * j)), z, inner, N, N, ah.rep)
+    rhs = _theta_sum(form, v, _completion(form, v, k, gamma.c / (2j * pi * j)), z, inner, N, N, ah.rep)
     rhs *= _multiplier(form, gamma, h)
     return _report(
         "congruence", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, gamma=gamma, tau=z
@@ -352,6 +348,7 @@ def check_cusp_expansion(
 
     LHS: (c tau+d)^-(r+k) times the completed series at gamma tau.
     RHS: the Gauss-sum-weighted class thetas at tau, E2 factors at tau.
+    Both completions take x = <v,v> E2 (_completion): any v, or none at k = 0.
     """
     if gamma.c <= 0:
         raise ValueError("cusp expansion requires c > 0")
@@ -362,9 +359,9 @@ def check_cusp_expansion(
     gz = gamma.act(z)
     j = gamma.jfactor(z)
     r = form.half_rank
-    lhs = _theta_sum(form, v, _completion(k, eisenstein_e2_numeric(gz)), gz, inner, 1, 1, None)
+    lhs = _theta_sum(form, v, _completion(form, v, k, eisenstein_e2_numeric(gz)), gz, inner, 1, 1, None)
     lhs *= j ** (-(r + k))
-    poly = _completion(k, eisenstein_e2_numeric(z))
+    poly = _completion(form, v, k, eisenstein_e2_numeric(z))
     zero = CongruenceClass.zero(form)
     rhs = 0j
     for q in form.congruence_classes():

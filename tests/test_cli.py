@@ -189,6 +189,13 @@ class TestExpandPsi:
         code, _, err = run(capsys, "expand-psi", "--lattice", "A2", "--k", "3")
         assert code == 2
 
+    def test_null_vector_prints_theta_k(self, capsys):
+        # theta_2 of a null vector is identically 0, and so is its completion
+        args = ("--lattice", "A1A1", "--k", "2", "--prec", "5", "--v", "1,i")
+        code, out, _ = run(capsys, "expand-psi", *args)
+        assert (code, out) == (0, "[0, 0, 0, 0, 0]\n")
+        assert run(capsys, "expand-theta", *args) == (0, out, "")
+
 
 class TestExpandEisenstein:
     def test_weight_two(self, capsys):

@@ -90,6 +90,7 @@ class TestCompletedTheta:
         a2 = catalog_form("A2")
         v = unit_insertion_vector(a2)
         assert completed_theta(a2, v, 0, 8) == theta_expand(ThetaSpec.plain(a2), 8)
+        assert completed_theta(a2, None, 0, 8) == theta_expand(ThetaSpec.plain(a2), 8)
 
     def test_odd_index_rejected(self):
         a2 = catalog_form("A2")
@@ -103,6 +104,23 @@ class TestCompletedTheta:
         for k in (1, 2, 3):
             c = completed_theta(a2, v, 2 * k, 5).coefficient(Fraction(0))
             assert c == GaussianRational(pairing_coeff(k, 2 * k) * Fraction(-1, 12) ** k)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_completion_scales_with_the_vector(self, k):
+        # v = sqrt(s) w: doubling s scales theta_(k-2t) by 2^(k/2-t) and
+        # <v,v>^t by 2^t, so the completed series by 2^(k/2) exactly
+        a11 = catalog_form("A1A1")
+        w = (GaussianRational(1), GaussianRational(0))
+        full = completed_theta(a11, InsertionVector(w, 1), k, 14)
+        half = completed_theta(a11, InsertionVector(w, Fraction(1, 2)), k, 14)
+        assert full == half * 2 ** (k // 2)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_null_vector_needs_no_completion(self, k):
+        # <v,v> = 0 drops every E2 term, leaving theta_k itself
+        a11 = catalog_form("A1A1")
+        vnull = InsertionVector((GaussianRational(1), GaussianRational(0, 1)), 1)
+        assert completed_theta(a11, vnull, k, 14) == theta_expand(ThetaSpec(a11, vnull, k), 14)
 
 
 class TestE2PowerProducts:

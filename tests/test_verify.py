@@ -136,15 +136,25 @@ class TestGeneratingLaw:
 
     @pytest.mark.parametrize("lam", [2, 3])
     def test_scaling_insertion_vector_keeps_law(self, lam):
-        # the law holds for any insertion vector, so scaling w by lam
-        # must leave the residual at noise level
+        # the laws hold for any insertion vector, so scaling w by lam
+        # must leave each residual at noise level; the completed laws take
+        # <v,v> = lam^2 into their E2 term, and as cusp sums grow as
+        # lam^k their bound is absolute, not a ratio
         g = Gamma0Matrix(1, 1, 3, 4)
         tau = 0.21 + 1.3j
+        h = A2.congruence_classes()[-1]
         scaled = InsertionVector(tuple(c * lam for c in V_A2.w), V_A2.s)
         r1 = check_generating_modularity(A2, V_A2, g, tau, 3, 1e-8).residual
         r2 = check_generating_modularity(A2, scaled, g, tau, 3, 1e-8).residual
         assert r2 < 2 * r1 + 1e-13
         assert r1 < 2 * r2 + 1e-13
+        completed = {
+            "congruence": check_congruence_modularity(A2, h, scaled, 4, g, tau, 1e-8),
+            "inversion": check_inversion_law(A2, h, scaled, 4, tau, 1e-8),
+            "cusp": check_cusp_expansion(A2, scaled, 4, g, tau, 1e-8),
+        }
+        for law, report in completed.items():
+            assert report.residual < 1e-10, (law, report.residual)
 
     @pytest.mark.parametrize(
         "name, vector, gamma, tau, x_prec",
@@ -310,10 +320,11 @@ class TestCompletedSums:
         form, fresh = catalog_form(name), catalog_form(name)
         v = _insertion(form, vector)
         tau, tol, N = 0.4 + 0.9j, 1e-11, form.level
-        x = modforms.eisenstein_e2_numeric(tau)
+        e2 = modforms.eisenstein_e2_numeric(tau)
+        x = complex(v.norm(form)) * e2
         classes = form.congruence_classes()
         for h in classes if every_class else classes[-1:]:
-            got = modforms._theta_sum(form, v, verify._completion(k, x), tau, tol, N, N, h.rep)
+            got = modforms._theta_sum(form, v, verify._completion(form, v, k, e2), tau, tol, N, N, h.rep)
             want = sum(
                 x ** t * float(pairing_coeff(t, k)) * theta_numeric(ThetaSpec(fresh, v, k - 2 * t, h), tau, tol)
                 for t in range(k // 2 + 1)
@@ -538,6 +549,26 @@ class TestCuspExpansion:
         g = Gamma0Matrix(0, -1, 1, 0)
         with pytest.raises(ValueError):
             check_cusp_expansion(A2, V_A2, 3, g, 1.1j, 1e-7)
+
+    def test_plain_series_needs_index_zero(self):
+        # v = None used to die with AttributeError inside the sum at k > 0
+        g = Gamma0Matrix(1, 0, 3, 1)
+        tau = -1 / 3 + 0.01 + 1j / 3
+        assert check_cusp_expansion(A2, None, 0, g, tau, 1e-8).residual < 1e-12
+        with pytest.raises(ValueError, match="requires a vector"):
+            check_cusp_expansion(A2, None, 2, g, tau, 1e-8)
+
+    @pytest.mark.parametrize("gamma", [(1, 0, 4, 1), (3, 1, 8, 3), (1, 0, 12, 1)])
+    @pytest.mark.parametrize("vector", [(1, 0), (1, 1j)])
+    @pytest.mark.parametrize("k, bound", [(2, 1e-12), (4, 1e-10)])
+    def test_non_unit_and_null_vectors(self, gamma, vector, k, bound):
+        # <v,v> = 2 and <v,v> = 0: the completion scales E2 by <v,v>; at
+        # k = 4 the sums near the cusp reach 2.5e3, hence the wider bound
+        a11 = catalog_form("A1A1")
+        g = Gamma0Matrix(*gamma)
+        tau = -g.d / g.c + 0.01 + 1j / g.c
+        res = check_cusp_expansion(a11, _insertion(a11, vector), k, g, tau, 1e-8)
+        assert res.residual < bound, res.residual
 
     def test_negative_index_rejected(self):
         # k = -2 made both sides empty sums, a pass with residual 0
