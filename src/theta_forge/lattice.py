@@ -11,20 +11,22 @@ partial against an inflated bound; every frontier row also carries
 exact int64 partials of 2Q and of its weight sums, so the leaf test, the
 exponents and the weights are integer arithmetic and the histograms
 feeding the series expansions carry no rounding.  Every histogram of a
-slice with at most one weight row t = w.z enters one fibered entry
-(_slice_cells): along the row, or along the coordinate of the reduced
-basis that the reduced adjugate names when there is none, Q splits as a
-multiple of the fiber's square plus the norm of a kernel-form coset
-that depends on the fiber only through a residue (the theta
-decomposition of Jacobi forms, Eichler-Zagier, 1985, Thm 5.1), so one
-kernel walk per residue class, folded into each fiber of the class,
-gives exactly the direct walk's histogram.  Every kernel coset comes
-back through the same entry and is fibered in turn while the estimated
-cost says so.  A slice comes back as one pair (keys, counts) of int64
-arrays, its distinct keys (e, t...) ascending, from the walk's blocks
-through every fold, and the form keeps those arrays, read-only, as a
-Histogram: insertion_histogram hands out views of them and every theta
-sum reads them, so no dict {(e, t...): count} is built.
+slice, with any number of weight rows t = w.z, enters one fibered entry
+(_slice_cells): along the coordinate of the reduced basis that the
+reduced adjugate names, or along the slice's one nonzero row, whichever
+the estimated cost prefers, Q splits as a multiple of the fiber's square
+plus the norm of a kernel-form coset that depends on the fiber only
+through a residue, and each weight splits as a linear form on the
+kernel plus a multiple of the fiber (the theta decomposition of Jacobi
+forms, Eichler-Zagier, 1985, Thm 5.1), so one kernel walk per residue
+class, carrying the weights' kernel parts and folded into each fiber of
+the class, gives exactly the direct walk's histogram.  Every kernel
+coset comes back through the same entry and is fibered in turn while
+the estimated cost says so.  A slice comes back as one pair (keys,
+counts) of int64 arrays, its distinct keys (e, t...) ascending, from
+the walk's blocks through every fold, and the form keeps those arrays,
+read-only, as a Histogram: insertion_histogram hands out views of them
+and every theta sum reads them, so no dict {(e, t...): count} is built.
 Every walk, histogram, fiber or vector query, enters one walker that
 refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
@@ -34,8 +36,10 @@ A Gauss sum over c^rank points is split by the CRT into one sum per
 prime power p^e of c, and each of those, by a Jordan splitting of the
 form over Z_p, into 1x1 and 2x2 blocks summed by brute force over p^e
 or p^2e points with exact integer residues; a block whose residue counts
-cancel exactly makes the sum exactly 0j, and the block points are
-refused above ENUMERATION_BUDGET before anything is allocated.
+cancel exactly makes the sum exactly 0j, a 1x1 block that cannot vanish
+is summed point by point, holding no count per residue, and the block
+points are refused above ENUMERATION_BUDGET before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import lcm, pi
+from operator import mul
 
 import numpy as np
 
@@ -214,7 +219,7 @@ class QuadraticForm:
         self._dual = None
         # the walk's reduced basis, built on the first walk (see _reduced)
         self._lll = None
-        # the fiber walks' splits along weight rows of that basis (see _fibration)
+        # the fiber walks' splits along rows of that basis (see _fibration)
         self._fibers = {}
 
     @classmethod
@@ -594,8 +599,9 @@ _KERNEL_SETUP = 40  # per cube of the rank, once per kernel form
 
 
 class _Fibration:
-    """The split of a form's reduced basis along a nonzero weight row a (in
-    reduced coordinates); one per row, kept on the form as dual() is.
+    """The split of a form's reduced basis along a nonzero row a (in reduced
+    coordinates: a unit row for a coordinate, or a weight row); one per
+    row, kept on the form as dual() is.
 
     V from _column_gcd splits y = V (x, s) with a . y = g s and x the
     coordinates of a's kernel.  Completing the square on the Gram matrix
@@ -616,11 +622,14 @@ class _Fibration:
         # minus its head over its tail
         p = [sum(x * y for x, y in zip(row, a)) for row in adj]
         q = [sum(x * y for x, y in zip(row, p)) for row in self.Vinv]
-        c = [Fraction(-x, q[-1]) for x in q[:-1]]
-        self.D = lcm(1, *(x.denominator for x in c))
-        self.Dc = tuple(int(self.D * x) for x in c)
-        half = Fraction(self.g * form.det, 2 * q[-1])  # g^2/(2G), since det A G = a . p = g q_f
-        self.sn, self.sd = half.numerator, half.denominator
+        # q_f = det A G / g > 0, so c = -q/q_f has the common denominator
+        # D = q_f/gcd(q) and D c = -q/gcd(q)
+        k = math.gcd(*q)
+        self.D = q[-1] // k
+        self.Dc = tuple(-x // k for x in q[:-1])
+        # g^2/(2G) in lowest terms, since det A G = a . p = g q_f
+        k = math.gcd(self.g * form.det, 2 * q[-1])
+        self.sn, self.sd = self.g * form.det // k, 2 * q[-1] // k
         # det K = det A * (last entry of the split inverse) = q_f / g, an integer
         self.kdet = q[-1] // self.g
         self._kernel = None
@@ -662,16 +671,17 @@ def _norm_step(gram, scale: int, hy) -> int:
     return math.gcd(scale * lin, scale * scale * n)
 
 
-def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
-    """(cost, fibration, hy, fibers, classes, mirror): the plan for
-    walking the slice h0 + scale*Z^f (y = hy + scale*Z^f in the reduced
-    basis) fiber by fiber along its one weight row a or, with none, along
-    the coordinate y_j with the smallest D_j/(R_j + 1), the lowest j on a
-    tie: its D_j = adj_jj/gcd(row j of adj) kernel classes serve the most
-    fibers |s| <= R_j = isqrt(2 bound adj_jj // det).  None for two rows,
-    a zero row or rank 1, when no residue class of fibers repeats (then
-    the direct walk meets no more vectors), or when the classes' set-up
-    alone costs the direct walk's cost or the budget.
+def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
+    """Yield (cost, fibration, hy, fibers, classes, mirror, rows), the plan
+    for walking the slice h0 + scale*Z^f (y = hy + scale*Z^f in the
+    reduced basis) fiber by fiber, along each direction priced: the
+    coordinate y_j with the smallest D_j/(R_j + 1), the lowest j on a tie,
+    whose D_j = adj_jj/gcd(row j of adj) kernel classes serve the most
+    fibers |s| <= R_j = isqrt(2 bound adj_jj // det); then, when the slice
+    has exactly one nonzero weight row a, a itself.  Nothing along a
+    direction where no residue class of fibers repeats (then the direct
+    walk meets no more vectors) or where the classes' set-up alone costs
+    the direct walk's cost or the budget, and nothing at rank 1.
 
     With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
     s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
@@ -679,74 +689,107 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     s mod scale*D only: D classes.  When 2 hy = 0 mod scale the classes of
     s and -s are mirror images (u -> -u) and share one walk.  classes maps
     each class key to its smallest |s|, whose kernel bound the walk takes.
-    The cost is the estimated leaves of those walks, each with its set-up,
-    the kernel's reduction when it has none yet, and the fold: _FOLD_FIBER
-    per fiber and _FOLD_PAIR per fold pair (a kernel norm on one fiber),
-    of which there is at most one per norm of the fiber, the norms e in
-    [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, and about est, the
-    slice's estimated points, in all.
+    rows holds (w_x, w_s) = w V for each weight row w (in reduced
+    coordinates), so w y = w_x x + w_s s: along a itself w_x = 0 and
+    w_s = g, and every row with w_x != 0 is carried into the kernel walks
+    (_fibered_cells).  The cost is the estimated leaves of those walks,
+    each with its set-up, the kernel's reduction when it has none yet, and
+    the fold: _FOLD_FIBER per fiber and _FOLD_PAIR per fold pair (a kernel
+    cell on one fiber).  A fiber has at most one cell per norm, the norms
+    e in [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, times 2 T + 1
+    per carried row, whose |t| <= T = isqrt(2 bound w adj w' // det) by
+    Cauchy-Schwarz; and the pairs are at most about est, the slice's
+    estimated points, in all.
     """
     f, r = form.rank, form.rank - 1
-    if len(weights) > 1 or f < 2 or (weights and not any(weights[0])):
-        return None
+    if f < 2:
+        return
     gram, _, U, uinv, adj = form._reduced()
-    hy = [sum(a * x for a, x in zip(row, h0)) % scale for row in uinv]
-    if weights:
-        a = tuple(sum(w * u for w, u in zip(weights[0], col)) for col in zip(*U))
-    else:
-        j = min(range(f), key=lambda j: Fraction(adj[j][j] // math.gcd(*adj[j]), math.isqrt(2 * bound * adj[j][j] // form.det) + 1))
-        a = (0,) * j + (1,) + (0,) * (r - j)
-    fib = _fibration(form, a)
-    D = fib.D
-    s0 = sum(v * h for v, h in zip(fib.Vinv[-1], hy)) % scale
-    s_max = math.isqrt(bound * fib.sd // fib.sn)
-    fibers = range(s0 - (s_max + s0) // scale * scale, s_max + 1, scale)
-    # at least (D + 1)/2 classes are walked, at least their set-up each
-    least = (D + 1) // 2
-    if least >= len(fibers) or least * _WALK_SETUP * r >= min(direct, ENUMERATION_BUDGET):
-        return None
-    mod = scale * D
+    hy = [sum(map(mul, row, h0)) % scale for row in uinv]
+    wy = [tuple(sum(map(mul, w, col)) for col in zip(*U)) for w in weights]
+    # int / int is correctly rounded, so equal ratios tie and ratios of
+    # integers below 2^26 keep their order
+    j = min(range(f), key=lambda j: adj[j][j] // math.gcd(*adj[j]) / (math.isqrt(2 * bound * adj[j][j] // form.det) + 1))
+    directions = [(0,) * j + (1,) + (0,) * (r - j)]
+    rowed = [w for w in wy if any(w)]
+    if len(rowed) == 1 and rowed[0] != directions[0]:
+        directions.append(rowed[0])
     mirror = all(2 * x % scale == 0 for x in hy)
-    classes: dict = {}
-    # the smallest |s| of every class lies within D fibers of s0
-    at = fibers.index(s0)
-    for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
-        classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
-    # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
-    # sum of the squares of the progression
-    F, s1 = len(fibers), fibers[0]
-    squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
-    norms = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * _norm_step(gram, scale, hy))
-    cost = _FOLD_FIBER * F + _FOLD_PAIR * min(norms, est)
-    cost += _WALK_SETUP * r * len(classes)
-    if fib._kernel is None or fib._kernel._lll is None:
-        cost += _KERNEL_SETUP * r ** 3
-    for s in classes.values():
-        cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
-    return cost, fib, hy, fibers, classes, mirror
+    step = _norm_step(gram, scale, hy)
+    for a in directions:
+        fib = _fibration(form, a)
+        D = fib.D
+        s0 = sum(map(mul, fib.Vinv[-1], hy)) % scale
+        s_max = math.isqrt(bound * fib.sd // fib.sn)
+        fibers = range(s0 - (s_max + s0) // scale * scale, s_max + 1, scale)
+        # at least (D + 1)/2 classes are walked, at least their set-up each
+        least = (D + 1) // 2
+        if least >= len(fibers) or least * _WALK_SETUP * r >= min(direct, ENUMERATION_BUDGET):
+            continue
+        mod = scale * D
+        classes: dict = {}
+        # the smallest |s| of every class lies within D fibers of s0
+        at = fibers.index(s0)
+        for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
+            classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
+        # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
+        # sum of the squares of the progression, times the values of each
+        # carried row's t
+        F, s1 = len(fibers), fibers[0]
+        squares = F * s1 * s1 + s1 * scale * F * (F - 1) + scale * scale * (F - 1) * F * (2 * F - 1) // 6
+        cells = F + (F * bound * fib.sd - fib.sn * squares) // (fib.sd * step)
+        rows = []
+        for w in wy:
+            *wx, ws = (sum(map(mul, w, col)) for col in zip(*fib.V))
+            rows.append((tuple(wx), ws))
+            if any(wx):
+                wadj = sum(map(mul, w, (sum(map(mul, w, col)) for col in adj)))
+                cells *= 2 * math.isqrt(2 * bound * wadj // form.det) + 1
+        cost = _FOLD_FIBER * F + _FOLD_PAIR * min(cells, est)
+        cost += _WALK_SETUP * r * len(classes)
+        if fib._kernel is None or fib._kernel._lll is None:
+            cost += _KERNEL_SETUP * r ** 3
+        for s in classes.values():
+            cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
+        yield cost, fib, hy, fibers, classes, mirror, tuple(rows)
 
 
-def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
+def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
+    """The cheapest of the slice's _fiber_plans, the first on a tie; None
+    when it has none."""
+    return min(_fiber_plans(form, bound, scale, h0, weights, est, direct), key=lambda plan: plan[0], default=None)
+
+
+def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan):
     """The slice's (keys, counts) by the fibered plan: one kernel walk per
     class, through _slice_cells, folded into every fiber of the class in
     exact integers.
 
-    The fold runs in numpy over every (fiber, kernel cell) pair at once:
-    the classes' kernel norms m, each class's ascending, are concatenated,
-    each fiber cuts its class's at its own kernel bound (np.searchsorted),
-    e = (m sd + s^2 sn D^2)/(D^2 sd) must divide exactly (ArithmeticError
-    otherwise), and one _tally_cells counts each pair as often as its
-    kernel cell.  Before the fold, OverflowError when e D^2 sd or t = g s
-    could pass 2^62 in int64.
+    Each carried weight row (w_x != 0) enters the kernel walks as w_x, so
+    a kernel cell keys t_K = w_x u, and the fiber s of u = D x + s D c
+    gets t = w x + w_s s = (t_K - s w_x D c)/D + w_s s; for a row not
+    carried, such as the row split along, the first term is 0 and
+    t = w_s s.  A fiber whose class walk is of its mirror image (u -> -u)
+    negates its t_K.  The fold runs in numpy over every (fiber, kernel
+    cell) pair at once: the classes' kernel cells, each class's
+    ascending, are concatenated, each fiber cuts its class's at its own
+    kernel bound (np.searchsorted), e = (m sd + s^2 sn D^2)/(D^2 sd) and
+    every t must divide exactly (ArithmeticError otherwise), and one
+    _tally_cells counts each pair as often as its kernel cell.  Before the
+    fold, OverflowError when e D^2 sd, s w_x D c or w_s s could pass 2^62
+    in int64.
     """
-    _, fib, hy, fibers, classes, mirror = plan
+    _, fib, hy, fibers, classes, mirror, rows = plan
     D, sn, sd = fib.D, fib.sn, fib.sd
     mod = scale * D
     x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
-    cosets = [[(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)] for s in classes.values()]
-    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, ()) for s, h in zip(classes.values(), cosets)]
+    reps = list(classes.values())
+    cosets = [[(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)] for s in reps]
+    carried = tuple(wx for wx, _ in rows if any(wx))
+    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried) for s, h in zip(reps, cosets)]
     s_top = max(map(abs, fibers))
-    if max(D * D * bound * sd, fib.g * s_top) > 2 ** 62:
+    shifts = [sum(x * dc for x, dc in zip(wx, fib.Dc)) for wx, _ in rows]
+    if max([D * D * bound * sd] + [s_top * max(abs(c), abs(ws)) for c, (_, ws) in zip(shifts, rows)]) > 2 ** 62:
         raise OverflowError(f"fold of the fibers to bound {bound} could pass 2^62 in int64")
     index = {key: i for i, key in enumerate(classes)}
     which = np.array([index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers], dtype=np.intp)
@@ -763,7 +806,21 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, weights, plan):
     if rem.any():
         bad = int(np.flatnonzero(rem)[0])
         raise ArithmeticError(f"Q_K = {K[idx[bad], 0]} on fiber s = {S[rep[bad]]} gives a non-integral norm")
-    ts = [fib.g * S[rep]] if weights else []
+    if mirror and carried:
+        flip = np.array([s % mod != reps[i] % mod for s, i in zip(fibers, which.tolist())])[rep]
+    ts, col = [], 1
+    for (wx, ws), shift in zip(rows, shifts):
+        t = ws * S[rep]
+        if any(wx):
+            tk, col = K[idx, col], col + 1
+            if mirror:
+                tk = np.where(flip, -tk, tk)
+            q, rem = np.divmod(tk - shift * S[rep], D)
+            if rem.any():
+                bad = int(np.flatnonzero(rem)[0])
+                raise ArithmeticError(f"weight row {wx} on fiber s = {S[rep[bad]]} gives a non-integral weight")
+            t += q
+        ts.append(t)
     return _tally_cells([e, *ts], np.concatenate([n for _, n in walks])[idx])
 
 
@@ -775,18 +832,20 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     dict, and the callers that keep the histogram keep these arrays
     (Histogram).
 
-    A slice with at most one weight row may be walked fiber by fiber along
-    that row, or, with none, along the coordinate of the reduced basis the
-    reduced adjugate names (_fiber_plan): Q splits as s^2 g^2/(2G) plus
-    the norm of a kernel coset that depends on the fiber s only through a
-    residue, the theta decomposition of Jacobi forms (Eichler-Zagier,
-    1985, Thm 5.1).  Each kernel coset is a plain slice of the kernel form
-    and comes back through this entry, so kernels are fibered in turn
-    wherever that is cheaper, down to a direct walk.  Folded exactly, the
-    fibers give the direct walk's histogram, and every leaf, fold pair and
-    cell of a plan is a distinct vector of the slice.  The slice's one
-    plan is taken unless the direct walk, at its estimated points plus
-    _WALK_SETUP per level, costs no more.  A kernel's plan never costs
+    A slice may be walked fiber by fiber along the coordinate of the
+    reduced basis the reduced adjugate names or, when it has exactly one
+    nonzero weight row, along that row, whichever plan costs less
+    (_fiber_plan): Q splits as s^2 g^2/(2G) plus the norm of a kernel
+    coset that depends on the fiber s only through a residue, and each
+    weight as w_x x + w_s s, the theta decomposition of Jacobi forms
+    (Eichler-Zagier, 1985, Thm 5.1).  Each kernel coset is a slice of the
+    kernel form with the rows w_x != 0 as its weights and comes back
+    through this entry, so kernels are fibered in turn wherever that is
+    cheaper, down to a direct walk.  Folded exactly, the fibers give the
+    direct walk's histogram, and every leaf, fold pair and cell of a plan
+    is a distinct vector of the slice.  The cheaper plan is taken unless
+    the direct walk, at its estimated points plus _WALK_SETUP per level,
+    costs no more.  A kernel's plan never costs
     more than the direct walk the enclosing slice counted for it, so the
     chosen plan's cost bounds the whole recursion, and it is refused
     before any walk when it passes ENUMERATION_BUDGET
@@ -802,7 +861,7 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
             raise EnumerationBudgetError(
                 f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
-        return _fibered_cells(form, bound, scale, weights, plan)
+        return _fibered_cells(form, bound, scale, plan)
     blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights)]
     if len(blocks) == 1:
         return blocks[0]
@@ -859,13 +918,13 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     bound < 0, scale < 1, or an h0 or a weight row whose length is not
     the rank.
 
-    Every slice goes through _slice_cells: with at most one weight row it
-    is walked fiber by fiber along the row, or along one coordinate of the
-    reduced basis when there is none, recursively through the kernels,
-    wherever the estimated cost says so, and directly otherwise; two rows
-    (a complex insertion vector, or a dual sum's insertion and residue
-    rows) take the direct walk.  Either way the histogram is the direct
-    walk's exactly.  Every slice and every walk is refused before
+    Every slice goes through _slice_cells: with any number of weight rows
+    (a complex insertion vector has two, and a dual sum adds a residue
+    row) it is walked fiber by fiber along one coordinate of the reduced
+    basis, carrying the rows into the kernel walks, or along its one
+    nonzero row, recursively through the kernels, wherever the estimated
+    cost says so, and directly otherwise.  Either way the histogram is the
+    direct walk's exactly.  Every slice and every walk is refused before
     allocating: EnumerationBudgetError above ENUMERATION_BUDGET estimated
     points, OverflowError when an int64 partial could overflow.
     """
@@ -1095,10 +1154,19 @@ def _block_sum(quad, lin, p: int, P: int):
     at a time, and their counts n_r summed against e(r/P) in chunks.  The
     sum vanishes exactly when n_(r + j P/p) is constant in j for every r:
     the counts Z^P -> Z[e(1/P)] lose exactly the multiples of the
-    cyclotomic polynomial Phi_P(x) = sum over j < p of x^(j P/p).
+    cyclotomic polynomial Phi_P(x) = sum over j < p of x^(j P/p).  A 1x1
+    block at odd p not dividing its coefficient never vanishes, so it sums
+    e(r/P) over its points chunk by chunk and holds no count array.
     """
     n = len(lin)
     points = P ** n
+    if n == 1 and p > 2 and quad[0][0] % p:
+        # a unit 1x1 block at odd p has |sum| = p^(e/2) and never vanishes:
+        # sum e(r/P) over the points' residues, holding no count per residue
+        return complex(sum(
+            np.exp(2j * np.pi / P * ((quad[0][0] * (y * y % P) + lin[0] * y) % P)).sum()
+            for y in (np.arange(s, min(s + _GAUSS_BLOCK, P), dtype=np.int64) for s in range(0, P, _GAUSS_BLOCK))
+        ))
     counts = np.zeros(P, dtype=np.int64)
     for start in range(0, points, _GAUSS_BLOCK):
         idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)

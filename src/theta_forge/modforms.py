@@ -22,8 +22,8 @@ Both views of every series share one enumeration.  The inversion classes
 tile {m : A m = 0 mod N} = N A^-1 Z^f, and their phases are a character
 of y in m = N A^-1 y, so their sum is one walk of the dual form
 (_dual_sum).  The cusp law keeps one completed class theta per class:
-its Gauss-sum weights are no character of y, and binning one dual walk
-by class would give up the fibered walk of a one-row slice.
+its Gauss-sum weights are no character of y, so a single dual walk would
+have to be binned by class.
 """
 
 from __future__ import annotations
@@ -277,7 +277,8 @@ def _dual_sum(form: QuadraticForm, v, poly, x, tau: complex, tol: float):
     alone is folded to t mod rho: only that residue enters the phase, so
     the value depends on neither the representative of x nor the basis.
     A P of degree > 0 with x not integral keys two rows even for a real
-    v, and two rows take the direct walk (insertion_histogram).
+    v; the residue row, like v's, is fibered along or carried into the
+    kernel walks like any weight row (insertion_histogram).
     """
     rho, h0 = _offset_geometry(form, x)
     weights, unit = (), ()

@@ -324,6 +324,13 @@ def check_rescale(
     tol/c^f certifies.  It is summed first, so a coset past the budget is
     refused by the walk's own guards (EnumerationBudgetError) before
     either side walks or allocates.
+
+    After that rewrite the two sides are the same terms: <v, z> under cA
+    over cN is <v, z> under A over N, and c tau Q_cA(z)/(cN)^2 is
+    tau Q_A(z)/N^2, so each side is the sum over z in h + N Z^f of
+    P(<v, z>/N) e(tau Q(z)/N^2).  The check therefore compares the walk
+    of cA (its own reduced basis, fibers and truncation at tol/c^f)
+    against the walk of A (truncated at tol), not two different series.
     """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")
