@@ -34,12 +34,11 @@ fold could leave int64; a fibered plan is refused before any walk when
 its estimated cost passes ENUMERATION_BUDGET.
 A Gauss sum over c^rank points is split by the CRT into one sum per
 prime power p^e of c, and each of those, by a Jordan splitting of the
-form over Z_p, into 1x1 and 2x2 blocks summed by brute force over p^e
-or p^2e points with exact integer residues; a block whose residue counts
-cancel exactly makes the sum exactly 0j, a 1x1 block that cannot vanish
-is summed point by point, holding no count per residue, and the block
-points are refused above ENUMERATION_BUDGET before anything is
-allocated.
+form over Z_p, into 1x1 and 2x2 blocks, each stripped to its unit part:
+p-adic valuations decide there whether the sum is exactly 0j, the unit
+blocks are summed point by point with exact integer residues, holding
+nothing of length p^e, and their points are refused above
+ENUMERATION_BUDGET before anything is allocated.
 """
 
 from __future__ import annotations
@@ -1052,7 +1051,7 @@ def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:
     return InsertionVector(m, Fraction(1, 2 * mu))
 
 
-_GAUSS_BLOCK = 1 << 16  # points per chunk of a Jordan block's sum
+_GAUSS_BLOCK = 1 << 13  # residues per chunk of a Gauss block sum, and most e(r/P) table entries
 
 
 def _prime_powers(c: int):
@@ -1100,8 +1099,8 @@ def _jordan_blocks(gram, lin, p: int, e: int):
     is cleared with the inverse of its unit 2x2 part, whose determinant
     is odd, leaving a 2x2 block.  Off-diagonal entries are kept mod p^e
     and diagonal ones mod 2p^e, all the sum sees.  Returns [(quad, lin)]
-    per block: the block's y'By/2 as upper-triangular coefficient rows
-    and its linear part, mod p^e.
+    per block: the block's y'By/2 as an upper-triangular coefficient
+    matrix and its linear part, mod p^e.
     """
     P = p ** e
     f = len(lin)
@@ -1139,48 +1138,35 @@ def _jordan_blocks(gram, lin, p: int, e: int):
                     for r, row in zip(pair, solve):
                         add(k, r, -sum(x * y for x, y in zip(row, s)) % P)
         blocks.append((
-            [[B[r][s] // (1 + (r == s)) % P for s in pair[n:]] for n, r in enumerate(pair)],
+            [[B[r][s] // (1 + (r == s)) % P * (n <= m) for m, s in enumerate(pair)] for n, r in enumerate(pair)],
             [b[r] for r in pair],
         ))
         live = [k for k in live if k not in pair]
     return blocks
 
 
-def _block_sum(quad, lin, p: int, P: int):
-    """sum over y mod P of e((sum over i <= j of quad_ij y_i y_j + lin'y) / P)
-    for one Jordan block; None when the sum is exactly zero.
-
-    The exact residues mod P are counted, one chunk of _GAUSS_BLOCK points
-    at a time, and their counts n_r summed against e(r/P) in chunks.  The
-    sum vanishes exactly when n_(r + j P/p) is constant in j for every r:
-    the counts Z^P -> Z[e(1/P)] lose exactly the multiples of the
-    cyclotomic polynomial Phi_P(x) = sum over j < p of x^(j P/p).  A 1x1
-    block at odd p not dividing its coefficient never vanishes, so it sums
-    e(r/P) over its points chunk by chunk and holds no count array.
+def _block_sum(blocks, P: int) -> complex:
+    """The product over blocks (quad, lin) of one size n and one modulus P
+    of their sums over y mod P of e((y'quad y + lin'y)/P), every block at
+    once, point by point, _GAUSS_BLOCK residues per chunk.  A point's exact
+    residue r = y'((quad y + lin) mod P) mod P is read as e(hi B/P) e(lo/P),
+    r = hi B + lo with B = min(P, _GAUSS_BLOCK), from two tables of at most
+    _GAUSS_BLOCK entries (P < 2^26), so nothing of length P is held.
     """
-    n = len(lin)
-    points = P ** n
-    if n == 1 and p > 2 and quad[0][0] % p:
-        # a unit 1x1 block at odd p has |sum| = p^(e/2) and never vanishes:
-        # sum e(r/P) over the points' residues, holding no count per residue
-        return complex(sum(
-            np.exp(2j * np.pi / P * ((quad[0][0] * (y * y % P) + lin[0] * y) % P)).sum()
-            for y in (np.arange(s, min(s + _GAUSS_BLOCK, P), dtype=np.int64) for s in range(0, P, _GAUSS_BLOCK))
-        ))
-    counts = np.zeros(P, dtype=np.int64)
-    for start in range(0, points, _GAUSS_BLOCK):
-        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
-        y = [idx // P ** (n - 1 - i) % P for i in range(n)]
-        r = sum(lin[i] * y[i] + sum(quad[i][j - i] * (y[i] * y[j] % P) for j in range(i, n)) for i in range(n))
-        # np.add.at costs the chunk; a bincount to length P would cost P per chunk
-        np.add.at(counts, r % P, 1)
-    rows = counts.reshape(p, P // p)
-    if (rows == rows[0]).all():
-        return None
-    return complex(sum(
-        counts[s:s + _GAUSS_BLOCK] @ np.exp(2j * np.pi * np.arange(s, min(s + _GAUSS_BLOCK, P)) / P)
-        for s in range(0, P, _GAUSS_BLOCK)
-    ))
+    quad, lin = (np.array(x) for x in zip(*blocks))
+    n, B = lin.shape[1], min(P, _GAUSS_BLOCK)
+    lo, hi = np.exp(2j * np.pi / P * np.arange(B)), np.exp(2j * np.pi / P * np.arange(0, P, B))
+
+    def mod(x):  # x >= 0; numpy divides by a scalar several times faster than it takes %
+        return x - x // P * P
+
+    sums, chunk = 0j, -(-_GAUSS_BLOCK // len(blocks))
+    for start in range(0, P ** n, chunk):
+        y = np.array(np.unravel_index(np.arange(start, min(start + chunk, P ** n)), (P,) * n))
+        r = mod((y * mod(quad @ y + lin[:, :, None])).sum(axis=1))
+        r_hi = r // B
+        sums += (hi[r_hi] * lo[r - r_hi * B]).sum(axis=1)
+    return math.prod(sums.tolist())
 
 
 def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
@@ -1195,16 +1181,24 @@ def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     that sum is the product over p of the sums over w mod p^e of
     e(u_p (a Q(w) + beta'w)/p^e), and a Jordan splitting of u_p a A over
     Z_p (_jordan_blocks) makes each one a product of 1x1 and 2x2 blocks.
-    Each block is summed by brute force over its p^e or p^(2e) points,
-    with exact integer residues (_block_sum), so the cost is the sum over
-    blocks of p^(e size), not c^rank, and no closed form enters.  A block
-    whose residue counts cancel exactly makes the result exactly 0j.
+
+    A block of size n, quadratic part p^v q' (v <= e largest) and linear
+    part b is stripped to its unit part: with y = y1 + p^(e-v) y2 the
+    cross and y2 terms are multiples of p^e, so it is p^(vn) [p^v | b]
+    times the sum over y1 mod p^(e-v) of e((q'(y1) + (b/p^v)'y1)/p^(e-v))
+    (Cassels, Rational Quadratic Forms, ch. 8).  A shift removes a unit
+    block's linear part, so it never vanishes, but a 1x1 block at 2 does:
+    mod 2 for an even linear part, mod 2^m (m >= 2) for an odd one, which
+    y -> y + 2^(m-1) negates.  So an exact 0j is decided from valuations
+    before anything is summed, and the rest costs (p^e/p^v)^n points per
+    block, summed with exact integer residues (_block_sum), not c^rank.
 
     Before anything is allocated, EnumerationBudgetError is raised when
-    the block points pass ENUMERATION_BUDGET.  c is factored by trial
-    division up to sqrt(ENUMERATION_BUDGET) and a cofactor left above the
-    budget is refused unfactored; that is conservative only for c with
-    two prime factors above 7,746.  Every residue is then below 2^26, so
+    the stripped points pass ENUMERATION_BUDGET or the result could leave
+    the float range.  c is factored by trial division up to
+    sqrt(ENUMERATION_BUDGET) and a cofactor left above the budget is
+    refused unfactored; that is conservative only for c with two prime
+    factors above 7,746.  Every residue summed is then below P < 2^26, so
     the int64 products of a block stay below 2^53.
     """
     if c <= 0:
@@ -1219,24 +1213,29 @@ def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     M = c * N * N
     const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
     beta = [x // N for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
-    splits = []
+    phi, scale, groups = cmath.exp(2j * pi * (const / M)), 1, {}
     for p, e in _prime_powers(c):
         P = p ** e
         u = pow(c // P, -1, P)
         gram = [[u * a * x for x in row] for row in form.gram]
-        splits += [(p, P, block) for block in _jordan_blocks(gram, [u * x for x in beta], p, e)]
-    points = sum(P ** len(lin) for _, P, (_, lin) in splits)
-    if points > ENUMERATION_BUDGET:
+        for quad, lin in _jordan_blocks(gram, [u * x for x in beta], p, e):
+            pv = math.gcd(P, *chain.from_iterable(quad))  # p^v
+            two_1x1 = p == 2 and len(lin) == 1 and P > pv  # the one unit block that can vanish
+            if math.gcd(pv, *lin) < pv or (two_1x1 and lin[0] // pv % 2 == (P > 2 * pv)):
+                return 0j
+            scale *= pv ** len(lin)
+            block = [[x // pv for x in row] for row in quad], [x // pv for x in lin]
+            groups.setdefault((P // pv, len(lin)), []).append(block)
+    points = sum(P ** n * len(blocks) for (P, n), blocks in groups.items())
+    bound = scale * math.prod((P ** n) ** len(blocks) for (P, n), blocks in groups.items())  # >= |phi|
+    if points > ENUMERATION_BUDGET or bound.bit_length() > 1000:
         raise EnumerationBudgetError(
             f"{points:.2e} Gauss-sum block points at c = {c} exceed budget {ENUMERATION_BUDGET:.2e}"
+            f" or a sum of up to 2^{bound.bit_length()} leaves the float range"
         )
-    phi = cmath.exp(2j * pi * (const / M))
-    for p, P, (quad, lin) in splits:
-        part = _block_sum(quad, lin, p, P)
-        if part is None:
-            return 0j
-        phi *= part
-    return phi
+    for (P, _), blocks in groups.items():
+        phi *= _block_sum(blocks, P)
+    return phi * scale
 
 
 CATALOG = {

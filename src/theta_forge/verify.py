@@ -501,11 +501,11 @@ _LAWS = {
         check_gauss_closed_form(s.form, g, h, s.tol)),
 }
 LAW_IDS = tuple(_LAWS)
-# c^rank no longer measures a Gauss sum's cost (gauss_sum sums Jordan
-# blocks of p^e or p^2e points).  The cap stays for two reasons: its test
-# runs before _pick_tau draws from the campaign rng, so deleting it moves
-# every later draw, and the benchmark's note parser test expects the
-# "Gauss sum too large" notes it gives on E8.
+# c^rank no longer measures a Gauss sum's cost: gauss_sum sums each
+# Jordan block over the points of its unit part, (p^e/p^v)^size.  The cap
+# stays for two reasons: its test runs before _pick_tau draws from the
+# campaign rng, so deleting it moves every later draw, and the benchmark's
+# note parser test expects the "Gauss sum too large" notes it gives on E8.
 _GAUSS_SUM_CAP = 1_000_000
 
 

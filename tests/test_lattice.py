@@ -1181,8 +1181,9 @@ class TestGaussSum:
         phi = gauss_sum(catalog_form("E8"), 1, 1, 49, (0,) * 8, (0,) * 8)
         assert abs(abs(phi) / 49 ** 4 - 1) < 1e-9
 
-    # moduli with 1x1 and 2x2 blocks at 2, blocks at 3, 5 and 7, and CRT
-    WALK_C = (2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 12, 18, 24, 30)
+    # moduli with 1x1 and 2x2 blocks at 2, blocks at 3, 5 and 7, and CRT;
+    # 64, 81 and 125 (rank 2 only) strip blocks to deeper unit parts
+    WALK_C = (2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 12, 18, 24, 30, 64, 81, 125)
     # random forms: orthogonal sums of these, with odd and even
     # off-diagonals, in a basis mixed by column operations
     WALK_BLOCKS = tuple(
@@ -1232,14 +1233,30 @@ class TestGaussSum:
         assert peak < 32 * 2 ** 20
         assert abs(phi - 961) < 1e-8
 
-    def test_unit_block_memory(self):
-        # A2 at the prime c = 3,999,971: two 1x1 blocks of c points, summed
-        # chunk by chunk, where a count per residue held 32 MB
+    @pytest.mark.parametrize(
+        "name, c, size", [("A2", 3_999_971, 3_999_971), ("A1A1", 2 ** 22, 2 ** 23)], ids=["A2", "A1A1"]
+    )
+    def test_unit_block_memory(self, name, c, size):
+        # two 1x1 blocks of c points each, at the prime 3,999,971 and at 2^22,
+        # summed chunk by chunk, where a count per residue held 32 MB
         tracemalloc.start()
         try:
-            phi = gauss_sum(catalog_form("A2"), 1, 1, 3_999_971, (0, 0), (0, 0))
+            phi = gauss_sum(catalog_form(name), 1, 1, c, (0, 0), (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
-        assert abs(abs(phi) / 3_999_971 - 1) < 1e-9
+        assert abs(abs(phi) / size - 1) < 1e-9
+
+    def test_budget_counts_stripped_points(self):
+        # A1A1 with a = 2^10 at c = 2^25: each 1x1 block is 2^10 times a sum
+        # over 2^15 points, so 2^16 points are summed where the unstripped
+        # blocks have 2^26, past the budget
+        a1a1 = catalog_form("A1A1")
+        phi = gauss_sum(a1a1, 2 ** 10, 1, 2 ** 25, (0, 0), (0, 0))
+        assert abs(abs(phi) / 2 ** 36 - 1) < 1e-12
+        # a = c strips both blocks to one point: the sum is c^2 exactly, and
+        # refused once c^2 would leave the float range
+        assert gauss_sum(a1a1, 2 ** 470, 1, 2 ** 470, (0, 0), (0, 0)) == 2 ** 940
+        with pytest.raises(EnumerationBudgetError):
+            gauss_sum(a1a1, 2 ** 520, 1, 2 ** 520, (0, 0), (0, 0))
