@@ -18,11 +18,13 @@ the estimated cost prefers, Q splits as a multiple of the fiber's square
 plus the norm of a kernel-form coset that depends on the fiber only
 through a residue, and each weight splits as a linear form on the
 kernel plus a multiple of the fiber (the theta decomposition of Jacobi
-forms, Eichler-Zagier, 1985, Thm 5.1), so one kernel walk per residue
+forms, Eichler-Zagier, 1985, Thm 5.1), so one kernel coset per residue
 class, carrying the weights' kernel parts and folded into each fiber of
 the class, gives exactly the direct walk's histogram.  Every kernel
 coset comes back through the same entry and is fibered in turn while
-the estimated cost says so.  A slice comes back as one pair (keys,
+the estimated cost says so, and within one slice walk each distinct
+kernel coset, up to sign, is walked once: sibling classes reach the
+same cosets, and -h is h negated.  A slice comes back as one pair (keys,
 counts) of int64 arrays, its distinct keys (e, t...) ascending, from
 the walk's blocks through every fold, and the form keeps those arrays,
 read-only, as a Histogram: insertion_histogram hands out views of them
@@ -181,7 +183,7 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual", "_fibers")
+    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual", "_scaled", "_fibers")
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -216,6 +218,8 @@ class QuadraticForm:
         # insertion histograms built for this form: (scale, h0) -> {weights: (bound, Histogram)}
         self._cells = {}
         self._dual = None
+        # the forms on c*A, c -> form (see scaled)
+        self._scaled = {}
         # the walk's reduced basis, built on the first walk (see _reduced)
         self._lll = None
         # the fiber walks' splits along rows of that basis (see _fibration)
@@ -232,7 +236,7 @@ class QuadraticForm:
         """
         form = cls.__new__(cls)
         form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
-        form._cells, form._dual, form._lll, form._fibers = {}, None, None, {}
+        form._cells, form._dual, form._scaled, form._lll, form._fibers = {}, None, {}, None, {}
         return form
 
     @property
@@ -296,6 +300,14 @@ class QuadraticForm:
                 [[int(self.det * x) for x in row] for row in self.inverse_gram]
             )
         return self._dual
+
+    def scaled(self, c: int) -> "QuadraticForm":
+        """Form on c * A for a positive integer c, built once per c and kept,
+        as dual() is, so the rescale law's walks of it keep their reduced
+        basis, fibers and histograms."""
+        if c not in self._scaled:
+            self._scaled[c] = QuadraticForm([[c * x for x in row] for row in self.gram])
+        return self._scaled[c]
 
     def congruence_classes(self):
         """All classes h mod N with A h = 0 mod N, sorted; exactly det(A) of them.
@@ -759,10 +771,11 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     return min(_fiber_plans(form, bound, scale, h0, weights, est, direct), key=lambda plan: plan[0], default=None)
 
 
-def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan):
-    """The slice's (keys, counts) by the fibered plan: one kernel walk per
-    class, through _slice_cells, folded into every fiber of the class in
-    exact integers.
+def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None):
+    """The slice's (keys, counts) by the fibered plan: one kernel coset per
+    class, from the walk's memo or through _slice_cells (_kernel_cells),
+    folded into every fiber of the class in exact integers.  memo is the
+    enclosing top-level walk's, a new one when none is given.
 
     Each carried weight row (w_x != 0) enters the kernel walks as w_x, so
     a kernel cell keys t_K = w_x u, and the fiber s of u = D x + s D c
@@ -783,9 +796,10 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan):
     mod = scale * D
     x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
     reps = list(classes.values())
-    cosets = [[(D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)] for s in reps]
+    cosets = [tuple((D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)) for s in reps]
     carried = tuple(wx for wx, _ in rows if any(wx))
-    walks = [_slice_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried) for s, h in zip(reps, cosets)]
+    memo = {} if memo is None else memo
+    walks = [_kernel_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried, memo) for s, h in zip(reps, cosets)]
     s_top = max(map(abs, fibers))
     shifts = [sum(x * dc for x, dc in zip(wx, fib.Dc)) for wx, _ in rows]
     if max([D * D * bound * sd] + [s_top * max(abs(c), abs(ws)) for c, (_, ws) in zip(shifts, rows)]) > 2 ** 62:
@@ -823,7 +837,32 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan):
     return _tally_cells([e, *ts], np.concatenate([n for _, n in walks])[idx])
 
 
-def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
+def _kernel_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo):
+    """A class's kernel coset for _fibered_cells, as _slice_cells gives it
+    but to at least bound (the fold cuts each fiber at its own kernel
+    bound on the ascending e column), built at most once per top-level
+    walk up to sign.
+
+    Sibling classes of a fibered walk, and their kernels in turn, reach
+    the same cosets of the same kernel forms, and the coset -h0 holds the
+    negatives of h0's vectors: the same norms, every t negated.  So memo
+    maps (form, scale, h, weights), h the lesser of h0 (a tuple reduced
+    mod scale) and -h0, to the largest bound h was walked to and its
+    arrays: a repeat at that bound or lower is served as they are, a
+    higher bound walks h again, and the mirror negates the t columns and
+    restores ascending order with one _tally_cells.
+    """
+    h = min(h0, tuple(-x % scale for x in h0))
+    key = (form, scale, h, weights)
+    if key not in memo or memo[key][0] < bound:
+        memo[key] = (bound, *_slice_cells(form, bound, scale, h, weights, memo))
+    _, keys, counts = memo[key]
+    if h == h0 or not weights:
+        return keys, counts
+    return _tally_cells([keys[:, 0], *(-keys[:, 1:].T)], counts)
+
+
+def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo=None):
     """The histogram of z = h0 + scale*u with Q(z) <= bound as a pair
     (keys, counts) of int64 arrays: keys (n, width) in ascending order
     with no repeated rows, (e, t...) with t = weight . z, and counts the
@@ -842,9 +881,13 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     through this entry, so kernels are fibered in turn wherever that is
     cheaper, down to a direct walk.  Folded exactly, the fibers give the
     direct walk's histogram, and every leaf, fold pair and cell of a plan
-    is a distinct vector of the slice.  The cheaper plan is taken unless
-    the direct walk, at its estimated points plus _WALK_SETUP per level,
-    costs no more.  A kernel's plan never costs
+    is a distinct vector of the slice.  memo holds the kernel cosets the
+    top-level walk has built (_kernel_cells): the outermost fibered call,
+    given none, makes it, every kernel walk below shares it, and it is
+    dropped on return, so each distinct kernel coset, up to sign, is
+    walked once per slice walk and nothing outlives the walk.  The cheaper
+    plan is taken unless the direct walk, at its estimated points plus
+    _WALK_SETUP per level, costs no more.  A kernel's plan never costs
     more than the direct walk the enclosing slice counted for it, so the
     chosen plan's cost bounds the whole recursion, and it is refused
     before any walk when it passes ENUMERATION_BUDGET
@@ -860,7 +903,7 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
             raise EnumerationBudgetError(
                 f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
-        return _fibered_cells(form, bound, scale, plan)
+        return _fibered_cells(form, bound, scale, plan, memo)
     blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights)]
     if len(blocks) == 1:
         return blocks[0]
@@ -922,10 +965,13 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     row) it is walked fiber by fiber along one coordinate of the reduced
     basis, carrying the rows into the kernel walks, or along its one
     nonzero row, recursively through the kernels, wherever the estimated
-    cost says so, and directly otherwise.  Either way the histogram is the
-    direct walk's exactly.  Every slice and every walk is refused before
-    allocating: EnumerationBudgetError above ENUMERATION_BUDGET estimated
-    points, OverflowError when an int64 partial could overflow.
+    cost says so, and directly otherwise.  The walk keeps a memo of the
+    kernel cosets it has built, for this call only, so each distinct
+    kernel coset, up to sign, is walked once; nothing of it is kept on
+    the form.  Either way the histogram is the direct walk's exactly.
+    Every slice and every walk is refused before allocating:
+    EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
+    OverflowError when an int64 partial could overflow.
     """
     if bound < 0 or scale < 1:
         raise ValueError(f"bound {bound} must be >= 0 and scale {scale} >= 1")
@@ -1172,7 +1218,13 @@ def _block_sum(blocks, P: int) -> complex:
 def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2),
     for h and q in L' (A h = A q = 0 mod N; else the sum depends on the
-    representative, and ValueError is raised).  c must be positive.
+    representative, and ValueError is raised).  c must be positive.  The
+    sum depends on q's class only when a d = 1 mod c: then q -> q + N u is
+    the relabelling g -> g - d N u, which changes the numerator by
+    (1 - a d) N <g, u> + d (a d - 1) N^2 Q(u), a multiple of cN^2; for
+    other (a, d) it may depend on q's representative.  Both callers, the
+    cusp and gauss_closed_form laws, pass such a pair, read off a matrix
+    of determinant 1.
 
     With g = h + N w the numerator is const + N^2 (beta'w + a Q(w)), where
     const = a Q(h) + d Q(q) + h'Aq and beta = (a Ah + Aq)/N is integral, so

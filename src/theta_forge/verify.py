@@ -331,13 +331,15 @@ def check_rescale(
     P(<v, z>/N) e(tau Q(z)/N^2).  The check therefore compares the walk
     of cA (its own reduced basis, fibers and truncation at tol/c^f)
     against the walk of A (truncated at tol), not two different series.
+    cA is the form's kept scaled(c), so later checks at the same c reuse
+    its reduction, fibers and histograms.
     """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")
     spec = ThetaSpec(form, v, k, h)
     z = _as_complex(tau)
     inner = tol * 1e-3
-    scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
+    scaled = form.scaled(c)
     rhs = _theta_sum(scaled, v, [0] * k + [1], c * z, inner / c ** form.rank, c * form.level, form.level, h.rep)
     lhs = theta_numeric(spec, z, inner)
     return _report("rescale", abs(lhs - rhs), tol, form=form, h=h, v=v, k=k, c=c, tau=z)

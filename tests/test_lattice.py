@@ -238,6 +238,15 @@ class TestFormBasics:
         e8 = catalog_form("E8")
         assert e8.dual().det == 1
 
+    def test_scaled_form_kept(self):
+        # c A on level c N, built once per c and kept, so a second rescale
+        # check at the same c reuses its reduced basis and histograms
+        d4 = catalog_form("D4")
+        scaled = d4.scaled(3)
+        assert scaled.gram == tuple(tuple(3 * x for x in row) for row in d4.gram)
+        assert scaled.level == 3 * d4.level and scaled.det == 3 ** 4 * d4.det
+        assert d4.scaled(3) is scaled and d4.scaled(2) is not scaled
+
     def test_eq_hash(self):
         assert catalog_form("A2") == QuadraticForm([[2, -1], [-1, 2]])
         assert hash(catalog_form("D4")) == hash(catalog_form("D4"))
@@ -693,6 +702,59 @@ class TestFiberedWalk:
         assert len(walks) > 2 and all(rank < 8 for rank, _, _ in walks)
         assert sum(met for _, _, met in walks) < 300_000
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_memo_matches_direct(self, data):
+        # with the cost constants at zero the recursion goes as deep as its
+        # estimates allow, and the walk's memo serves every kernel coset it
+        # meets again, or its mirror: over catalog and skewed even forms of
+        # rank 2, 4 and 8, random cosets h0 + scale Z^f and zero to two
+        # random rows, the slice's histogram is the direct walk's exactly,
+        # and that of -h0 is h0's with every t negated
+        f = data.draw(st.sampled_from((2, 4, 8)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100))))
+        form = QuadraticForm(congruent_gram(base, u))
+        scale = data.draw(st.integers(1, 4))
+        top = {2: 30, 4: 10, 8: 5}[f] * scale * scale
+        bound = top - data.draw(st.integers(0, top // 2))
+        h0 = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=f, max_size=f)))
+        row = st.lists(st.integers(-3, 3), min_size=f, max_size=f).map(tuple)
+        weights = tuple(data.draw(st.lists(row, max_size=2)))
+        with patch.multiple(lattice, **_EAGER):
+            cells = _as_dict(*lattice._slice_cells(form, bound, scale, h0, weights))
+            mirror = _as_dict(*lattice._slice_cells(form, bound, scale, tuple(-x for x in h0), weights))
+        assert cells == _direct_cells(form, bound, weights, scale, h0)
+        assert mirror == {(e, *(-t for t in ts)): n for (e, *ts), n in cells.items()}
+
+    @pytest.mark.parametrize("bound, rowed, most", [(20, True, 12_000), (40, False, 8_000)])
+    def test_each_kernel_coset_walked_once(self, monkeypatch, bound, rowed, most):
+        # E8 along its first root to q^21, and plain through q^40: sibling
+        # classes reach the same cosets of the same kernels, and a coset's
+        # mirror -h holds its vectors negated, so one histogram walks each
+        # (kernel, scale, h up to sign, rows) once and serves every repeat
+        # from the walk's memo, meeting 8,485 and 4,477 leaves; walked
+        # class by class they met 30,089 and 29,568
+        e8 = catalog_form("E8")
+        weights = unit_insertion_vector(e8).integral_weights(e8)[1] if rowed else ()
+        walks = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def counting(form, bound, scale, h0, weights):
+            met = 0
+            for e, ts in leaf_chunks(form, bound, scale, h0, weights):
+                met += len(e)
+                yield e, ts
+            h = min(tuple(x % scale for x in h0), tuple(-x % scale for x in h0))
+            walks.append(((form.gram, scale, h, weights), met))
+
+        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        cells = insertion_histogram(e8, bound, weights=weights)
+        assert sum(cells.values()) == (11_513_521 if rowed else sum(240 * divisor_sigma(3, n) for n in range(1, 41)) + 1)
+        keys = [key for key, _ in walks]
+        assert len(walks) > 1 and len(set(keys)) == len(keys)
+        assert sum(met for _, met in walks) < most
+
     def test_e8_theta_through_q40(self, monkeypatch):
         # 1 + 240 sigma_3(n) exactly: 1.66e8 vectors, past the budget for a
         # direct walk, met in well under a million leaves
@@ -807,7 +869,7 @@ class TestFiberedWalk:
         fibered_cells = lattice._fibered_cells
 
         def spy(*args):
-            plans.append(args[-1])
+            plans.append(args[3])
             return fibered_cells(*args)
 
         monkeypatch.setattr(lattice, "_fibered_cells", spy)
@@ -1098,6 +1160,22 @@ class TestGaussSum:
         p1 = gauss_sum(a2, 1, 2, 2, (1, 2), (0, 0))
         p2 = gauss_sum(a2, 1, 2, 2, (4, 5), (0, 0))
         assert abs(p1 - p2) < 1e-12
+
+    @pytest.mark.parametrize("name", ["A2", "D4", "A1A1"])
+    def test_q_representative_when_ad_is_one_mod_c(self, name):
+        # with a d = 1 mod c, as the (a, d, c) of a matrix of determinant 1
+        # that both callers pass, phi depends on q's class only:
+        # q -> q + N e_i is the relabelling g -> g - d N e_i of the sum
+        form = _CATALOG_FORMS[name]
+        N = form.level
+        reps = [cl.rep for cl in form.congruence_classes()]
+        for a, d, c in ((1, 1, 3), (2, 3, 5), (5, 5, 8), (3, 7, 10), (7, 4, 9), (1, -1, 2)):
+            assert a * d % c == 1 % c
+            for h, q in product(reps, repeat=2):
+                phi = gauss_sum(form, a, d, c, h, q)
+                for i in range(form.rank):
+                    shifted = tuple(x + N * (j == i) for j, x in enumerate(q))
+                    assert abs(gauss_sum(form, a, d, c, h, shifted) - phi) < 1e-9 * max(1.0, abs(phi))
 
     def test_nonpositive_c_rejected(self):
         with pytest.raises(ValueError):

@@ -284,12 +284,12 @@ class TestInversion:
         top, depth = [], [0]
         slice_cells = lattice._slice_cells
 
-        def slicing(walked, bound, scale, h0, weights):
+        def slicing(walked, bound, scale, h0, weights, memo=None):
             if not depth[0]:
                 top.append((walked, scale, h0))
             depth[0] += 1
             try:
-                return slice_cells(walked, bound, scale, h0, weights)
+                return slice_cells(walked, bound, scale, h0, weights, memo)
             finally:
                 depth[0] -= 1
 
@@ -432,9 +432,9 @@ class TestTranslationRescale:
         slices, walks = [], []
         slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
 
-        def slicing(walked, bound, scale, h0, weights):
+        def slicing(walked, bound, scale, h0, weights, memo=None):
             slices.append((walked, scale, h0))
-            return slice_cells(walked, bound, scale, h0, weights)
+            return slice_cells(walked, bound, scale, h0, weights, memo)
 
         def counting(walked, bound, scale, h0, weights):
             walks.append((walked, scale))
