@@ -37,10 +37,9 @@ its estimated cost passes ENUMERATION_BUDGET.
 A Gauss sum over c^rank points is split by the CRT into one sum per
 prime power p^e of c, and each of those, by a Jordan splitting of the
 form over Z_p, into 1x1 and 2x2 blocks, each stripped to its unit part:
-p-adic valuations decide there whether the sum is exactly 0j, the unit
-blocks are summed point by point with exact integer residues, holding
-nothing of length p^e, and their points are refused above
-ENUMERATION_BUDGET before anything is allocated.
+p-adic valuations decide there whether the sum is exactly 0j, and each
+unit block has a classical closed form, an exact |sum|^2 and a rational
+phase, so no point is summed and the sum costs the splitting, whatever c.
 """
 
 from __future__ import annotations
@@ -68,7 +67,10 @@ class InvalidFormError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Estimated lattice-point count (or Gauss-sum size) exceeds ENUMERATION_BUDGET."""
+    """A walk's estimated lattice points or a fibered plan's estimated cost
+    exceed ENUMERATION_BUDGET, or a Gauss sum's modulus keeps a factor
+    above it that trial division did not reach, or the sum would leave
+    the float range."""
 
 
 def _bareiss(gram):
@@ -1097,9 +1099,6 @@ def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:
     return InsertionVector(m, Fraction(1, 2 * mu))
 
 
-_GAUSS_BLOCK = 1 << 13  # residues per chunk of a Gauss block sum, and most e(r/P) table entries
-
-
 def _prime_powers(c: int):
     """[(p, e)] with c the product of the p^e, by trial division up to
     sqrt(ENUMERATION_BUDGET).  A cofactor left above ENUMERATION_BUDGET is
@@ -1191,28 +1190,43 @@ def _jordan_blocks(gram, lin, p: int, e: int):
     return blocks
 
 
-def _block_sum(blocks, P: int) -> complex:
-    """The product over blocks (quad, lin) of one size n and one modulus P
-    of their sums over y mod P of e((y'quad y + lin'y)/P), every block at
-    once, point by point, _GAUSS_BLOCK residues per chunk.  A point's exact
-    residue r = y'((quad y + lin) mod P) mod P is read as e(hi B/P) e(lo/P),
-    r = hi B + lo with B = min(P, _GAUSS_BLOCK), from two tables of at most
-    _GAUSS_BLOCK entries (P < 2^26), so nothing of length P is held.
+def _unit_block(quad, lin, Q: int):
+    """The sum s over y mod Q = p^m of e((y'quad y + lin'y)/Q) of one
+    stripped block of _jordan_blocks, in closed form: (|s|^2, phase) with
+    s = sqrt(|s|^2) e(phase), an int and a Fraction, or None for s = 0.
+
+    A 1x1 block u y^2 + b y at odd p (or m = 0) is, with b/2 taken mod Q,
+    e(-(b/2)^2 u^-1/Q) (u/Q) eps_Q sqrt(Q), eps_Q = 1 for Q = 1 mod 4 and i
+    for Q = 3 mod 4, the Jacobi symbol (u/Q) = (u/p)^m from
+    kronecker_symbol.  At p = 2 it is 2 for m = 1 and odd b, and for m >= 2
+    and b = 2b' it is e(-b'^2 u^-1/2^m) (1 + i^u) (2/u)^m 2^(m/2); any other
+    1x1 block at 2 vanishes (mod 2 y -> y + 1 negates it for even b, and
+    mod 2^m y -> y + 2^(m-1) for odd b).  A unit 2x2 block at 2, Gram
+    S = [[2a, c], [c, 2b]] with c odd, is shifted by t = -S^-1 lin mod 2^m
+    to e((t'St/2 + lin't)/2^m) times the sum of its quadratic part alone:
+    2^m when det S = 7 mod 8 (hyperbolic) and (-1)^m 2^m when det S = 3
+    mod 8, that is (det S/2^m) 2^m as a Kronecker symbol (Berndt, Evans
+    and Williams, Gauss and Jacobi Sums, ch. 1; Cassels, Rational
+    Quadratic Forms, ch. 8).
     """
-    quad, lin = (np.array(x) for x in zip(*blocks))
-    n, B = lin.shape[1], min(P, _GAUSS_BLOCK)
-    lo, hi = np.exp(2j * np.pi / P * np.arange(B)), np.exp(2j * np.pi / P * np.arange(0, P, B))
-
-    def mod(x):  # x >= 0; numpy divides by a scalar several times faster than it takes %
-        return x - x // P * P
-
-    sums, chunk = 0j, -(-_GAUSS_BLOCK // len(blocks))
-    for start in range(0, P ** n, chunk):
-        y = np.array(np.unravel_index(np.arange(start, min(start + chunk, P ** n)), (P,) * n))
-        r = mod((y * mod(quad @ y + lin[:, :, None])).sum(axis=1))
-        r_hi = r // B
-        sums += (hi[r_hi] * lo[r - r_hi * B]).sum(axis=1)
-    return math.prod(sums.tolist())
+    if len(lin) == 2:
+        (a, c), (_, b) = quad
+        det = 4 * a * b - c * c
+        inv = pow(det, -1, Q)
+        t = (c * lin[1] - 2 * b * lin[0]) * inv % Q, (c * lin[0] - 2 * a * lin[1]) * inv % Q
+        const = a * t[0] ** 2 + c * t[0] * t[1] + b * t[1] ** 2 + lin[0] * t[0] + lin[1] * t[1]
+        return Q * Q, Fraction(2 * const + Q * (kronecker_symbol(det, Q) < 0), 2 * Q)
+    ((u,),), (b,) = quad, lin
+    if Q % 2 == 0 and b % 2 == (Q > 2):
+        return None
+    if Q == 2:
+        return 4, Fraction(0)
+    if Q % 2:  # eighths of a turn: eps_Q, or 1 + i^u = sqrt(2) e(+-1/8); then the sign of (u/Q)
+        half, norm, eighths = b * (Q + 1) // 2, Q, 2 * (Q % 4 == 3)
+    else:
+        half, norm, eighths = b // 2, 2 * Q, 2 - u % 4
+    eighths += 4 * (kronecker_symbol(u, Q) < 0)
+    return norm, Fraction(8 * (-half * half * pow(u, -1, Q) % Q) + eighths * Q, 8 * Q)
 
 
 def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
@@ -1238,20 +1252,16 @@ def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     part b is stripped to its unit part: with y = y1 + p^(e-v) y2 the
     cross and y2 terms are multiples of p^e, so it is p^(vn) [p^v | b]
     times the sum over y1 mod p^(e-v) of e((q'(y1) + (b/p^v)'y1)/p^(e-v))
-    (Cassels, Rational Quadratic Forms, ch. 8).  A shift removes a unit
-    block's linear part, so it never vanishes, but a 1x1 block at 2 does:
-    mod 2 for an even linear part, mod 2^m (m >= 2) for an odd one, which
-    y -> y + 2^(m-1) negates.  So an exact 0j is decided from valuations
-    before anything is summed, and the rest costs (p^e/p^v)^n points per
-    block, summed with exact integer residues (_block_sum), not c^rank.
+    (Cassels, Rational Quadratic Forms, ch. 8), which _unit_block gives
+    in closed form.  So no point is summed: |sum|^2 is multiplied out as
+    an int and the phase as a Fraction, and both become floats once, at
+    the end; an exact 0j is decided from valuations and the unit blocks.
 
-    Before anything is allocated, EnumerationBudgetError is raised when
-    the stripped points pass ENUMERATION_BUDGET or the result could leave
-    the float range.  c is factored by trial division up to
-    sqrt(ENUMERATION_BUDGET) and a cofactor left above the budget is
-    refused unfactored; that is conservative only for c with two prime
-    factors above 7,746.  Every residue summed is then below P < 2^26, so
-    the int64 products of a block stay below 2^53.
+    c is factored by trial division up to sqrt(ENUMERATION_BUDGET), and a
+    cofactor left above the budget is refused unfactored with
+    EnumerationBudgetError; that is conservative only for c with two
+    prime factors above 7,746.  A sum with |sum| >= 2^1000, which could
+    leave the float range, is refused the same way.
     """
     if c <= 0:
         raise ValueError("gauss_sum requires c > 0")
@@ -1263,31 +1273,26 @@ def gauss_sum(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
         if any(x % N for x in form._gram_times(rep)):
             raise ValueError(f"gauss_sum needs classes of L': A{rep} is not 0 mod N = {N}")
     M = c * N * N
-    const = (a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)) % M
+    const = a * form.q_value(hrep) + d * form.q_value(qrep) + form.bilinear(hrep, qrep)
     beta = [x // N for x in form._gram_times([a * hj + qj for hj, qj in zip(hrep, qrep)])]
-    phi, scale, groups = cmath.exp(2j * pi * (const / M)), 1, {}
+    norm, phase = 1, Fraction(const, M)
     for p, e in _prime_powers(c):
         P = p ** e
         u = pow(c // P, -1, P)
         gram = [[u * a * x for x in row] for row in form.gram]
         for quad, lin in _jordan_blocks(gram, [u * x for x in beta], p, e):
             pv = math.gcd(P, *chain.from_iterable(quad))  # p^v
-            two_1x1 = p == 2 and len(lin) == 1 and P > pv  # the one unit block that can vanish
-            if math.gcd(pv, *lin) < pv or (two_1x1 and lin[0] // pv % 2 == (P > 2 * pv)):
+            if math.gcd(pv, *lin) < pv:
                 return 0j
-            scale *= pv ** len(lin)
-            block = [[x // pv for x in row] for row in quad], [x // pv for x in lin]
-            groups.setdefault((P // pv, len(lin)), []).append(block)
-    points = sum(P ** n * len(blocks) for (P, n), blocks in groups.items())
-    bound = scale * math.prod((P ** n) ** len(blocks) for (P, n), blocks in groups.items())  # >= |phi|
-    if points > ENUMERATION_BUDGET or bound.bit_length() > 1000:
-        raise EnumerationBudgetError(
-            f"{points:.2e} Gauss-sum block points at c = {c} exceed budget {ENUMERATION_BUDGET:.2e}"
-            f" or a sum of up to 2^{bound.bit_length()} leaves the float range"
-        )
-    for (P, _), blocks in groups.items():
-        phi *= _block_sum(blocks, P)
-    return phi * scale
+            block = _unit_block([[x // pv for x in row] for row in quad], [x // pv for x in lin], P // pv)
+            if block is None:
+                return 0j
+            norm *= pv ** (2 * len(lin)) * block[0]
+            phase += block[1]
+    if norm.bit_length() > 2000:
+        raise EnumerationBudgetError(f"a Gauss sum of about 2^{norm.bit_length() // 2} leaves the float range")
+    k = max(norm.bit_length() - 1000, 0) // 2  # sqrt(norm) = 2^k sqrt(norm / 4^k), a float below 2^1024
+    return cmath.rect(math.ldexp(math.sqrt(norm >> 2 * k), k), 2 * pi * (phase % 1))
 
 
 CATALOG = {

@@ -423,11 +423,15 @@ def check_gauss_orthogonality(form: QuadraticForm, gamma: Gamma0Matrix, tol: flo
 def check_gauss_closed_form(
     form: QuadraticForm, gamma: Gamma0Matrix, h: CongruenceClass, tol: float
 ) -> LawReport:
-    """The evaluated Gauss sum against d^r exp(2 pi i Q(h)ab/N^2) eps(d).
+    """The Gauss sum of the congruence law's proof against its closed form.
 
-    The sum is the one appearing in the proof of the congruence law,
-    whose slots are the sampled matrix's (b, -c, d); see the decisions
-    ledger for the reading of the printed closed form.
+    gauss_sum with the slots (b, -c, d) of the sampled matrix evaluates
+    sum over g = h mod N, g mod dN of e(b Q(g) / dN^2), and the paper
+    gives it for the whole lattice as d^r nu(gamma, h) =
+    d^r e(Q(h) ab/N^2) eps(d), r = rank/2, eps(d) = ((-1)^r det / d), the
+    multiplier of _multiplier.  gauss_sum multiplies local closed forms,
+    one per Jordan block over Z_p, so the residual checks the global
+    formula against the local ones.
     """
     _require_gamma0(form, gamma)
     zero = (0,) * form.rank
@@ -503,11 +507,11 @@ _LAWS = {
         check_gauss_closed_form(s.form, g, h, s.tol)),
 }
 LAW_IDS = tuple(_LAWS)
-# c^rank no longer measures a Gauss sum's cost: gauss_sum sums each
-# Jordan block over the points of its unit part, (p^e/p^v)^size.  The cap
-# stays for two reasons: its test runs before _pick_tau draws from the
-# campaign rng, so deleting it moves every later draw, and the benchmark's
-# note parser test expects the "Gauss sum too large" notes it gives on E8.
+# No Gauss sum is costly: gauss_sum takes one closed form per Jordan
+# block, whatever c^rank.  The cap stays only because its test runs
+# before _pick_tau draws from the campaign rng, so deleting it moves every
+# later draw, and because the benchmark's tests (perfbench/tests) pin the
+# "Gauss sum too large" notes it gives on E8.
 _GAUSS_SUM_CAP = 1_000_000
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from theta_forge.lattice import (
     ENUMERATION_BUDGET,
-    _GAUSS_BLOCK,
     CongruenceClass,
     EnumerationBudgetError,
     InvalidFormError,
@@ -200,6 +199,9 @@ def gauss_sum_bruteforce(form, a, d, c, h, q):
     return total
 
 
+_CHUNK = 1 << 13  # points per int64 chunk of the two Gauss loops below
+
+
 def gauss_sum_walk(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex:
     """sum over g = h mod N, g mod cN of e((a Q(g) + d Q(q) + g'Aq) / cN^2).
 
@@ -210,7 +212,7 @@ def gauss_sum_walk(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex
     floating point.  With g = h + N w, w in [0, c)^rank, the numerator is
     a Q(h) + d Q(q) + h'Aq + N (a Ah + Aq)'w + a N^2 Q(w).  Everything that
     depends on h, q, a or d is reduced mod cN^2 in Python integers, so the
-    walk over w runs in int64 blocks of _GAUSS_BLOCK points; the residues
+    walk over w runs in int64 blocks of _CHUNK points; the residues
     mod cN^2 are counted exactly and the counts summed against one table
     of exponentials.  c must be positive.  Before anything is allocated,
     OverflowError is raised when an int64 intermediate could pass 2^62,
@@ -240,13 +242,33 @@ def gauss_sum_walk(form: QuadraticForm, a: int, d: int, c: int, h, q) -> complex
     aq = N * N * (a % c)  # a N^2 Q(w) mod cN^2 needs Q(w) mod c only
     points = c ** f
     counts = np.zeros(M, dtype=np.int64)
-    for start in range(0, points, _GAUSS_BLOCK):
-        idx = np.arange(start, min(start + _GAUSS_BLOCK, points), dtype=np.int64)
+    for start in range(0, points, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, points), dtype=np.int64)
         w = [idx // c ** (f - 1 - i) % c for i in range(f)]
         qw = sum(u * w[i] * w[j] for i, j, u in quad if u) % c
         num = const + sum(lin[i] * w[i] for i in range(f)) + aq * qw
         counts += np.bincount(num % M, minlength=M)
     return complex(counts @ np.exp(2j * np.pi * np.arange(M) / M))
+
+
+def unit_block_loop(quad, lin, Q: int) -> complex:
+    """sum over y mod Q of e((y'quad y + lin'y)/Q) for one block of
+    lattice._jordan_blocks (quad upper-triangular), point by point.
+
+    The loop the library's closed forms replaced: each point's exact
+    residue r = y'((quad y + lin) mod Q) mod Q is an int64, read off one
+    table of e(r/Q), _CHUNK points at a time; Q^size must stay below
+    ENUMERATION_BUDGET and Q below 2^26.
+    """
+    quad, lin = np.array(quad, dtype=np.int64), np.array(lin, dtype=np.int64)
+    n = len(lin)
+    if Q ** n > ENUMERATION_BUDGET or Q >= 1 << 26:
+        raise EnumerationBudgetError(f"{Q}^{n} block points exceed the oracle's reach")
+    table, total = np.exp(2j * np.pi / Q * np.arange(Q)), 0j
+    for start in range(0, Q ** n, _CHUNK):
+        y = np.array(np.unravel_index(np.arange(start, min(start + _CHUNK, Q ** n)), (Q,) * n))
+        total += table[(y * ((quad @ y + lin[:, None]) % Q)).sum(axis=0) % Q].sum()
+    return complex(total)
 
 
 def gauss_orthogonality_residual_loop(form, b):

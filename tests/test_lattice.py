@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from contextlib import nullcontext
@@ -30,6 +31,7 @@ from theta_forge.lattice import (
     minimal_vector,
     unit_insertion_vector,
     _bareiss,
+    _unit_block,
 )
 from theta_forge.modforms import ThetaSpec, theta_expand
 
@@ -51,6 +53,7 @@ from oracles import (
     quad_value_twice,
     skewed_basis,
     unimodular_pair,
+    unit_block_loop,
 )
 
 _CATALOG_FORMS = {name: catalog_form(name) for name in CATALOG}
@@ -1234,34 +1237,36 @@ class TestGaussSum:
                 gauss_sum(a2, 1, 5, 2, (0, 0), h)
 
     def test_c_past_int64_residues(self):
-        # c = 2^9 5^9: one 2x2 block of 2^18 points and two 1x1 blocks of
-        # 5^9 points, where the walk refused residues mod cN^2 past int64
+        # c = 2^9 5^9: one 2x2 block mod 2^9 and two 1x1 blocks mod 5^9,
+        # where the walk refused residues mod cN^2 past int64
         phi = gauss_sum(catalog_form("A2"), 1, 1, 10 ** 9, (0, 0), (0, 0))
         assert abs(abs(phi) / 10 ** 9 - 1) < 1e-9
 
     def test_budget_refused(self):
-        # a prime above the budget is refused unfactored; E8 at c = 2^12
-        # splits into four 2x2 blocks of 2^24 points each; both before
-        # anything is allocated
-        for name, c in (("A2", 2 ** 31 - 1), ("E8", 2 ** 12)):
-            form = catalog_form(name)
-            tracemalloc.start()
-            try:
-                with pytest.raises(EnumerationBudgetError):
-                    gauss_sum(form, 1, 1, c, (0,) * form.rank, (0,) * form.rank)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+        # a prime above the budget is refused unfactored, before anything
+        # is allocated; E8 at c = 2^12, four 2x2 blocks mod 2^12 that a
+        # point loop refused at 2^24 points each, is four closed forms
+        a2 = catalog_form("A2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError):
+                gauss_sum(a2, 1, 1, 2 ** 31 - 1, (0, 0), (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        phi = gauss_sum(catalog_form("E8"), 1, 1, 2 ** 12, (0,) * 8, (0,) * 8)
+        assert abs(abs(phi) / 2 ** 48 - 1) < 1e-12
 
     def test_e8_past_the_walk(self):
-        # 49^8 points for the walk; eight 1x1 blocks of 49 points here
+        # 49^8 points for the walk; eight 1x1 blocks mod 49 here
         phi = gauss_sum(catalog_form("E8"), 1, 1, 49, (0,) * 8, (0,) * 8)
         assert abs(abs(phi) / 49 ** 4 - 1) < 1e-9
 
     # moduli with 1x1 and 2x2 blocks at 2, blocks at 3, 5 and 7, and CRT;
-    # 64, 81 and 125 (rank 2 only) strip blocks to deeper unit parts
-    WALK_C = (2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 12, 18, 24, 30, 64, 81, 125)
+    # 64, 81 and 125 (rank 2 only) strip blocks to deeper unit parts, 210
+    # puts four primes in one CRT and 243 gives odd m = 5 at p = 3
+    WALK_C = (2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 12, 18, 24, 30, 64, 81, 125, 210, 243)
     # random forms: orthogonal sums of these, with odd and even
     # off-diagonals, in a basis mixed by column operations
     WALK_BLOCKS = tuple(
@@ -1315,8 +1320,8 @@ class TestGaussSum:
         "name, c, size", [("A2", 3_999_971, 3_999_971), ("A1A1", 2 ** 22, 2 ** 23)], ids=["A2", "A1A1"]
     )
     def test_unit_block_memory(self, name, c, size):
-        # two 1x1 blocks of c points each, at the prime 3,999,971 and at 2^22,
-        # summed chunk by chunk, where a count per residue held 32 MB
+        # two 1x1 blocks mod c, at the prime 3,999,971 and at 2^22, where a
+        # count per residue held 32 MB
         tracemalloc.start()
         try:
             phi = gauss_sum(catalog_form(name), 1, 1, c, (0, 0), (0, 0))
@@ -1326,10 +1331,9 @@ class TestGaussSum:
         assert peak < 8 << 20
         assert abs(abs(phi) / size - 1) < 1e-9
 
-    def test_budget_counts_stripped_points(self):
-        # A1A1 with a = 2^10 at c = 2^25: each 1x1 block is 2^10 times a sum
-        # over 2^15 points, so 2^16 points are summed where the unstripped
-        # blocks have 2^26, past the budget
+    def test_stripped_blocks_and_float_range(self):
+        # A1A1 with a = 2^10 at c = 2^25: each 1x1 block is 2^10 times a
+        # unit block mod 2^15
         a1a1 = catalog_form("A1A1")
         phi = gauss_sum(a1a1, 2 ** 10, 1, 2 ** 25, (0, 0), (0, 0))
         assert abs(abs(phi) / 2 ** 36 - 1) < 1e-12
@@ -1338,3 +1342,28 @@ class TestGaussSum:
         assert gauss_sum(a1a1, 2 ** 470, 1, 2 ** 470, (0, 0), (0, 0)) == 2 ** 940
         with pytest.raises(EnumerationBudgetError):
             gauss_sum(a1a1, 2 ** 520, 1, 2 ** 520, (0, 0), (0, 0))
+
+    @pytest.mark.parametrize("kind", ["odd", "two", "pair"])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_block_closed_forms(self, kind, data):
+        # each closed form against the point loop it replaced: a 1x1 block
+        # u y^2 + b y at p = 3, 5, 7, 11 (m <= 4) and at 2 (m <= 12, either
+        # parity of b), and a unit 2x2 block at 2 (m <= 7), Gram
+        # [[2a, c], [c, 2b]] with c odd, so det = 4ab - c^2 is 3 mod 8 for
+        # odd ab and 7 mod 8 for even ab
+        p = data.draw(st.sampled_from((3, 5, 7, 11))) if kind == "odd" else 2
+        Q = p ** data.draw(st.integers(0, {"odd": 4, "two": 12, "pair": 7}[kind]))
+        residue = st.integers(0, Q - 1)
+        if kind == "pair":
+            quad = [[data.draw(residue), 2 * data.draw(residue) + 1], [0, data.draw(residue)]]
+        else:
+            quad = [[p * data.draw(residue) + data.draw(st.integers(1, p - 1))]]
+        lin = [data.draw(residue) for _ in quad]
+        loop, block = unit_block_loop(quad, lin, Q), _unit_block(quad, lin, Q)
+        assert (block is None) == (abs(loop) < 1e-9)
+        if block is not None:
+            norm, phase = block
+            assert isinstance(norm, int) and isinstance(phase, Fraction)
+            assert abs(abs(loop) / math.sqrt(norm) - 1) < 1e-9
+            assert abs(loop / abs(loop) - cmath.exp(2j * math.pi * phase)) < 1e-9
