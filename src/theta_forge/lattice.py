@@ -29,6 +29,8 @@ counts) of int64 arrays, its distinct keys (e, t...) ascending, from
 the walk's blocks through every fold, and the form keeps those arrays,
 read-only, as a Histogram: insertion_histogram hands out views of them
 and every theta sum reads them, so no dict {(e, t...): count} is built.
+The forms on c*A (scaled) and, at det 1, on A^-1 (dual) are images of A:
+their histograms are A's, mapped exactly, so they are never walked.
 Every walk, histogram, fiber or vector query, enters one walker that
 refuses it before allocating: EnumerationBudgetError above
 ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
@@ -185,7 +187,9 @@ class QuadraticForm:
     matrix.
     """
 
-    __slots__ = ("gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual", "_scaled", "_fibers")
+    __slots__ = (
+        "gram", "rank", "det", "level", "inverse_gram", "_lll", "_cells", "_dual", "_scaled", "_fibers", "_image",
+    )
 
     def __init__(self, gram):
         rows = [tuple(row) for row in gram]
@@ -226,6 +230,10 @@ class QuadraticForm:
         self._lll = None
         # the fiber walks' splits along rows of that basis (see _fibration)
         self._fibers = {}
+        # (base, c, T, T^-1) when gram = c T'(base.gram)T with T unimodular:
+        # insertion_histogram serves the form from base's histograms (see
+        # scaled and dual); base has no image of its own
+        self._image = None
 
     @classmethod
     def _kernel(cls, gram, det):
@@ -238,7 +246,7 @@ class QuadraticForm:
         """
         form = cls.__new__(cls)
         form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
-        form._cells, form._dual, form._scaled, form._lll, form._fibers = {}, None, {}, None, {}
+        form._cells, form._dual, form._scaled, form._lll, form._fibers, form._image = {}, None, {}, None, {}, None
         return form
 
     @property
@@ -292,23 +300,46 @@ class QuadraticForm:
         disc = self.det if self.half_rank % 2 == 0 else -self.det
         return kronecker_symbol(disc, n)
 
+    def _base_image(self):
+        """(base, c, T, T^-1) of the form's image, (self, 1, I, I) when it
+        has none."""
+        eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        return self._image or (self, 1, eye, eye)
+
     def dual(self) -> "QuadraticForm":
         """Form on the adjugate matrix det(A) * A^-1; always integral and even.
 
-        Built once per form, so the dual sums keep their histograms too.
+        Built once per form and kept.  At det 1 the adjugate is A^-1 =
+        T'AT with T = A^-1 and T^-1 = A, so the dual is an image of this
+        form (composed with this form's own image, if any) and
+        insertion_histogram serves its sums from the base form's
+        histograms: an even unimodular lattice is its own dual, and no
+        walk of it is made twice.  Any other dual is a form of its own,
+        which keeps its histograms as every form does.
         """
         if self._dual is None:
-            self._dual = QuadraticForm(
-                [[int(self.det * x) for x in row] for row in self.inverse_gram]
-            )
+            adj = [[int(self.det * x) for x in row] for row in self.inverse_gram]
+            dual = QuadraticForm(adj)
+            if self.det == 1:
+                base, c, T, Tinv = self._base_image()
+                T = tuple(tuple(sum(map(mul, row, col)) for col in zip(*adj)) for row in T)
+                Tinv = tuple(tuple(sum(map(mul, row, col)) for col in zip(*Tinv)) for row in self.gram)
+                dual._image = (base, c, T, Tinv)
+            self._dual = dual
         return self._dual
 
     def scaled(self, c: int) -> "QuadraticForm":
-        """Form on c * A for a positive integer c, built once per c and kept,
-        as dual() is, so the rescale law's walks of it keep their reduced
-        basis, fibers and histograms."""
+        """Form on c * A for a positive integer c, built once per c and kept.
+
+        It is an image of this form (T = I, composed with this form's own
+        image, if any), so insertion_histogram serves the rescale law's
+        sums over cA from the base form's histograms and never walks cA.
+        """
         if c not in self._scaled:
-            self._scaled[c] = QuadraticForm([[c * x for x in row] for row in self.gram])
+            scaled = QuadraticForm([[c * x for x in row] for row in self.gram])
+            base, c0, T, Tinv = self._base_image()
+            scaled._image = (base, c * c0, T, Tinv)
+            self._scaled[c] = scaled
         return self._scaled[c]
 
     def congruence_classes(self):
@@ -316,8 +347,14 @@ class QuadraticForm:
 
         A h = 0 mod N exactly when h = N A^-1 y for an integer y, so the
         classes are the closure of the rows of the symmetric N A^-1 mod N
-        under addition: at most det * rank steps, not N^rank.
+        under addition: at most det * rank steps, not N^rank.  Refused with
+        EnumerationBudgetError before anything is allocated when det passes
+        ENUMERATION_BUDGET.
         """
+        if self.det > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"{self.det} congruence classes exceed budget {ENUMERATION_BUDGET:.2e}"
+            )
         N, f = self.level, self.rank
         gens = [tuple(int(N * x) % N for x in row) for row in self.inverse_gram]
         seen = {(0,) * f}
@@ -953,25 +990,36 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
 
     Keys are (e, t_1, ..., t_m) with e = Q(z) and t_i = weight_i . z, all
     exact integers; values count the vectors landing in the cell.  The
-    result is a read-only Histogram over the arrays the walk returned,
-    which the form keeps per slice (scale, h0) and then per weights, and
-    no dict is built: a kept histogram of the slice with at least this
-    bound serves the call, cut at the bound on its ascending e column,
-    when it has the same weights, or, when none are asked for, with its
-    weights summed out by one _tally_cells.  ValueError on entry for
-    bound < 0, scale < 1, or an h0 or a weight row whose length is not
-    the rank.
+    result is a read-only Histogram over the arrays a walk returned, and
+    no dict is built.  ValueError on entry for bound < 0, scale < 1, or
+    an h0 or a weight row whose length is not the rank.
 
-    Every slice goes through _slice_cells: with any number of weight rows
-    (a complex insertion vector has two, and a dual sum adds a residue
-    row) it is walked fiber by fiber along one coordinate of the reduced
-    basis, carrying the rows into the kernel walks, or along its one
-    nonzero row, recursively through the kernels, wherever the estimated
-    cost says so, and directly otherwise.  The walk keeps a memo of the
-    kernel cosets it has built, for this call only, so each distinct
-    kernel coset, up to sign, is walked once; nothing of it is kept on
-    the form.  Either way the histogram is the direct walk's exactly.
-    Every slice and every walk is refused before allocating:
+    The call is served from the store of the form's base (the form itself
+    unless it is an image: gram = c T'(base gram) T, see scaled and dual),
+    mapped exactly: z = T^-1 y for y in the base's slice T h0 mod scale +
+    scale*Z^f, Q(z) = c Q_base(y) <= bound exactly when Q_base(y) <=
+    bound // c, and each weight w . z is g (w T^-1 / g) . y, the row asked
+    as its primitive part (g = 1 for a zero row).  So a form, c times it
+    and, at det 1, its dual share one histogram per slice and primitive
+    row.  The base's histogram comes back with its e column times c and
+    each t column times its g; both are positive, so the rows stay in
+    ascending order, and OverflowError is raised before multiplying when
+    a product could pass 2^62.
+
+    The base keeps its histograms per slice (scale, h0) and then per
+    weights: a kept histogram of the slice with at least the bound serves
+    the call, cut at the bound on its ascending e column, when it has the
+    same weights, or, when none are asked for, with its weights summed out
+    by one _tally_cells.  Otherwise the slice goes through _slice_cells:
+    with any number of weight rows (a complex insertion vector has two,
+    and a dual sum adds a residue row) it is walked fiber by fiber along
+    one coordinate of the reduced basis, carrying the rows into the kernel
+    walks, or along its one nonzero row, recursively through the kernels,
+    wherever the estimated cost says so, and directly otherwise.  The walk
+    keeps a memo of the kernel cosets it has built, for this call only, so
+    each distinct kernel coset, up to sign, is walked once; nothing of it
+    is kept on the form.  Either way the histogram is the direct walk's
+    exactly.  Every slice and every walk is refused before allocating:
     EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
     OverflowError when an int64 partial could overflow.
     """
@@ -981,6 +1029,25 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     weights = tuple(tuple(int(x) for x in wrow) for wrow in weights)
     if len(h0) != form.rank or any(len(wrow) != form.rank for wrow in weights):
         raise ValueError(f"h0 and every weight row must have length {form.rank}, the rank")
+    base, c, rows = form, 1, weights
+    if form._image is not None:
+        base, c, T, Tinv = form._image
+        h0 = tuple(sum(map(mul, row, h0)) % scale for row in T)
+        rows = [tuple(sum(map(mul, w, col)) for col in zip(*Tinv)) for w in weights]
+    factors = [c] + [math.gcd(*w) or 1 for w in rows]
+    hist = _kept_histogram(base, bound // c, scale, h0, tuple(tuple(x // g for x in w) for w, g in zip(rows, factors[1:])))
+    if factors == [1] * len(factors):
+        return hist
+    tops = np.abs(hist.rows).max(axis=0).tolist() if len(hist) else [0] * len(factors)
+    if any(g * top > 2 ** 62 for g, top in zip(factors, tops)):
+        raise OverflowError(f"histogram columns times {factors} could pass 2^62 in int64")
+    factors = [g if top else 1 for g, top in zip(factors, tops)]
+    return Histogram(hist.rows * np.array(factors, dtype=np.int64), hist.counts)
+
+
+def _kept_histogram(form: QuadraticForm, bound: int, scale: int, h0, weights) -> Histogram:
+    """insertion_histogram's slice of a form with no image, from the form's
+    store, or walked by _slice_cells and kept."""
     kept = form._cells.setdefault((scale, h0), {})
     for w2, (b2, hist) in kept.items():
         if b2 >= bound and (w2 == weights or not weights):

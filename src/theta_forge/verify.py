@@ -328,11 +328,13 @@ def check_rescale(
     After that rewrite the two sides are the same terms: <v, z> under cA
     over cN is <v, z> under A over N, and c tau Q_cA(z)/(cN)^2 is
     tau Q_A(z)/N^2, so each side is the sum over z in h + N Z^f of
-    P(<v, z>/N) e(tau Q(z)/N^2).  The check therefore compares the walk
-    of cA (its own reduced basis, fibers and truncation at tol/c^f)
-    against the walk of A (truncated at tol), not two different series.
-    cA is the form's kept scaled(c), so later checks at the same c reuse
-    its reduction, fibers and histograms.
+    P(<v, z>/N) e(tau Q(z)/N^2).  cA is the form's kept scaled(c), an
+    image of A, so its coset is A's histogram of h + N Z^f read at bound
+    // c with e times c: the check sums one histogram of A twice, at the
+    truncations tol/c^f (right) and tol (left), and checks the rescaled
+    exponents, prefactor and truncation, not an independent walk of cA.
+    That a histogram of cA equals a walk of a form built on c A is
+    checked in the tests.
     """
     if c <= 0:
         raise ValueError("rescale factor c must be positive")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -374,6 +375,26 @@ class TestVerifyLaws:
         assert time.perf_counter() - start < 10
         assert json.loads(out) == {"reports": []}
         assert "exceed budget" in err
+
+    def test_huge_det_refused_in_a_child_process(self, tmp_path):
+        # det 4 * 10^9 - 1: the congruence classes are refused before they
+        # are built, so the run prints its error and exits 2; it used to
+        # grow the class set until the process was killed.  The child gets
+        # 2 GiB of address space, so a regression fails instead of filling
+        # the machine's memory
+        path = tmp_path / "huge_det.json"
+        path.write_text(json.dumps({"gram": [[2 * 10 ** 9, 1], [1, 2]]}))
+        src = str(Path(theta_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, OMP_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["verify-laws", "--lattice", str(path), "--laws", "all", "--count", "1"]
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "theta_forge", *argv], env=env, capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert time.monotonic() - start < 20
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and "congruence classes exceed budget" in done.stderr
 
 
     def test_walk_past_budget_keeps_the_campaign(self, capsys, tmp_path):

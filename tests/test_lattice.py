@@ -321,6 +321,24 @@ class TestCongruenceClasses:
         reps = [h.rep for h in form.congruence_classes()]
         assert reps == sorted(product(range(0, 4036, 2), *[(0, 2018)] * 3))
 
+    def test_refused_before_allocating(self, monkeypatch):
+        # det 4 * 10^4 - 1 against a budget of 10^4: the closure would hold
+        # det classes.  The budget is lowered so that a closure built by
+        # mistake stays small; the CLI test refuses det 4 * 10^9 - 1 at the
+        # real budget in a child process
+        form = QuadraticForm([[2 * 10 ** 4, 1], [1, 2]])
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 10 ** 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError):
+                form.congruence_classes()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 4 * 10 ** 4)
+        assert len(form.congruence_classes()) == form.det
+
     def test_invalid_class_rejected(self):
         a2 = catalog_form("A2")
         with pytest.raises(ValueError):
@@ -1096,6 +1114,63 @@ class TestClassSlices:
         assert sum(insertion_histogram(scaled, bound, weights=weights).values()) == direct
         assert len(walks) > 1 and all(rank < 8 for rank, _, _ in walks)
         assert sum(met for _, _, met in walks) < most
+
+
+# the catalog forms and a skewed E8 basis, whose dual maps through a
+# non-identity T
+_IMAGE_BASES = [CATALOG[name] for name in sorted(CATALOG)] + [skewed_basis(CATALOG["E8"], 100)[0]]
+
+
+class TestImages:
+    # c*A and, at det 1, the dual of A are images of A, served from A's
+    # histograms (QuadraticForm.scaled and dual); each is checked against a
+    # form built fresh on the same Gram matrix, which has no image and so
+    # walks for itself.
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_image_matches_fresh_walk(self, data):
+        # images composed of one to three steps, a random coset, a bound
+        # that c need not divide, and zero to two weight rows, some with
+        # content > 1; then a lower bound, cut from what the first call kept
+        form = QuadraticForm(data.draw(st.sampled_from(_IMAGE_BASES)))
+        image = form
+        for step in data.draw(st.lists(st.sampled_from(("scaled", "dual")), min_size=1, max_size=3)):
+            image = image.dual() if step == "dual" and image.det == 1 else image.scaled(data.draw(st.integers(1, 4)))
+        base, c, _, _ = image._image
+        assert base is form
+        f = form.rank
+        scale = data.draw(st.integers(1, 4))
+        h0 = data.draw(st.lists(st.integers(-6, 6), min_size=f, max_size=f))
+        entry = st.integers(-2, 2)
+        weights = [
+            tuple(data.draw(st.sampled_from((1, 2, 3))) * x for x in data.draw(st.lists(entry, min_size=f, max_size=f)))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+        fresh = QuadraticForm(image.gram)
+        assert fresh._image is None
+        top = 5 if f == 8 else 30
+        bound = c * data.draw(st.integers(0, top)) + data.draw(st.integers(0, c - 1))
+        for b in (bound, data.draw(st.integers(0, bound))):
+            got = insertion_histogram(image, b, scale=scale, h0=h0, weights=weights)
+            want = insertion_histogram(fresh, b, scale=scale, h0=h0, weights=weights)
+            assert got.rows.dtype == got.counts.dtype == np.int64
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.counts, want.counts)
+        assert not image._cells and fresh._cells
+
+    def test_mapped_columns_refuse_int64_overflow(self):
+        a2 = catalog_form("A2")
+        # the primitive row (1, 0) reaches t = 3 on A2 at bound 10, and
+        # 3 * 2^61 passes 2^62; 3 * 2^59 does not
+        with pytest.raises(OverflowError):
+            insertion_histogram(a2.scaled(2), 20, weights=((2 ** 61, 0),))
+        assert max(insertion_histogram(a2.scaled(2), 20, weights=((2 ** 59, 0),)))[1] == 3 * 2 ** 59
+        # e = c Q(y) with Q(y) = 2 at y = (1, 1) on A1A1: 2 * 2^62 passes
+        # 2^62, 2 * 2^61 does not
+        a1a1 = catalog_form("A1A1")
+        with pytest.raises(OverflowError):
+            insertion_histogram(a1a1.scaled(2 ** 62), 2 ** 63)
+        assert max(insertion_histogram(a1a1.scaled(2 ** 61), 2 ** 62))[0] == 2 ** 62
 
 
 class TestReducedBasis:

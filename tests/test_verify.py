@@ -302,6 +302,32 @@ class TestInversion:
         assert 1 <= len(duals) <= k // 2 + 1
         assert all(walked is form.dual() for walked in duals)
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_e8_walks_no_slice_of_its_dual(self, monkeypatch, k):
+        # E8 has det 1, so E8.dual() is an image of E8 (T = A^-1): the right
+        # side's dual sum reads E8's histograms, and neither a top-level
+        # slice nor any direct walk is made of the dual form
+        e8 = catalog_form("E8")
+        dual = QuadraticForm(e8.dual().gram)
+        slices, walks = [], []
+        slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
+
+        def slicing(walked, bound, scale, h0, weights, memo=None):
+            slices.append(walked)
+            return slice_cells(walked, bound, scale, h0, weights, memo)
+
+        def counting(walked, bound, scale, h0, weights):
+            walks.append(walked)
+            return leaf_chunks(walked, bound, scale, h0, weights)
+
+        monkeypatch.setattr(lattice, "_slice_cells", slicing)
+        monkeypatch.setattr(lattice, "_leaf_chunks", counting)
+        res = check_inversion_law(e8, CongruenceClass.zero(e8), unit_insertion_vector(e8), k, 0.4 + 0.9j, 1e-8)
+        assert res.passed, res.residual
+        assert walks and e8 in slices
+        assert dual not in slices and dual not in walks
+        assert not e8.dual()._cells
+
     def test_large_index_rejected(self):
         h = A2.congruence_classes()[0]
         with pytest.raises(ValueError):
@@ -424,16 +450,21 @@ class TestTranslationRescale:
         ],
     )
     def test_two_walks_per_rescale_check(self, monkeypatch, name, vector, k, c):
-        # the left side's slice h + N Z^f of A and the right side's one
-        # coset h + N Z^f of cA: two top-level slices, fibered or direct,
-        # and no walk of a class h + N w + cN Z^f of cA
+        # cA is an image of A (QuadraticForm.scaled): the right side's one
+        # coset h + N Z^f of cA is A's slice h + N Z^f read at bound // c,
+        # and the left side cuts that same histogram at its own bound, so
+        # the check makes one top-level slice of A, fibered or direct, and
+        # walks no slice of cA, neither the coset nor any class of it.  The
+        # right side is summed first, so the slice is walked a second time,
+        # to a higher bound, only where the left side's bound passes the
+        # right side's: D4 at k = 4, c = 3 (28 against 24)
         form = catalog_form(name)
         v = _insertion(form, vector)
         slices, walks = [], []
         slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
 
         def slicing(walked, bound, scale, h0, weights, memo=None):
-            slices.append((walked, scale, h0))
+            slices.append((walked, scale, h0, bound))
             return slice_cells(walked, bound, scale, h0, weights, memo)
 
         def counting(walked, bound, scale, h0, weights):
@@ -447,9 +478,12 @@ class TestTranslationRescale:
         assert res.passed, res.residual
         N = form.level
         scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
-        assert [(s, h0) for walked, s, h0 in slices if walked == form] == [(N, h.rep)]
-        assert [(s, h0) for walked, s, h0 in slices if walked == scaled] == [(N, h.rep)]
-        assert walks and not any(walked == scaled and s == c * N for walked, s in walks)
+        tops = [(s, h0, bound) for walked, s, h0, bound in slices if walked == form]
+        assert [(s, h0) for s, h0, _ in tops] == [(N, h.rep)] * (1 + ((name, k, c) == ("D4", 4, 3)))
+        assert [bound for _, _, bound in tops] == sorted({bound for _, _, bound in tops})
+        assert walks and not any(walked == scaled for walked, *_ in slices)
+        assert not any(walked == scaled for walked, _ in walks)
+        assert not form.scaled(c)._cells
 
     @pytest.mark.parametrize(
         "name, vector, k, c",
