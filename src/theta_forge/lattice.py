@@ -24,11 +24,14 @@ the class, gives exactly the direct walk's histogram.  Every kernel
 coset comes back through the same entry and is fibered in turn while
 the estimated cost says so, and within one slice walk each distinct
 kernel coset, up to sign, is walked once: sibling classes reach the
-same cosets, and -h is h negated.  A slice comes back as one pair (keys,
-counts) of int64 arrays, its distinct keys (e, t...) ascending, from
-the walk's blocks through every fold, and the form keeps those arrays,
-read-only, as a Histogram: insertion_histogram hands out views of them
-and every theta sum reads them, so no dict {(e, t...): count} is built.
+same cosets, and the coset -h is h's vectors negated, so each class
+names its own coset and the walk's memo, the one place where h and -h
+are folded, serves both, as the plan prices them.  A slice comes back
+as one pair (keys, counts) of int64 arrays, its distinct keys (e, t...)
+ascending, from the walk's blocks through every fold, and the form
+keeps those arrays, read-only, as a Histogram: insertion_histogram
+hands out views of them and every theta sum reads them, so no dict
+{(e, t...): count} is built.
 The forms on c*A (scaled) and, at det 1, on A^-1 (dual) are images of A:
 their histograms are A's, mapped exactly, so they are never walked.
 Every walk, histogram, fiber or vector query, enters one walker that
@@ -242,7 +245,8 @@ class QuadraticForm:
 
         Built without the public checks and without an elimination: a walk
         needs only the Gram matrix, the rank, the determinant (given) and
-        _reduced; the inverse and the level are left unset.
+        _reduced; the inverse and the level are left unset, and the repr is
+        this call.
         """
         form = cls.__new__(cls)
         form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
@@ -379,6 +383,8 @@ class QuadraticForm:
         return hash(self.gram)
 
     def __repr__(self):
+        if not hasattr(self, "level"):  # a kernel form (_kernel) has no level
+            return f"QuadraticForm._kernel({self.gram!r}, {self.det})"
         return f"QuadraticForm(rank={self.rank}, det={self.det}, level={self.level})"
 
 
@@ -721,35 +727,44 @@ def _norm_step(gram, scale: int, hy) -> int:
     return math.gcd(scale * lin, scale * scale * n)
 
 
+def _unsigned(h, scale: int):
+    """The coset h + scale*Z^f up to sign: the lesser of h and -h, as tuples
+    reduced mod scale (h is reduced).  The coset -h holds the negatives of
+    h's vectors, the same norms with every t negated, so the planner prices
+    one walk per name and the walk's memo walks one (_kernel_cells)."""
+    return min(h, tuple(-x % scale for x in h))
+
+
 def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
-    """Yield (cost, fibration, hy, fibers, classes, mirror, rows), the plan
-    for walking the slice h0 + scale*Z^f (y = hy + scale*Z^f in the
-    reduced basis) fiber by fiber, along each direction priced: the
-    coordinate y_j with the smallest D_j/(R_j + 1), the lowest j on a tie,
-    whose D_j = adj_jj/gcd(row j of adj) kernel classes serve the most
-    fibers |s| <= R_j = isqrt(2 bound adj_jj // det); then, when the slice
-    has exactly one nonzero weight row a, a itself.  Nothing along a
-    direction where no residue class of fibers repeats (then the direct
-    walk meets no more vectors) or where the classes' set-up alone costs
-    the direct walk's cost or the budget, and nothing at rank 1.
+    """Yield (cost, fibration, fibers, classes, rows), the plan for walking
+    the slice h0 + scale*Z^f (y = hy + scale*Z^f in the reduced basis)
+    fiber by fiber, along each direction priced: the coordinate y_j with
+    the smallest D_j/(R_j + 1), the lowest j on a tie, whose
+    D_j = adj_jj/gcd(row j of adj) kernel classes serve the most fibers
+    |s| <= R_j = isqrt(2 bound adj_jj // det); then, when the slice has
+    exactly one nonzero weight row a, a itself.  Nothing along a direction
+    where no residue class of fibers repeats (then the direct walk meets
+    no more vectors) or where the classes' set-up alone costs the direct
+    walk's cost or the budget, and nothing at rank 1.
 
     With (x0, s0) = V^-1 hy, x runs over x0 + scale*Z^(f-1) and the fiber
     s over s0 + scale*Z with s^2 sn/sd <= bound, so u = D x + s D c runs
-    over the kernel coset D x0 + s D c + scale*D*Z^(f-1), which depends on
-    s mod scale*D only: D classes.  When 2 hy = 0 mod scale the classes of
-    s and -s are mirror images (u -> -u) and share one walk.  classes maps
-    each class key to its smallest |s|, whose kernel bound the walk takes.
-    rows holds (w_x, w_s) = w V for each weight row w (in reduced
-    coordinates), so w y = w_x x + w_s s: along a itself w_x = 0 and
-    w_s = g, and every row with w_x != 0 is carried into the kernel walks
-    (_fibered_cells).  The cost is the estimated leaves of those walks,
-    each with its set-up, the kernel's reduction when it has none yet, and
-    the fold: _FOLD_FIBER per fiber and _FOLD_PAIR per fold pair (a kernel
-    cell on one fiber).  A fiber has at most one cell per norm, the norms
-    e in [s^2 sn/sd, bound] that are Q(h0) mod _norm_step, times 2 T + 1
-    per carried row, whose |t| <= T = isqrt(2 bound w adj w' // det) by
-    Cauchy-Schwarz; and the pairs are at most about est, the slice's
-    estimated points, in all.
+    over the kernel coset h + scale*D*Z^(f-1), h = D x0 + s D c mod
+    scale*D, which depends on s mod scale*D only: D classes.  classes maps
+    each class s mod scale*D to (s, h) for its smallest |s|.  One walk
+    serves all classes whose cosets are equal up to sign (_unsigned), at
+    the kernel bound of their smallest |s|, as the walk's memo serves
+    them (_kernel_cells).  rows holds (w_x, w_s) = w V for each weight row
+    w (in reduced coordinates), so w y = w_x x + w_s s: along a itself
+    w_x = 0 and w_s = g, and every row with w_x != 0 is carried into the
+    kernel walks (_fibered_cells).  The cost is the estimated leaves of
+    those walks, one per coset up to sign, each with its set-up, the
+    kernel's reduction when it has none yet, and the fold: _FOLD_FIBER per
+    fiber and _FOLD_PAIR per fold pair (a kernel cell on one fiber).  A
+    fiber has at most one cell per norm, the norms e in [s^2 sn/sd, bound]
+    that are Q(h0) mod _norm_step, times 2 T + 1 per carried row, whose
+    |t| <= T = isqrt(2 bound w adj w' // det) by Cauchy-Schwarz; and the
+    pairs are at most about est, the slice's estimated points, in all.
     """
     f, r = form.rank, form.rank - 1
     if f < 2:
@@ -764,7 +779,6 @@ def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: 
     rowed = [w for w in wy if any(w)]
     if len(rowed) == 1 and rowed[0] != directions[0]:
         directions.append(rowed[0])
-    mirror = all(2 * x % scale == 0 for x in hy)
     step = _norm_step(gram, scale, hy)
     for a in directions:
         fib = _fibration(form, a)
@@ -777,11 +791,15 @@ def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: 
         if least >= len(fibers) or least * _WALK_SETUP * r >= min(direct, ENUMERATION_BUDGET):
             continue
         mod = scale * D
-        classes: dict = {}
-        # the smallest |s| of every class lies within D fibers of s0
+        x0 = [sum(map(mul, row, hy)) for row in fib.Vinv[:-1]]
+        # in ascending |s|, so each class and each coset up to sign first
+        # meets its smallest |s|, which lies within D fibers of s0
+        classes, walks = {}, {}
         at = fibers.index(s0)
         for s in sorted(fibers[max(0, at - D - 1):at + D + 1], key=abs):
-            classes.setdefault(min(s % mod, -s % mod) if mirror else s % mod, s)
+            if s % mod not in classes:
+                classes[s % mod] = s, tuple((D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc))
+                walks.setdefault(_unsigned(classes[s % mod][1], mod), s)
         # the norms of all fibers, sum_s (bound - s^2 sn/sd)/step + 1, by the
         # sum of the squares of the progression, times the values of each
         # carried row's t
@@ -796,12 +814,12 @@ def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: 
                 wadj = sum(map(mul, w, (sum(map(mul, w, col)) for col in adj)))
                 cells *= 2 * math.isqrt(2 * bound * wadj // form.det) + 1
         cost = _FOLD_FIBER * F + _FOLD_PAIR * min(cells, est)
-        cost += _WALK_SETUP * r * len(classes)
+        cost += _WALK_SETUP * r * len(walks)
         if fib._kernel is None or fib._kernel._lll is None:
             cost += _KERNEL_SETUP * r ** 3
-        for s in classes.values():
+        for s in walks.values():
             cost += _ellipsoid_points(r, fib.kdet, fib.kbound(bound, s), mod)
-        yield cost, fib, hy, fibers, classes, mirror, tuple(rows)
+        yield cost, fib, fibers, classes, tuple(rows)
 
 
 def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: float, direct: float):
@@ -811,40 +829,37 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
 
 
 def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None):
-    """The slice's (keys, counts) by the fibered plan: one kernel coset per
-    class, from the walk's memo or through _slice_cells (_kernel_cells),
-    folded into every fiber of the class in exact integers.  memo is the
-    enclosing top-level walk's, a new one when none is given.
+    """The slice's (keys, counts) by the fibered plan: each class's own
+    kernel coset, signed, from the walk's memo or through _slice_cells
+    (_kernel_cells), folded into every fiber of the class in exact
+    integers.  memo is the enclosing top-level walk's, a new one when none
+    is given.
 
     Each carried weight row (w_x != 0) enters the kernel walks as w_x, so
     a kernel cell keys t_K = w_x u, and the fiber s of u = D x + s D c
     gets t = w x + w_s s = (t_K - s w_x D c)/D + w_s s; for a row not
     carried, such as the row split along, the first term is 0 and
-    t = w_s s.  A fiber whose class walk is of its mirror image (u -> -u)
-    negates its t_K.  The fold runs in numpy over every (fiber, kernel
-    cell) pair at once: the classes' kernel cells, each class's
-    ascending, are concatenated, each fiber cuts its class's at its own
+    t = w_s s.  The fold runs in numpy over every (fiber, kernel cell)
+    pair at once: the classes' kernel cells, each class's ascending, are
+    concatenated, each fiber cuts its class's at its own
     kernel bound (np.searchsorted), e = (m sd + s^2 sn D^2)/(D^2 sd) and
     every t must divide exactly (ArithmeticError otherwise), and one
     _tally_cells counts each pair as often as its kernel cell.  Before the
     fold, OverflowError when e D^2 sd, s w_x D c or w_s s could pass 2^62
     in int64.
     """
-    _, fib, hy, fibers, classes, mirror, rows = plan
+    _, fib, fibers, classes, rows = plan
     D, sn, sd = fib.D, fib.sn, fib.sd
     mod = scale * D
-    x0 = [sum(v * h for v, h in zip(row, hy)) for row in fib.Vinv[:-1]]
-    reps = list(classes.values())
-    cosets = [tuple((D * x + s * dc) % mod for x, dc in zip(x0, fib.Dc)) for s in reps]
     carried = tuple(wx for wx, _ in rows if any(wx))
     memo = {} if memo is None else memo
-    walks = [_kernel_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried, memo) for s, h in zip(reps, cosets)]
+    walks = [_kernel_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried, memo) for s, h in classes.values()]
     s_top = max(map(abs, fibers))
     shifts = [sum(x * dc for x, dc in zip(wx, fib.Dc)) for wx, _ in rows]
     if max([D * D * bound * sd] + [s_top * max(abs(c), abs(ws)) for c, (_, ws) in zip(shifts, rows)]) > 2 ** 62:
         raise OverflowError(f"fold of the fibers to bound {bound} could pass 2^62 in int64")
     index = {key: i for i, key in enumerate(classes)}
-    which = np.array([index[min(s % mod, -s % mod) if mirror else s % mod] for s in fibers], dtype=np.intp)
+    which = np.array([index[s % mod] for s in fibers], dtype=np.intp)
     kbounds = np.array([fib.kbound(bound, s) for s in fibers], dtype=np.int64)
     cuts = np.zeros(len(fibers), dtype=np.int64)
     for i, (keys, _) in enumerate(walks):
@@ -858,15 +873,11 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None)
     if rem.any():
         bad = int(np.flatnonzero(rem)[0])
         raise ArithmeticError(f"Q_K = {K[idx[bad], 0]} on fiber s = {S[rep[bad]]} gives a non-integral norm")
-    if mirror and carried:
-        flip = np.array([s % mod != reps[i] % mod for s, i in zip(fibers, which.tolist())])[rep]
     ts, col = [], 1
     for (wx, ws), shift in zip(rows, shifts):
         t = ws * S[rep]
         if any(wx):
             tk, col = K[idx, col], col + 1
-            if mirror:
-                tk = np.where(flip, -tk, tk)
             q, rem = np.divmod(tk - shift * S[rep], D)
             if rem.any():
                 bad = int(np.flatnonzero(rem)[0])
@@ -880,18 +891,19 @@ def _kernel_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo
     """A class's kernel coset for _fibered_cells, as _slice_cells gives it
     but to at least bound (the fold cuts each fiber at its own kernel
     bound on the ascending e column), built at most once per top-level
-    walk up to sign.
+    walk up to sign: the one place where h0 and -h0 are folded.
 
-    Sibling classes of a fibered walk, and their kernels in turn, reach
-    the same cosets of the same kernel forms, and the coset -h0 holds the
-    negatives of h0's vectors: the same norms, every t negated.  So memo
-    maps (form, scale, h, weights), h the lesser of h0 (a tuple reduced
-    mod scale) and -h0, to the largest bound h was walked to and its
+    Classes s and -s of a fibered walk, sibling classes, and their kernels
+    in turn reach the same cosets of the same kernel forms, up to sign.
+    So memo maps (form, scale, h, weights), h = _unsigned(h0, scale) (h0 a
+    tuple reduced mod scale), to the largest bound h was walked to and its
     arrays: a repeat at that bound or lower is served as they are, a
-    higher bound walks h again, and the mirror negates the t columns and
-    restores ascending order with one _tally_cells.
+    higher bound walks h again, and when h0 is -h it gets h's arrays with
+    the t columns negated, in ascending order again after one
+    _tally_cells.  The planner prices one walk per _unsigned name
+    (_fiber_plans).
     """
-    h = min(h0, tuple(-x % scale for x in h0))
+    h = _unsigned(h0, scale)
     key = (form, scale, h, weights)
     if key not in memo or memo[key][0] < bound:
         memo[key] = (bound, *_slice_cells(form, bound, scale, h, weights, memo))
@@ -921,11 +933,11 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo=
     cheaper, down to a direct walk.  Folded exactly, the fibers give the
     direct walk's histogram, and every leaf, fold pair and cell of a plan
     is a distinct vector of the slice.  memo holds the kernel cosets the
-    top-level walk has built (_kernel_cells): the outermost fibered call,
-    given none, makes it, every kernel walk below shares it, and it is
-    dropped on return, so each distinct kernel coset, up to sign, is
-    walked once per slice walk and nothing outlives the walk.  The cheaper
-    plan is taken unless the direct walk, at its estimated points plus
+    top-level walk has built, each up to sign (_kernel_cells): the
+    outermost fibered call, given none, makes it, every kernel walk below
+    shares it, and it is dropped on return, so each distinct kernel coset,
+    up to sign, is walked once per slice walk, as its plan priced it, and
+    nothing outlives the walk.  The cheaper plan is taken unless the direct walk, at its estimated points plus
     _WALK_SETUP per level, costs no more.  A kernel's plan never costs
     more than the direct walk the enclosing slice counted for it, so the
     chosen plan's cost bounds the whole recursion, and it is refused

@@ -748,16 +748,71 @@ class TestFiberedWalk:
         assert cells == _direct_cells(form, bound, weights, scale, h0)
         assert mirror == {(e, *(-t for t in ts)): n for (e, *ts), n in cells.items()}
 
-    @pytest.mark.parametrize("bound, rowed, most", [(20, True, 12_000), (40, False, 8_000)])
-    def test_each_kernel_coset_walked_once(self, monkeypatch, bound, rowed, most):
-        # E8 along its first root to q^21, and plain through q^40: sibling
-        # classes reach the same cosets of the same kernels, and a coset's
-        # mirror -h holds its vectors negated, so one histogram walks each
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plan_prices_what_the_fold_walks(self, data):
+        # every plan priced, with the cost constants at zero, over catalog
+        # and skewed even forms of rank 2, 4 and 8, half-period cosets
+        # (2 h0 = 0 mod scale, whose classes s and -s have kernel cosets h
+        # and -h) and general ones, and zero to two random rows: the fold
+        # gives the direct walk's histogram, and one level down it walks
+        # each (kernel, scale, h up to sign, rows) once, as many walks as
+        # the plan has classes up to sign, at the kernel bounds the plan
+        # priced them at (its cost is then their estimated points alone)
+        f = data.draw(st.sampled_from((2, 4, 8)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100))))
+        form = QuadraticForm(congruent_gram(base, u))
+        half = data.draw(st.booleans())
+        scale = data.draw(st.sampled_from((2, 4)) if half else st.integers(1, 4))
+        top = {2: 30, 4: 10, 8: 5}[f] * scale * scale
+        bound = top - data.draw(st.integers(0, top // 2))
+        h0 = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=f, max_size=f)))
+        if half:
+            h0 = tuple(x * scale // 2 for x in h0)
+        row = st.lists(st.integers(-3, 3), min_size=f, max_size=f).map(tuple)
+        weights = tuple(data.draw(st.lists(row, max_size=2)))
+        expect = _direct_cells(form, bound, weights, scale, h0)
+        slice_cells, walked = lattice._slice_cells, []
+
+        def spy(kernel, bound, scale, h0, weights, memo=None):
+            if kernel is fib.kernel:
+                walked.append(((scale, lattice._unsigned(h0, scale), weights), bound))
+            return slice_cells(kernel, bound, scale, h0, weights, memo)
+
+        with patch.multiple(lattice, **_EAGER):
+            for plan in _plans(form, bound, weights, scale, h0):
+                _, fib, _, classes, _ = plan
+                walked.clear()
+                with patch.object(lattice, "_slice_cells", spy):
+                    assert _as_dict(*lattice._fibered_cells(form, bound, scale, plan)) == expect
+                keys = [key for key, _ in walked]
+                assert len(keys) == len(set(keys)) == len({lattice._unsigned(h, scale * fib.D) for _, h in classes.values()})
+                kernel = fib.kernel
+                priced = sum(lattice._ellipsoid_points(kernel.rank, kernel.det, b, key[0]) for key, b in walked)
+                assert plan[0] == pytest.approx(priced)
+
+    @pytest.mark.parametrize(
+        "name, h0, bound, rowed, vectors, most",
+        [
+            pytest.param("E8", None, 20, True, 11_513_521, 12_000, id="20-True-12000"),
+            pytest.param(
+                "E8", None, 40, False, sum(240 * divisor_sigma(3, n) for n in range(1, 41)) + 1, 8_000, id="40-False-8000"
+            ),
+            # D4's half-period class at scale 2: 24,824 vectors, as the float walk counts them
+            pytest.param("D4", (0, 0, 1, 1), 200, True, 24_824, 100, id="D4-half-period"),
+        ],
+    )
+    def test_each_kernel_coset_walked_once(self, monkeypatch, name, h0, bound, rowed, vectors, most):
+        # E8 along its first root to q^21, and plain through q^40, and the
+        # class (0, 0, 1, 1) of D4 along its first root: sibling classes
+        # reach the same cosets of the same kernels, and a coset's mirror
+        # -h holds its vectors negated, so one histogram walks each
         # (kernel, scale, h up to sign, rows) once and serves every repeat
-        # from the walk's memo, meeting 8,485 and 4,477 leaves; walked
-        # class by class they met 30,089 and 29,568
-        e8 = catalog_form("E8")
-        weights = unit_insertion_vector(e8).integral_weights(e8)[1] if rowed else ()
+        # from the walk's memo; E8 meets 8,485 and 4,477 leaves, where
+        # walked class by class it met 30,089 and 29,568
+        form = catalog_form(name)
+        weights = unit_insertion_vector(form).integral_weights(form)[1] if rowed else ()
         walks = []
         leaf_chunks = lattice._leaf_chunks
 
@@ -770,8 +825,8 @@ class TestFiberedWalk:
             walks.append(((form.gram, scale, h, weights), met))
 
         monkeypatch.setattr(lattice, "_leaf_chunks", counting)
-        cells = insertion_histogram(e8, bound, weights=weights)
-        assert sum(cells.values()) == (11_513_521 if rowed else sum(240 * divisor_sigma(3, n) for n in range(1, 41)) + 1)
+        cells = insertion_histogram(form, bound, scale=form.level, h0=h0, weights=weights)
+        assert sum(cells.values()) == vectors
         keys = [key for key, _ in walks]
         assert len(walks) > 1 and len(set(keys)) == len(keys)
         assert sum(met for _, met in walks) < most
@@ -934,6 +989,14 @@ class TestFiberedWalk:
         assert len(enumerate_upto(a3, 1)) == 13
         with pytest.raises(InvalidFormError):
             QuadraticForm(a3.gram)
+
+    def test_kernel_form_repr(self):
+        # a kernel form is a memo key, so a failing assertion prints it: its
+        # repr is the call that rebuilds it, and a public form's is unchanged
+        kernel = lattice._fibration(catalog_form("E8"), (1,) + (0,) * 7).kernel
+        assert repr(kernel).startswith("QuadraticForm._kernel(((")
+        assert eval(repr(kernel), {"QuadraticForm": QuadraticForm}) == kernel
+        assert repr(catalog_form("E8")) == "QuadraticForm(rank=8, det=1, level=1)"
 
     def _refusing_ranks(self, monkeypatch, form, bound, weights, error):
         ranks = []

@@ -669,10 +669,14 @@ class TestCampaign:
     # sha256 of the canonical JSON of the (law, inputs) pairs and the notes
     # of an all-law campaign at count 3, seed 0: it pins the order in which
     # the laws draw matrices, tau points, classes and rescale factors from
-    # the shared rng.  Residuals are platform floats and stay out.
+    # the shared rng.  Residuals are platform floats and stay out.  D4 and
+    # E8 are the benchmark campaigns' lattices, 2A2 the catalog's largest det.
     DRAW_DIGESTS = {
         "A2": "416d4cab2fdbdcee7f670bef6609b55142b1f760149bd745a8e6b695f32429f3",
         "A1A1": "90382ea2d5d5f51569088aa58ce9c759b2cca7df3be5eb1b70d62eb5cba64790",
+        "D4": "eff65376bda46caee113a057435e403d492400b074f0f068d25e886477c732e7",
+        "2A2": "a148ee07ca042685ebe414498040c5a50c6094c3b150c3fea05c8e6ef3256d7e",
+        "E8": "838ea9d03073b7820fd5291d35bf26a0c4c6aab96badca21f0c5f20da7d25f6e",
     }
 
     @pytest.mark.parametrize("name", sorted(DRAW_DIGESTS))
