@@ -22,16 +22,16 @@ forms, Eichler-Zagier, 1985, Thm 5.1), so one kernel coset per residue
 class, carrying the weights' kernel parts and folded into each fiber of
 the class, gives exactly the direct walk's histogram.  Every kernel
 coset comes back through the same entry and is fibered in turn while
-the estimated cost says so, and within one slice walk each distinct
-kernel coset, up to sign, is walked once: sibling classes reach the
-same cosets, and the coset -h is h's vectors negated, so each class
-names its own coset and the walk's memo, the one place where h and -h
-are folded, serves both, as the plan prices them.  A slice comes back
-as one pair (keys, counts) of int64 arrays, its distinct keys (e, t...)
-ascending, from the walk's blocks through every fold, and the form
-keeps those arrays, read-only, as a Histogram: insertion_histogram
-hands out views of them and every theta sum reads them, so no dict
-{(e, t...): count} is built.
+the estimated cost says so.  Every slice, a public form's or a kernel
+coset, is read through its form's one store (_kept_histogram), which
+names it up to sign: the coset -h is h's vectors negated, so h and -h
+share one walk, and sibling classes, later fibered walks and later
+calls reach the same cosets of the same kernel forms without walking
+them again.  A slice comes back as one pair (keys, counts) of int64
+arrays, its distinct keys (e, t...) ascending, from the walk's blocks
+through every fold, and the form keeps those arrays, read-only, as a
+Histogram: insertion_histogram hands out views of them and every theta
+sum reads them, so no dict {(e, t...): count} is built.
 The forms on c*A (scaled) and, at det 1, on A^-1 (dual) are images of A:
 their histograms are A's, mapped exactly, so they are never walked.
 Every walk, histogram, fiber or vector query, enters one walker that
@@ -224,7 +224,7 @@ class QuadraticForm:
         if any((n0 * self.inverse_gram[i][i]) % 2 for i in range(f)):
             n0 *= 2
         self.level = n0
-        # insertion histograms built for this form: (scale, h0) -> {weights: (bound, Histogram)}
+        # slice histograms built for this form: (scale, h up to sign) -> {weights: (bound, Histogram)}
         self._cells = {}
         self._dual = None
         # the forms on c*A, c -> form (see scaled)
@@ -246,7 +246,8 @@ class QuadraticForm:
         Built without the public checks and without an elimination: a walk
         needs only the Gram matrix, the rank, the determinant (given) and
         _reduced; the inverse and the level are left unset, and the repr is
-        this call.
+        this call.  Like a public form it keeps its cosets' histograms in
+        _cells (_kept_histogram), for as long as its _Fibration keeps it.
         """
         form = cls.__new__(cls)
         form.gram, form.rank, form.det = tuple(map(tuple, gram)), len(gram), det
@@ -731,7 +732,7 @@ def _unsigned(h, scale: int):
     """The coset h + scale*Z^f up to sign: the lesser of h and -h, as tuples
     reduced mod scale (h is reduced).  The coset -h holds the negatives of
     h's vectors, the same norms with every t negated, so the planner prices
-    one walk per name and the walk's memo walks one (_kernel_cells)."""
+    one walk per name and a form's store keeps one (_kept_histogram)."""
     return min(h, tuple(-x % scale for x in h))
 
 
@@ -753,8 +754,8 @@ def _fiber_plans(form: QuadraticForm, bound: int, scale: int, h0, weights, est: 
     scale*D, which depends on s mod scale*D only: D classes.  classes maps
     each class s mod scale*D to (s, h) for its smallest |s|.  One walk
     serves all classes whose cosets are equal up to sign (_unsigned), at
-    the kernel bound of their smallest |s|, as the walk's memo serves
-    them (_kernel_cells).  rows holds (w_x, w_s) = w V for each weight row
+    the kernel bound of their smallest |s|, as the kernel's store keeps
+    them (_kept_histogram).  rows holds (w_x, w_s) = w V for each weight row
     w (in reduced coordinates), so w y = w_x x + w_s s: along a itself
     w_x = 0 and w_s = g, and every row with w_x != 0 is carried into the
     kernel walks (_fibered_cells).  The cost is the estimated leaves of
@@ -828,32 +829,29 @@ def _fiber_plan(form: QuadraticForm, bound: int, scale: int, h0, weights, est: f
     return min(_fiber_plans(form, bound, scale, h0, weights, est, direct), key=lambda plan: plan[0], default=None)
 
 
-def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None):
+def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan):
     """The slice's (keys, counts) by the fibered plan: each class's own
-    kernel coset, signed, from the walk's memo or through _slice_cells
-    (_kernel_cells), folded into every fiber of the class in exact
-    integers.  memo is the enclosing top-level walk's, a new one when none
-    is given.
+    kernel coset, signed, from the kernel form's store (_kept_histogram),
+    folded into every fiber of the class in exact integers.
 
     Each carried weight row (w_x != 0) enters the kernel walks as w_x, so
     a kernel cell keys t_K = w_x u, and the fiber s of u = D x + s D c
     gets t = w x + w_s s = (t_K - s w_x D c)/D + w_s s; for a row not
     carried, such as the row split along, the first term is 0 and
     t = w_s s.  The fold runs in numpy over every (fiber, kernel cell)
-    pair at once: the classes' kernel cells, each class's ascending, are
-    concatenated, each fiber cuts its class's at its own
-    kernel bound (np.searchsorted), e = (m sd + s^2 sn D^2)/(D^2 sd) and
-    every t must divide exactly (ArithmeticError otherwise), and one
-    _tally_cells counts each pair as often as its kernel cell.  Before the
-    fold, OverflowError when e D^2 sd, s w_x D c or w_s s could pass 2^62
-    in int64.
+    pair at once: the classes' kernel cells, each class's ascending and
+    read to the kernel bound of its smallest |s|, are concatenated, each
+    fiber cuts its class's at its own kernel bound (np.searchsorted),
+    e = (m sd + s^2 sn D^2)/(D^2 sd) and every t must divide exactly
+    (ArithmeticError otherwise), and one _tally_cells counts each pair as
+    often as its kernel cell.  Before the fold, OverflowError when
+    e D^2 sd, s w_x D c or w_s s could pass 2^62 in int64.
     """
     _, fib, fibers, classes, rows = plan
     D, sn, sd = fib.D, fib.sn, fib.sd
     mod = scale * D
     carried = tuple(wx for wx, _ in rows if any(wx))
-    memo = {} if memo is None else memo
-    walks = [_kernel_cells(fib.kernel, fib.kbound(bound, s), mod, h, carried, memo) for s, h in classes.values()]
+    walks = [_kept_histogram(fib.kernel, fib.kbound(bound, s), mod, h, carried) for s, h in classes.values()]
     s_top = max(map(abs, fibers))
     shifts = [sum(x * dc for x, dc in zip(wx, fib.Dc)) for wx, _ in rows]
     if max([D * D * bound * sd] + [s_top * max(abs(c), abs(ws)) for c, (_, ws) in zip(shifts, rows)]) > 2 ** 62:
@@ -862,10 +860,10 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None)
     which = np.array([index[s % mod] for s in fibers], dtype=np.intp)
     kbounds = np.array([fib.kbound(bound, s) for s in fibers], dtype=np.int64)
     cuts = np.zeros(len(fibers), dtype=np.int64)
-    for i, (keys, _) in enumerate(walks):
-        cuts[which == i] = np.searchsorted(keys[:, 0], kbounds[which == i], side="right")
-    starts = np.cumsum([0] + [len(n) for _, n in walks])[which]
-    K = np.concatenate([keys for keys, _ in walks])
+    for i, hist in enumerate(walks):
+        cuts[which == i] = np.searchsorted(hist.rows[:, 0], kbounds[which == i], side="right")
+    starts = np.cumsum([0] + [len(hist) for hist in walks])[which]
+    K = np.concatenate([hist.rows for hist in walks])
     S = np.array(fibers, dtype=np.int64)
     rep = np.repeat(np.arange(len(S)), cuts)
     idx = np.arange(int(cuts.sum())) + np.repeat(starts - np.cumsum(cuts) + cuts, cuts)
@@ -884,36 +882,10 @@ def _fibered_cells(form: QuadraticForm, bound: int, scale: int, plan, memo=None)
                 raise ArithmeticError(f"weight row {wx} on fiber s = {S[rep[bad]]} gives a non-integral weight")
             t += q
         ts.append(t)
-    return _tally_cells([e, *ts], np.concatenate([n for _, n in walks])[idx])
+    return _tally_cells([e, *ts], np.concatenate([hist.counts for hist in walks])[idx])
 
 
-def _kernel_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo):
-    """A class's kernel coset for _fibered_cells, as _slice_cells gives it
-    but to at least bound (the fold cuts each fiber at its own kernel
-    bound on the ascending e column), built at most once per top-level
-    walk up to sign: the one place where h0 and -h0 are folded.
-
-    Classes s and -s of a fibered walk, sibling classes, and their kernels
-    in turn reach the same cosets of the same kernel forms, up to sign.
-    So memo maps (form, scale, h, weights), h = _unsigned(h0, scale) (h0 a
-    tuple reduced mod scale), to the largest bound h was walked to and its
-    arrays: a repeat at that bound or lower is served as they are, a
-    higher bound walks h again, and when h0 is -h it gets h's arrays with
-    the t columns negated, in ascending order again after one
-    _tally_cells.  The planner prices one walk per _unsigned name
-    (_fiber_plans).
-    """
-    h = _unsigned(h0, scale)
-    key = (form, scale, h, weights)
-    if key not in memo or memo[key][0] < bound:
-        memo[key] = (bound, *_slice_cells(form, bound, scale, h, weights, memo))
-    _, keys, counts = memo[key]
-    if h == h0 or not weights:
-        return keys, counts
-    return _tally_cells([keys[:, 0], *(-keys[:, 1:].T)], counts)
-
-
-def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo=None):
+def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     """The histogram of z = h0 + scale*u with Q(z) <= bound as a pair
     (keys, counts) of int64 arrays: keys (n, width) in ascending order
     with no repeated rows, (e, t...) with t = weight . z, and counts the
@@ -932,12 +904,11 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo=
     through this entry, so kernels are fibered in turn wherever that is
     cheaper, down to a direct walk.  Folded exactly, the fibers give the
     direct walk's histogram, and every leaf, fold pair and cell of a plan
-    is a distinct vector of the slice.  memo holds the kernel cosets the
-    top-level walk has built, each up to sign (_kernel_cells): the
-    outermost fibered call, given none, makes it, every kernel walk below
-    shares it, and it is dropped on return, so each distinct kernel coset,
-    up to sign, is walked once per slice walk, as its plan priced it, and
-    nothing outlives the walk.  The cheaper plan is taken unless the direct walk, at its estimated points plus
+    is a distinct vector of the slice.  Each kernel coset is read from the
+    kernel form's store (_kept_histogram), so each distinct kernel coset,
+    up to sign, is walked once, at the bound its plan priced, and again
+    only when a later plan asks it for a higher bound.  The cheaper plan
+    is taken unless the direct walk, at its estimated points plus
     _WALK_SETUP per level, costs no more.  A kernel's plan never costs
     more than the direct walk the enclosing slice counted for it, so the
     chosen plan's cost bounds the whole recursion, and it is refused
@@ -954,7 +925,7 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights, memo=
             raise EnumerationBudgetError(
                 f"estimated cost {plan[0]:.2e} of the fibered walk exceeds budget {ENUMERATION_BUDGET:.2e}"
             )
-        return _fibered_cells(form, bound, scale, plan, memo)
+        return _fibered_cells(form, bound, scale, plan)
     blocks = [_tally_cells([e, *ts]) for e, ts in _leaf_chunks(form, bound, scale, h0, weights)]
     if len(blocks) == 1:
         return blocks[0]
@@ -1018,19 +989,18 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
     ascending order, and OverflowError is raised before multiplying when
     a product could pass 2^62.
 
-    The base keeps its histograms per slice (scale, h0) and then per
-    weights: a kept histogram of the slice with at least the bound serves
-    the call, cut at the bound on its ascending e column, when it has the
-    same weights, or, when none are asked for, with its weights summed out
-    by one _tally_cells.  Otherwise the slice goes through _slice_cells:
-    with any number of weight rows (a complex insertion vector has two,
-    and a dual sum adds a residue row) it is walked fiber by fiber along
-    one coordinate of the reduced basis, carrying the rows into the kernel
-    walks, or along its one nonzero row, recursively through the kernels,
-    wherever the estimated cost says so, and directly otherwise.  The walk
-    keeps a memo of the kernel cosets it has built, for this call only, so
-    each distinct kernel coset, up to sign, is walked once; nothing of it
-    is kept on the form.  Either way the histogram is the direct walk's
+    The base keeps its histograms in its store (_kept_histogram) per
+    slice, named up to sign, and then per weights: a kept histogram of
+    the slice with at least the bound serves the call, cut at the bound,
+    and h0 + scale*u and -h0 share it.  Otherwise the slice goes through
+    _slice_cells: with any number of weight rows (a complex insertion
+    vector has two, and a dual sum adds a residue row) it is walked fiber
+    by fiber along one coordinate of the reduced basis, carrying the rows
+    into the kernel walks, or along its one nonzero row, recursively
+    through the kernels, wherever the estimated cost says so, and directly
+    otherwise.  Every kernel coset is kept in its kernel form's store the
+    same way, so it is walked once, up to sign, for as long as the form
+    keeps its splits.  Either way the histogram is the direct walk's
     exactly.  Every slice and every walk is refused before allocating:
     EnumerationBudgetError above ENUMERATION_BUDGET estimated points,
     OverflowError when an int64 partial could overflow.
@@ -1058,17 +1028,35 @@ def insertion_histogram(form: QuadraticForm, bound: int, *, scale: int = 1, h0=N
 
 
 def _kept_histogram(form: QuadraticForm, bound: int, scale: int, h0, weights) -> Histogram:
-    """insertion_histogram's slice of a form with no image, from the form's
-    store, or walked by _slice_cells and kept."""
-    kept = form._cells.setdefault((scale, h0), {})
-    for w2, (b2, hist) in kept.items():
-        if b2 >= bound and (w2 == weights or not weights):
-            cut = int(hist.rows[:, 0].searchsorted(bound, side="right"))
-            rows, counts = hist.rows[:cut], hist.counts[:cut]
-            return Histogram(rows, counts) if w2 == weights else Histogram(*_tally_cells([rows[:, 0]], counts))
-    hist = Histogram(*_slice_cells(form, bound, scale, h0, weights))
-    kept[weights] = (bound, hist)
-    return hist
+    """The slice h0 + scale*Z^f of a form with no image, to bound, from the
+    form's store, or walked by _slice_cells and kept: the one cache of
+    slice histograms, for public and kernel forms alike.
+
+    The store keys a slice by (scale, h), h = _unsigned(h0 mod scale), and
+    then by weights, and keeps the largest bound walked and its Histogram.
+    A kept histogram with at least the bound serves the call, cut at the
+    bound on its ascending e column, when it has the same weights, or,
+    when none are asked for, with its weights summed out by one
+    _tally_cells; otherwise h is walked and kept.  When h0 is -h the call
+    gets h's rows with the t columns negated, in ascending order again
+    after one _tally_cells: the one place where h and -h are folded.
+    """
+    h0 = tuple(x % scale for x in h0)
+    h = _unsigned(h0, scale)
+    kept = form._cells.setdefault((scale, h), {})
+    top, hist = kept.get(weights, (-1, None))
+    if top < bound and not weights:
+        top, hist = next(((b2, hist2) for b2, hist2 in kept.values() if b2 >= bound), (top, hist))
+    if top < bound:
+        hist = Histogram(*_slice_cells(form, bound, scale, h, weights))
+        kept[weights] = (bound, hist)
+    cut = int(hist.rows[:, 0].searchsorted(bound, side="right"))
+    rows, counts = hist.rows[:cut], hist.counts[:cut]
+    if rows.shape[1] > 1 + len(weights):
+        return Histogram(*_tally_cells([rows[:, 0]], counts))
+    if h == h0 or not weights:
+        return Histogram(rows, counts)
+    return Histogram(*_tally_cells([rows[:, 0], *(-rows[:, 1:].T)], counts))
 
 
 def _tally_cells(cols, counts=None):

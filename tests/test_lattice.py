@@ -517,6 +517,25 @@ class TestHistogram:
         small = insertion_histogram(d4, 4)
         assert small == {k: v for k, v in big.items() if k[0] <= 4}
 
+    def test_one_walk_per_coset_up_to_sign(self, monkeypatch):
+        # (1, 2), (4, 5) and (-2, -1) name one coset of A2 mod 3 and (2, 1)
+        # its mirror: the first call walks A2 once, and the other three read
+        # the form's store, (2, 1) with its t column negated
+        a2 = catalog_form("A2")
+        tops = []
+        slice_cells = lattice._slice_cells
+
+        def spy(walked, bound, scale, h0, weights):
+            if walked is a2:
+                tops.append((bound, scale, h0, weights))
+            return slice_cells(walked, bound, scale, h0, weights)
+
+        monkeypatch.setattr(lattice, "_slice_cells", spy)
+        for h0 in ((1, 2), (4, 5), (-2, -1), (2, 1)):
+            got = insertion_histogram(a2, 60, scale=3, h0=h0, weights=((1, 0),))
+            assert got == _direct_cells(catalog_form("A2"), 60, ((1, 0),), 3, h0)
+        assert tops == [(60, 3, (1, 2), ((1, 0),))]
+
     def test_callers_cannot_change_kept_histograms(self, monkeypatch):
         # every histogram handed out is a read-only view of the kept arrays:
         # the walk's own result, an exact kept hit, a smaller bound cut out
@@ -725,13 +744,14 @@ class TestFiberedWalk:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_memo_matches_direct(self, data):
+    def test_store_matches_direct(self, data):
         # with the cost constants at zero the recursion goes as deep as its
-        # estimates allow, and the walk's memo serves every kernel coset it
-        # meets again, or its mirror: over catalog and skewed even forms of
-        # rank 2, 4 and 8, random cosets h0 + scale Z^f and zero to two
-        # random rows, the slice's histogram is the direct walk's exactly,
-        # and that of -h0 is h0's with every t negated
+        # estimates allow, and every kernel coset it meets again, or its
+        # mirror, is read from the kernel form's store: over catalog and
+        # skewed even forms of rank 2, 4 and 8, random cosets h0 + scale Z^f
+        # and zero to two random rows, the slice's histogram is the direct
+        # walk's exactly; then -h0 and h0 + scale u are served from the
+        # form's store without a walk, -h0 as h0's with every t negated
         f = data.draw(st.sampled_from((2, 4, 8)))
         base = data.draw(st.sampled_from(_EVEN_BASES[f]))
         u, _ = _draw_skewed(data, base, data.draw(st.sampled_from((0, 100))))
@@ -742,11 +762,17 @@ class TestFiberedWalk:
         h0 = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=f, max_size=f)))
         row = st.lists(st.integers(-3, 3), min_size=f, max_size=f).map(tuple)
         weights = tuple(data.draw(st.lists(row, max_size=2)))
+        shift = tuple(x + scale * k for x, k in zip(h0, data.draw(st.lists(st.integers(-2, 2), min_size=f, max_size=f))))
+        direct = _direct_cells(form, bound, weights, scale, h0)
         with patch.multiple(lattice, **_EAGER):
-            cells = _as_dict(*lattice._slice_cells(form, bound, scale, h0, weights))
-            mirror = _as_dict(*lattice._slice_cells(form, bound, scale, tuple(-x for x in h0), weights))
-        assert cells == _direct_cells(form, bound, weights, scale, h0)
-        assert mirror == {(e, *(-t for t in ts)): n for (e, *ts), n in cells.items()}
+            cells = lattice._kept_histogram(form, bound, scale, h0, weights)
+            with patch.object(lattice, "_leaf_chunks", side_effect=AssertionError("walked")) as walk:
+                mirror = lattice._kept_histogram(form, bound, scale, tuple(-x for x in h0), weights)
+                shifted = lattice._kept_histogram(form, bound, scale, shift, weights)
+        assert not walk.called
+        assert _as_dict(cells.rows, cells.counts) == direct
+        assert _as_dict(mirror.rows, mirror.counts) == {(e, *(-t for t in ts)): n for (e, *ts), n in direct.items()}
+        assert _as_dict(shifted.rows, shifted.counts) == direct
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -775,10 +801,10 @@ class TestFiberedWalk:
         expect = _direct_cells(form, bound, weights, scale, h0)
         slice_cells, walked = lattice._slice_cells, []
 
-        def spy(kernel, bound, scale, h0, weights, memo=None):
+        def spy(kernel, bound, scale, h0, weights):
             if kernel is fib.kernel:
                 walked.append(((scale, lattice._unsigned(h0, scale), weights), bound))
-            return slice_cells(kernel, bound, scale, h0, weights, memo)
+            return slice_cells(kernel, bound, scale, h0, weights)
 
         with patch.multiple(lattice, **_EAGER):
             for plan in _plans(form, bound, weights, scale, h0):
@@ -809,7 +835,7 @@ class TestFiberedWalk:
         # reach the same cosets of the same kernels, and a coset's mirror
         # -h holds its vectors negated, so one histogram walks each
         # (kernel, scale, h up to sign, rows) once and serves every repeat
-        # from the walk's memo; E8 meets 8,485 and 4,477 leaves, where
+        # from the kernel form's store; E8 meets 8,485 and 4,477 leaves, where
         # walked class by class it met 30,089 and 29,568
         form = catalog_form(name)
         weights = unit_insertion_vector(form).integral_weights(form)[1] if rowed else ()
@@ -991,8 +1017,9 @@ class TestFiberedWalk:
             QuadraticForm(a3.gram)
 
     def test_kernel_form_repr(self):
-        # a kernel form is a memo key, so a failing assertion prints it: its
-        # repr is the call that rebuilds it, and a public form's is unchanged
+        # a kernel form is what a walk spy records, so a failing assertion
+        # prints it: its repr is the call that rebuilds it, and a public
+        # form's is unchanged
         kernel = lattice._fibration(catalog_form("E8"), (1,) + (0,) * 7).kernel
         assert repr(kernel).startswith("QuadraticForm._kernel(((")
         assert eval(repr(kernel), {"QuadraticForm": QuadraticForm}) == kernel

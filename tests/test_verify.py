@@ -284,12 +284,12 @@ class TestInversion:
         top, depth = [], [0]
         slice_cells = lattice._slice_cells
 
-        def slicing(walked, bound, scale, h0, weights, memo=None):
+        def slicing(walked, bound, scale, h0, weights):
             if not depth[0]:
                 top.append((walked, scale, h0))
             depth[0] += 1
             try:
-                return slice_cells(walked, bound, scale, h0, weights, memo)
+                return slice_cells(walked, bound, scale, h0, weights)
             finally:
                 depth[0] -= 1
 
@@ -297,7 +297,7 @@ class TestInversion:
         k = 4
         res = check_inversion_law(form, h, v, k, 0.4 + 0.9j, 1e-8)
         assert res.passed, res.residual
-        assert [(s, h0) for walked, s, h0 in top if walked is form] == [(form.level, h.rep)]
+        assert [(s, h0) for walked, s, h0 in top if walked is form] == [(form.level, lattice._unsigned(h.rep, form.level))]
         duals = [walked for walked, _, _ in top if walked is not form]
         assert 1 <= len(duals) <= k // 2 + 1
         assert all(walked is form.dual() for walked in duals)
@@ -312,9 +312,9 @@ class TestInversion:
         slices, walks = [], []
         slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
 
-        def slicing(walked, bound, scale, h0, weights, memo=None):
+        def slicing(walked, bound, scale, h0, weights):
             slices.append(walked)
-            return slice_cells(walked, bound, scale, h0, weights, memo)
+            return slice_cells(walked, bound, scale, h0, weights)
 
         def counting(walked, bound, scale, h0, weights):
             walks.append(walked)
@@ -463,9 +463,9 @@ class TestTranslationRescale:
         slices, walks = [], []
         slice_cells, leaf_chunks = lattice._slice_cells, lattice._leaf_chunks
 
-        def slicing(walked, bound, scale, h0, weights, memo=None):
+        def slicing(walked, bound, scale, h0, weights):
             slices.append((walked, scale, h0, bound))
-            return slice_cells(walked, bound, scale, h0, weights, memo)
+            return slice_cells(walked, bound, scale, h0, weights)
 
         def counting(walked, bound, scale, h0, weights):
             walks.append((walked, scale))
@@ -479,7 +479,7 @@ class TestTranslationRescale:
         N = form.level
         scaled = QuadraticForm([[c * x for x in row] for row in form.gram])
         tops = [(s, h0, bound) for walked, s, h0, bound in slices if walked == form]
-        assert [(s, h0) for s, h0, _ in tops] == [(N, h.rep)] * (1 + ((name, k, c) == ("D4", 4, 3)))
+        assert [(s, h0) for s, h0, _ in tops] == [(N, lattice._unsigned(h.rep, N))] * (1 + ((name, k, c) == ("D4", 4, 3)))
         assert [bound for _, _, bound in tops] == sorted({bound for _, _, bound in tops})
         assert walks and not any(walked == scaled for walked, *_ in slices)
         assert not any(walked == scaled for walked, _ in walks)
