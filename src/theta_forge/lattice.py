@@ -34,11 +34,13 @@ Histogram: insertion_histogram hands out views of them and every theta
 sum reads them, so no dict {(e, t...): count} is built.
 The forms on c*A (scaled) and, at det 1, on A^-1 (dual) are images of A:
 their histograms are A's, mapped exactly, so they are never walked.
-Every walk, histogram, fiber or vector query, enters one walker that
-refuses it before allocating: EnumerationBudgetError above
-ENUMERATION_BUDGET estimated points, OverflowError when a partial or a
-fold could leave int64; a fibered plan is refused before any walk when
-its estimated cost passes ENUMERATION_BUDGET.
+Every walk enters through _slice_cells: a histogram's, a kernel
+coset's, and a vector query's, whose cells under identity weights are
+its vectors (t = z), ascending in (Q(z), z).  So one walker refuses each
+before allocating: EnumerationBudgetError above ENUMERATION_BUDGET
+estimated points, OverflowError when a partial or a fold could leave
+int64; a fibered plan is refused before any walk when its estimated cost
+passes ENUMERATION_BUDGET.
 A Gauss sum over c^rank points is split by the CRT into one sum per
 prime power p^e of c, and each of those, by a Jordan splitting of the
 form over Z_p, into 1x1 and 2x2 blocks, each stripped to its unit part:
@@ -889,9 +891,11 @@ def _slice_cells(form: QuadraticForm, bound: int, scale: int, h0, weights):
     """The histogram of z = h0 + scale*u with Q(z) <= bound as a pair
     (keys, counts) of int64 arrays: keys (n, width) in ascending order
     with no repeated rows, (e, t...) with t = weight . z, and counts the
-    vectors of each.  The one entry of every lattice slice; it builds no
-    dict, and the callers that keep the histogram keep these arrays
-    (Histogram).
+    vectors of each.  The one entry of every lattice slice: a histogram,
+    a kernel coset, or a vector query, which reads identity weights (t = z)
+    and so gets every vector once, ascending in (Q(z), z) (_vectors).  It
+    builds no dict, and the callers that keep the histogram keep these
+    arrays (Histogram).
 
     A slice may be walked fiber by fiber along the coordinate of the
     reduced basis the reduced adjugate names or, when it has exactly one
@@ -1109,24 +1113,19 @@ def _tally(index, size: int, counts):
     return out
 
 
-def _sorted_walk(form: QuadraticForm, bound: int, scale: int, h0):
-    """(z, Q(z)) for every z = h0 + scale*u with Q(z) <= bound, sorted by z.
-
-    The walk's weight sums under identity weights are the vectors
-    themselves, in the caller's coordinates.
-    """
+def _vectors(form: QuadraticForm, bound: int, scale: int, h0):
+    """The rows (Q(z), z...) of every z = h0 + scale*u with Q(z) <= bound,
+    ascending: the slice's cells under identity weights, whose t is z
+    itself.  Walked by _slice_cells, not read from the form's store, so a
+    vector query keeps no histogram."""
     f = form.rank
     identity = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
-    out = []
-    for e, Z in _leaf_chunks(form, bound, scale, h0, identity):
-        out.extend(zip(zip(*(z.tolist() for z in Z)), e.tolist()))
-    out.sort()
-    return out
+    return _slice_cells(form, bound, scale, h0, identity)[0].tolist()
 
 
 def enumerate_upto(form: QuadraticForm, bound: int):
     """All integer vectors with Q(m) <= bound, lexicographically sorted."""
-    return [m for m, _ in _sorted_walk(form, bound, 1, (0,) * form.rank)]
+    return sorted(tuple(row[1:]) for row in _vectors(form, bound, 1, (0,) * form.rank))
 
 
 def enumerate_congruence(form: QuadraticForm, h, bound):
@@ -1135,28 +1134,31 @@ def enumerate_congruence(form: QuadraticForm, h, bound):
     The bound is in the exponent units of the congruence theta series,
     so h = 0 with bound b returns N times the plain enumeration at b.
     """
-    rep = h.rep if isinstance(h, CongruenceClass) else tuple(int(x) for x in h)
-    if not isinstance(h, CongruenceClass):
-        CongruenceClass(form, rep)  # validates A h = 0 mod N
+    rep = (h if isinstance(h, CongruenceClass) else CongruenceClass(form, h)).rep
     N = form.level
     raw = int(Fraction(bound) * N * N)
-    return [m for m, _ in _sorted_walk(form, raw, N, rep)]
+    return sorted(tuple(row[1:]) for row in _vectors(form, raw, N, rep))
 
 
 def first_root(form: QuadraticForm):
-    """Lexicographically smallest vector with Q = 1, or None."""
-    return next((m for m, e in _sorted_walk(form, 1, 1, (0,) * form.rank) if e == 1), None)
+    """Lexicographically smallest vector with Q = 1, or None: the first
+    row with e = 1 of one walk to bound 1, whose rows ascend in (e, z), so
+    a form with no root (Leech, say) is walked no further than Q = 1."""
+    return next((tuple(z) for e, *z in _vectors(form, 1, 1, (0,) * form.rank) if e == 1), None)
 
 
 def minimal_vector(form: QuadraticForm):
-    """(m, Q(m)) with Q minimal positive, lexicographically smallest m."""
-    bound = 1
-    while True:
-        nonzero = [(e, m) for m, e in _sorted_walk(form, bound, 1, (0,) * form.rank) if e]
-        if nonzero:
-            mu, m = min(nonzero)
-            return m, mu
-        bound *= 2
+    """(m, Q(m)) with Q minimal positive, lexicographically smallest m.
+
+    Each vector of the reduced basis is a nonzero lattice vector, so the
+    least of their norms bounds the minimum (Cohen, Alg. 2.6.7, as in
+    _lll_basis), and one walk to it meets every shortest vector: the
+    first row with e > 0.
+    """
+    gram = form._reduced()[0]
+    bound = min(gram[i][i] for i in range(form.rank)) // 2
+    e, *m = next(row for row in _vectors(form, bound, 1, (0,) * form.rank) if row[0])
+    return tuple(m), e
 
 
 def unit_insertion_vector(form: QuadraticForm) -> InsertionVector:

@@ -125,13 +125,14 @@ class LawReport:
 
 def sample_gamma0(N: int, count: int, seed: int):
     """Deterministic distinct Gamma_0(N) matrices, c = N t and d coprime,
-    both positive; a and b come from inverting d modulo c."""
+    both positive; a and b come from inverting d modulo c.  A draw takes
+    t in 1..10 and d in 1..50, so when count passes the coprime pairs
+    (c, d) there are, the pool stops at all of them."""
     rng = random.Random(seed)
+    pairs = sum(gcd(N * t, d) == 1 for t in range(1, 11) for d in range(1, 51))
     seen = set()
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 400 * count:
-        attempts += 1
+    while len(out) < min(count, pairs):
         t = rng.randint(1, 10)
         d = rng.randint(1, 50)
         c = N * t

@@ -6,6 +6,7 @@ criterion instead of reciprocity.  Slow but hard to get wrong.
 """
 
 import math
+import random
 from cmath import exp as cexp
 from fractions import Fraction
 from itertools import product
@@ -569,3 +570,24 @@ def congruence_classes_scan(form):
         h for h in product(range(N), repeat=form.rank)
         if not any(sum(a * x for a, x in zip(row, h)) % N for row in form.gram)
     ]
+
+
+def sample_gamma0_loop(N, count, seed):
+    """sample_gamma0 as first written: draws until count matrices or 400
+    draws per matrix, even after every drawable (c, d) is taken."""
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 400 * count:
+        attempts += 1
+        t = rng.randint(1, 10)
+        d = rng.randint(1, 50)
+        c = N * t
+        if math.gcd(c, d) != 1 or (c, d) in seen:
+            continue
+        seen.add((c, d))
+        a = pow(d, -1, c) if c > 1 else 0
+        b = (a * d - 1) // c
+        out.append((a, b, c, d))
+    return out

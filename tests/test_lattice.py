@@ -1082,6 +1082,107 @@ class TestFiberedWalk:
         assert ranks == [1]
 
 
+def _top_slices():
+    """A spy for _slice_cells: (tops, depth, spy), tops the (form, bound,
+    scale, h0) of each call made from outside it, and depth[0] the calls
+    open."""
+    tops, depth = [], [0]
+    slice_cells = lattice._slice_cells
+
+    def spy(*args):
+        if not depth[0]:
+            tops.append(args[:4])
+        depth[0] += 1
+        try:
+            return slice_cells(*args)
+        finally:
+            depth[0] -= 1
+
+    return tops, depth, spy
+
+
+class TestVectorQueries:
+    @pytest.mark.parametrize("name", ["A2", "2A2", "D4", "E8"])
+    def test_every_query_enters_the_slice_entry(self, monkeypatch, name):
+        # each vector query is one slice of the form through _slice_cells,
+        # the entry every histogram takes, and reaches the walker only from
+        # inside it, so it gets the same plans and guards; it keeps nothing
+        # in the form's store
+        form = catalog_form(name)
+        h = form.congruence_classes()[-1]
+        tops, depth, spy = _top_slices()
+        stray = []
+        leaf_chunks = lattice._leaf_chunks
+
+        def walking(*args):
+            if not depth[0]:
+                stray.append(args)
+            return leaf_chunks(*args)
+
+        monkeypatch.setattr(lattice, "_slice_cells", spy)
+        monkeypatch.setattr(lattice, "_leaf_chunks", walking)
+        queries = (
+            lambda: enumerate_upto(form, 2),
+            lambda: enumerate_congruence(form, h, 1),
+            lambda: first_root(form),
+            lambda: minimal_vector(form),
+        )
+        for query in queries:
+            tops.clear()
+            query()
+            assert [walked for walked, *_ in tops] == [form]
+        assert not stray
+        assert not form._cells
+
+    @pytest.mark.parametrize(
+        "gram",
+        [CATALOG["A2"], CATALOG["A1A1"], CATALOG["2A2"], CATALOG["D4"], skewed_basis(CATALOG["D4"], 20)[0]],
+        ids=["A2", "A1A1", "2A2", "D4", "D4-skew"],
+    )
+    def test_fibered_plans_give_the_box_scan(self, monkeypatch, gram):
+        # with the cost constants at zero the queries take fibered plans:
+        # the identity rows are carried into the kernel walks, and the fold
+        # gives back every vector z as its t columns, each once
+        form = QuadraticForm(gram)
+        taken = []
+        fibered_cells = lattice._fibered_cells
+
+        def spy(walked, *args):
+            taken.append(walked is form)
+            return fibered_cells(walked, *args)
+
+        monkeypatch.setattr(lattice, "_fibered_cells", spy)
+        N, bound = form.level, 12 if form.rank == 2 else 4
+        box = box_enumerate(gram, N * N)
+        with patch.multiple(lattice, **_EAGER):
+            assert enumerate_upto(form, bound) == box_enumerate(gram, bound)
+            for h in form.congruence_classes():
+                want = [m for m in box if all((x - r) % N == 0 for x, r in zip(m, h.rep))]
+                assert enumerate_congruence(form, h, 1) == want, h
+        assert any(taken)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_minimal_vector_walks_once(self, data):
+        # catalog and skewed even forms of rank 2 and 4: one walk, to the
+        # least norm of the reduced basis, gives the box scan's minimum and
+        # its lexicographically smallest vector, where doubling the bound
+        # from 1 walked 2A2 twice
+        f = data.draw(st.sampled_from((2, 4)))
+        base = data.draw(st.sampled_from(_EVEN_BASES[f]))
+        c = data.draw(st.lists(st.sampled_from((1, 1, 2)), min_size=f, max_size=f))
+        gram = tuple(tuple(c[i] * base[i][j] * c[j] for j in range(f)) for i in range(f))
+        u, _ = _draw_skewed(data, gram, data.draw(st.sampled_from((0, 100 if f == 2 else 30))))
+        gram = congruent_gram(gram, u)
+        tops, _, spy = _top_slices()
+        with patch.object(lattice, "_slice_cells", spy):
+            got = minimal_vector(QuadraticForm(gram))
+        box = box_enumerate(gram, min(gram[i][i] for i in range(f)) // 2)
+        mu, m = min((quad_value_twice(gram, m) // 2, m) for m in box if any(m))
+        assert got == (m, mu)
+        assert len(tops) == 1, tops
+
+
 def _rescale_weights(scaled, vector):
     """The weight rows a class theta of the scaled form asks for: none, one
     (a real insertion vector) or two (a complex one)."""

@@ -42,7 +42,7 @@ from theta_forge.verify import (
     sample_gamma0,
 )
 
-from oracles import block_gram, gauss_orthogonality_residual_loop
+from oracles import block_gram, gauss_orthogonality_residual_loop, sample_gamma0_loop
 
 A2 = catalog_form("A2")
 V_A2 = unit_insertion_vector(A2)
@@ -62,6 +62,22 @@ class TestSampling:
             assert g.a * g.d - g.b * g.c == 1
             assert g.c % 4 == 0
             assert g.c > 0 and g.d > 0
+
+    def test_same_pools_as_the_unbounded_loop(self):
+        # stopping once every drawable (c, d) is taken changes no pool: the
+        # loop that kept drawing to 400 draws per matrix gives the same
+        # matrices, in order, wherever the pool runs out or not
+        for N, count, seed in product((1, 2, 3, 4, 6, 12), (1, 2, 18, 50, 170, 650), (0, 1, 7)):
+            got = [(g.a, g.b, g.c, g.d) for g in sample_gamma0(N, count, seed)]
+            assert got == sample_gamma0_loop(N, count, seed), (N, count, seed)
+
+    def test_stops_when_the_pool_runs_out(self):
+        # 650 asked at N = 1, where 313 (c, d) exist: the loop that kept
+        # drawing spun for 260,000 draws (about 0.45 s)
+        start = time.perf_counter()
+        mats = sample_gamma0(1, 650, 0)
+        assert time.perf_counter() - start < 0.1
+        assert len(mats) == len({(g.c, g.d) for g in mats}) == 313
 
     def test_determinant_validated(self):
         with pytest.raises(ValueError):
